@@ -19,7 +19,8 @@ import numpy as np
 
 from . import codes, dynamics, gates, qec
 from .dynamics import KrausSet, memory_model, trajectory_rng
-from .states import Ket, LOWER, LocalOperator, apply_local, local_to_dense
+from .states import Ket, LOWER, LocalOperator, local_to_dense, lower_rows, row_norms
+from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it bound here
 
 OUT_DIR_ENV = "JUMPCODES_OUT"
 
@@ -63,6 +64,8 @@ class ExperimentConfig:
             raise ValueError("p-miss must be within [0, 1]")
         if self.seed is None:
             raise ValueError("seed is mandatory for simulation commands")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def true_rates(self) -> list[float]:
         return [k * m for k, m in zip(self.kappas, self.mismatch)]
@@ -271,60 +274,75 @@ def cmd_verify(args) -> int:
 
 # --- sim subcommand ----------------------------------------------------------
 
-def _replay_with_recovery(
+# Replayed states whose norm falls below this count as lost (fidelity 0).
+_UNDERFLOW_NORM = 1e-150
+
+
+def _replay_fidelities(
     config: ExperimentConfig,
-    code: codes.JumpCode,
-    psi_enc: Ket,
-    record: dynamics.TrajectoryRecord,
-    detected: list[bool],
+    psi_enc: np.ndarray,
+    batch: dynamics.TrajectoryBatch,
+    detected: np.ndarray,
     recovery_ops: dict[int, np.ndarray],
-) -> float:
-    """Replay one record, applying recoveries per the imperfection knobs.
+) -> np.ndarray:
+    """Replay every sampled record at once; return each trajectory's fidelity.
 
     A detected jump's recovery is scheduled ``delay`` after it, but never past
-    the next jump or the horizon: pending recoveries are flushed (in detection
-    order) before the following jump is processed. With equal decay rates the
-    no-jump flow is a scalar on each excitation sector, so the delay knob
-    alone keeps fidelity 1; degradation appears with rate mismatch (flow no
-    longer scalar in the window) or with missed detections.
+    the next jump or the horizon: a pending recovery is applied before the
+    following jump is processed. With equal decay rates the no-jump flow is a
+    scalar on each excitation sector, so the delay knob alone keeps fidelity
+    1; degradation appears with rate mismatch (flow no longer scalar in the
+    window) or with missed detections. Rows advance one jump index per step.
+    Recoveries use numpy's own matrix loop rather than BLAS, so a row's result
+    depends neither on the other rows nor on the BLAS thread count.
     """
-    rates = np.asarray(memory_model(config.n_qubits, config.true_rates()).decay_rates())
+    rates = memory_model(config.n_qubits, config.true_rates()).decay_rates()
     T = config.t_final
-    psi = psi_enc.amplitudes.copy()
-    now = 0.0
-    pending: list[tuple[float, int]] = []  # (due time, qubit), detection order
+    rows = len(batch.weights)
+    psi = np.tile(psi_enc, (rows, 1))
+    now = np.zeros(rows)
+    alive = np.ones(rows, dtype=bool)
+    pending = np.zeros(rows, dtype=int)  # qubit awaiting recovery, 0 if none
+    due = np.zeros(rows)
 
-    def advance_and(op: np.ndarray | None, t: float, alpha: int | None):
-        nonlocal psi, now
-        psi = psi * np.exp(-0.5 * rates * (t - now))
-        now = t
-        if op is not None:
-            psi = op @ psi
-        elif alpha is not None:
-            psi = apply_local(
-                LocalOperator((alpha,), LOWER), Ket(config.n_qubits, psi)
-            ).amplitudes
-        norm = np.linalg.norm(psi)
-        if norm < 1e-150:
-            return False
-        psi = psi / norm
-        return True
+    def flow_to(sel: np.ndarray, t: np.ndarray) -> None:
+        psi[sel] *= np.exp(-0.5 * rates * (t - now[sel])[:, None])
+        now[sel] = t
 
-    for (t, alpha), seen in zip(record.jumps, detected):
-        for due, a in pending:
-            if not advance_and(recovery_ops[a], min(due, t), None):
-                return 0.0
-        pending = []
-        if not advance_and(None, t, alpha):
-            return 0.0
-        if seen:
-            pending.append((min(t + config.delay, T), alpha))
-    for due, a in pending:
-        if not advance_and(recovery_ops[a], min(due, T), None):
-            return 0.0
-    psi = psi * np.exp(-0.5 * rates * (T - now))
-    psi = psi / np.linalg.norm(psi)
-    return float(abs(np.vdot(psi_enc.amplitudes, psi)) ** 2)
+    def normalize(sel: np.ndarray) -> None:
+        norms = row_norms(psi[sel])
+        lost = norms < _UNDERFLOW_NORM
+        alive[sel[lost]] = False
+        psi[sel[~lost]] /= norms[~lost, None]
+
+    def recover(sel: np.ndarray, until: np.ndarray) -> None:
+        sel = sel[pending[sel] > 0]
+        flow_to(sel, np.minimum(due[sel], until[sel]))
+        for alpha in np.unique(pending[sel]):
+            group = sel[pending[sel] == alpha]
+            psi[group] = np.einsum("ij,rj->ri", recovery_ops[alpha], psi[group])
+        normalize(sel)
+        pending[sel] = 0
+
+    for k in range(batch.jump_qubits.shape[1]):
+        t, alpha = batch.jump_times[:, k], batch.jump_qubits[:, k]
+        sel = np.flatnonzero(alive & (alpha > 0))
+        recover(sel, t)
+        sel = sel[alive[sel]]
+        flow_to(sel, t[sel])
+        psi[sel] = lower_rows(psi[sel], alpha[sel])
+        normalize(sel)
+        seen = sel[alive[sel] & detected[sel, k]]
+        pending[seen] = alpha[seen]
+        due[seen] = np.minimum(t[seen] + config.delay, T)
+    horizon = np.full(rows, T)
+    recover(np.flatnonzero(alive), horizon)
+    sel = np.flatnonzero(alive)
+    flow_to(sel, horizon[sel])
+    psi[sel] /= row_norms(psi[sel])[:, None]
+    fidelities = np.zeros(rows)
+    fidelities[sel] = np.abs(np.einsum("rj,j->r", psi[sel], psi_enc.conj())) ** 2
+    return fidelities
 
 
 def run_experiment(config: ExperimentConfig):
@@ -343,20 +361,19 @@ def run_experiment(config: ExperimentConfig):
     psi_enc = codes.encode(code, logical).normalized()
     model = memory_model(config.n_qubits, config.true_rates())
     recovery_ops = {a: qec.recovery_unitary(code, a) for a in range(1, code.N + 1)}
-    records = []
-    fidelities = np.empty(config.trajectories)
-    for i in range(config.trajectories):
-        rec = dynamics.run_trajectory(
-            model, psi_enc, config.t_final, config.seed, trajectory_id=i + 1
-        )
-        records.append(rec)
-        coins = trajectory_rng(config.seed, i + 1, stream=1).uniform(
-            size=len(rec.jumps)
-        )
-        detected = [bool(c >= config.p_miss) for c in coins]
-        fidelities[i] = _replay_with_recovery(
-            config, code, psi_enc, rec, detected, recovery_ops
-        )
+    batch = dynamics.run_trajectories(
+        model, psi_enc, config.t_final, config.seed, range(1, config.trajectories + 1)
+    )
+    # The coins decide nothing when p_miss is 0 or 1, so their streams are
+    # only drawn in between.
+    detected = np.full(batch.jump_qubits.shape, config.p_miss == 0.0)
+    if 0.0 < config.p_miss < 1.0:
+        for row, count in enumerate(batch.jump_counts):
+            coins = trajectory_rng(config.seed, row + 1, stream=1).uniform(size=count)
+            detected[row, :count] = coins >= config.p_miss
+    fidelities = _replay_fidelities(
+        config, psi_enc.amplitudes, batch, detected, recovery_ops
+    )
     std_error = (
         float(fidelities.std(ddof=1) / np.sqrt(config.trajectories))
         if config.trajectories > 1
@@ -366,7 +383,7 @@ def run_experiment(config: ExperimentConfig):
         "mean_fidelity": float(fidelities.mean()),
         "std_error": std_error,
         "trajectory_count": config.trajectories,
-        "total_jumps": int(sum(len(r.jumps) for r in records)),
+        "total_jumps": int(batch.jump_counts.sum()),
         "config": {
             "n": config.n_qubits,
             "phase": config.phase,
@@ -378,7 +395,7 @@ def run_experiment(config: ExperimentConfig):
             "p_miss": config.p_miss,
         },
     }
-    return records, fidelities, summary
+    return batch.records(), fidelities, summary
 
 
 def cmd_sim(args) -> int:

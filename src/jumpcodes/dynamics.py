@@ -12,6 +12,7 @@ exp(-kappa t) and the no-jump generator is H - (i/2) sum_a kappa_a n_a.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,9 @@ from .states import (
     LOWER,
     NUMBER,
     OperatorSum,
-    apply_local,
+    apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
+    lower_rows,
+    row_norms,
     sum_to_dense,
 )
 
@@ -32,7 +35,6 @@ TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 EIG_TOL = 1e-8
 JUMP_TIME_REL_TOL = 1e-10
-_NORM_FLOOR = 1e-28  # squared-norm underflow guard
 
 
 @dataclass
@@ -205,105 +207,238 @@ def local_to_dense_jump(model: LindbladModel, alpha: int) -> np.ndarray:
 
 
 def trajectory_rng(seed: int, trajectory_id: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based per-trajectory stream: Philox keyed by (seed, id, stream)."""
-    key = np.random.SeedSequence((seed, trajectory_id, stream)).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based per-trajectory stream: Philox keyed by (seed, id, stream).
+
+    Philox takes its key as ``generate_state(2, np.uint64)`` of the given
+    SeedSequence, with the counter at zero.
+    """
+    seq = np.random.SeedSequence((seed, trajectory_id, stream))
+    return np.random.Generator(np.random.Philox(seq))
 
 
-class _NoJumpFlow:
-    """Unnormalized no-jump propagation from a fixed start state."""
+# Rows that run_trajectories advances together. Bounds its working memory to
+# a few (rows, 2^N) arrays for any number of trajectories.
+TRAJECTORY_CHUNK = 1024
+# average_trajectories sums the projectors of this many consecutive ids per
+# partial. Fixed apart from TRAJECTORY_CHUNK so the sum has one order.
+_ENSEMBLE_BLOCK = 1024
 
-    def __init__(self, model: LindbladModel, psi: np.ndarray):
-        self.model = model
-        self.psi0 = psi
+
+class _NoJumpRows:
+    """Unnormalized no-jump propagation of start rows, each to its own time."""
+
+    def __init__(self, model: LindbladModel):
         self.diagonal = model.hamiltonian is None or not model.hamiltonian.terms
         if self.diagonal:
             self.rates = model.decay_rates()
-            self.weights = np.abs(psi) ** 2
         else:
             self.h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
 
-    def state(self, t: float) -> np.ndarray:
+    def start(self, psi: np.ndarray) -> None:
+        self.psi = psi
         if self.diagonal:
-            return self.psi0 * np.exp(-0.5 * self.rates * t)
-        return dense_expm(-1j * t * self.h_eff) @ self.psi0
+            self.weights = np.abs(psi) ** 2
 
-    def norm_sq(self, t: float) -> float:
+    def state(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         if self.diagonal:
-            return float(np.sum(self.weights * np.exp(-self.rates * t)))
-        return float(np.linalg.norm(self.state(t)) ** 2)
+            return self.psi[rows] * np.exp(-0.5 * self.rates * t[:, None])
+        propagators = dense_expm((-1j * t)[:, None, None] * self.h_eff)
+        return (propagators @ self.psi[rows][:, :, None])[:, :, 0]
+
+    def norm_sq(self, rows: np.ndarray):
+        """The squared norm of start rows ``rows`` as a function of their times."""
+        if self.diagonal:
+            weights, neg_rates = self.weights[rows], -self.rates
+            return lambda t: np.add.reduce(weights * np.exp(neg_rates * t[:, None]), axis=1)
+        return lambda t: row_norms(self.state(rows, t)) ** 2
 
 
-def _bisect_jump_time(flow: _NoJumpFlow, horizon: float, threshold: float) -> float:
-    """Time where the squared norm crosses ``threshold``; norm is monotone."""
-    lo, hi = 0.0, horizon
-    while hi - lo > JUMP_TIME_REL_TOL * max(hi, 1.0):
+def _bisect_jump_times(
+    flow: _NoJumpRows, rows: np.ndarray, horizon: np.ndarray, threshold: np.ndarray
+) -> np.ndarray:
+    """For each of the flow's ``rows``, the time where its squared norm
+    crosses its threshold.
+
+    The norm is monotone in time. Each row stops once its bracket is within
+    the relative tolerance, so its result does not depend on the other rows.
+    """
+    out = np.empty_like(horizon)
+    if not out.size:
+        return out
+    pos = np.arange(len(horizon))
+    lo, hi = np.zeros_like(horizon), horizon.copy()
+    norm_sq = flow.norm_sq(rows)
+    # Each step halves a bracket (to within rounding), so with the factor 2
+    # margin in ``limit`` no row can meet its tolerance in the first
+    # ``unchecked`` steps: they skip the test.
+    limit = 2.0 * JUMP_TIME_REL_TOL * np.maximum(horizon, 1.0)
+    unchecked = int(np.log2(horizon / limit).min())
+    for step in itertools.count():
+        if step >= unchecked:
+            done = hi - lo <= JUMP_TIME_REL_TOL * np.maximum(hi, 1.0)
+            if done.any():
+                out[pos[done]] = 0.5 * (lo[done] + hi[done])
+                go = ~done
+                pos, lo, hi, rows, threshold = pos[go], lo[go], hi[go], rows[go], threshold[go]
+                if not pos.size:
+                    return out
+                norm_sq = flow.norm_sq(rows)
         mid = 0.5 * (lo + hi)
-        if flow.norm_sq(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = norm_sq(mid) > threshold
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+
+
+def _channel_weights(model: LindbladModel, psi: np.ndarray) -> np.ndarray:
+    """||L_alpha psi_r||^2 for each row r of ``psi`` and each channel."""
+    probs = np.abs(psi) ** 2
+    idx = np.arange(psi.shape[1])
+    out = np.zeros((psi.shape[0], len(model.channels)))
+    for j, (alpha, kappa) in enumerate(model.channels):
+        # Contiguous rows, so each row is summed pairwise like a 1-D array.
+        excited = np.ascontiguousarray(probs[:, ((idx >> (alpha - 1)) & 1) == 1])
+        out[:, j] = kappa * excited.sum(axis=1)
+    return out
 
 
 def jump_channel_weights(model: LindbladModel, psi: Ket) -> np.ndarray:
     """||L_alpha psi||^2 for each channel: unnormalized jump-channel weights."""
-    probs = np.abs(psi.amplitudes) ** 2
-    idx = np.arange(psi.dim)
-    out = np.zeros(len(model.channels))
-    for j, (alpha, kappa) in enumerate(model.channels):
-        out[j] = kappa * probs[((idx >> (alpha - 1)) & 1) == 1].sum()
-    return out
+    return _channel_weights(model, psi.amplitudes[None, :])[0]
+
+
+@dataclass
+class TrajectoryBatch:
+    """Trajectories sampled together; row r holds the r-th requested id.
+
+    Row r jumped ``jump_counts[r]`` times; its jumps fill the first columns of
+    ``jump_times`` and ``jump_qubits`` (padding: NaN and 0).
+    """
+
+    n_qubits: int
+    jump_times: np.ndarray
+    jump_qubits: np.ndarray
+    final_states: np.ndarray
+    weights: np.ndarray
+    absorbed: np.ndarray
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        return np.count_nonzero(self.jump_qubits, axis=1)
+
+    def records(self) -> list[TrajectoryRecord]:
+        """One TrajectoryRecord per row, in row order."""
+        times, qubits = self.jump_times.tolist(), self.jump_qubits.tolist()
+        rows = zip(self.jump_counts.tolist(), self.weights.tolist(), self.absorbed.tolist())
+        return [
+            TrajectoryRecord(
+                list(zip(times[r][:n], qubits[r][:n])),
+                Ket(self.n_qubits, self.final_states[r]),
+                weight,
+                absorbed,
+            )
+            for r, (n, weight, absorbed) in enumerate(rows)
+        ]
+
+
+def run_trajectories(
+    model: LindbladModel, psi0: Ket, T: float, seed: int, ids
+) -> TrajectoryBatch:
+    """Simulate the trajectories ``ids`` up to horizon T, batched over rows.
+
+    Between jumps each row follows exp(-i H_eff t); a jump fires when the
+    row's squared norm crosses a uniform threshold (bisection to relative
+    time tolerance 1e-10), the channel is drawn with probability proportional
+    to ||L_alpha psi||^2, and the row is replaced by the normalized
+    L_alpha psi. Trajectory i draws from ``trajectory_rng(seed, i)``: one
+    threshold, then (if it jumps) one channel draw, per round. Each row's
+    arithmetic is independent of the other rows, so a trajectory comes out
+    bit for bit the same in any batch. Rows advance TRAJECTORY_CHUNK at a time.
+    """
+    if not psi0.is_normalized(1e-9):
+        raise ValueError("initial state must be normalized")
+    if not np.isfinite(T):
+        raise ValueError("horizon must be finite")
+    ids = [int(i) for i in ids]
+    count = len(ids)
+    flow = _NoJumpRows(model)
+    qubits = np.array([a for a, _ in model.channels], dtype=int)
+    sqrt_kappas = np.sqrt([k for _, k in model.channels])
+    final = np.tile(psi0.amplitudes, (count, 1))
+    weight = np.ones(count)
+    absorbed = np.zeros(count, dtype=bool)
+    jump_times: list[np.ndarray] = []  # per round of jumps, one entry per row
+    jump_qubits: list[np.ndarray] = []
+    for start in range(0, count if T > 0 else 0, TRAJECTORY_CHUNK):
+        # Views of this chunk's rows; ``live`` indexes within the chunk.
+        chunk = slice(start, start + TRAJECTORY_CHUNK)
+        final_c, weight_c, absorbed_c = final[chunk], weight[chunk], absorbed[chunk]
+        rngs = [trajectory_rng(seed, i) for i in ids[chunk]]
+        psi = final_c.copy()
+        t = np.zeros(len(psi))
+        live = np.arange(len(psi))
+        for k in itertools.count():
+            draws = np.array([rngs[r].random(2) for r in live])
+            flow.start(psi[live])
+            remaining = T - t[live]
+            end_sq = flow.norm_sq(np.arange(live.size))(remaining)
+            stays = end_sq > draws[:, 0]
+            if stays.any():
+                end = flow.state(np.flatnonzero(stays), remaining[stays])
+                weight_c[live[stays]] *= end_sq[stays]
+                final_c[live[stays]] = end / row_norms(end)[:, None]
+                if stays.all():
+                    break
+
+            jumping = np.flatnonzero(~stays)
+            rows, (threshold, pick) = live[jumping], draws[jumping].T
+            s = _bisect_jump_times(flow, jumping, remaining[jumping], threshold)
+            pre = flow.state(jumping, s)
+            weight_c[rows] *= threshold  # squared norm at the crossing
+            pre = pre / row_norms(pre)[:, None]
+            channel_w = _channel_weights(model, pre)
+            total = channel_w.sum(axis=1)
+            dark = total <= 0.0
+            if dark.any():
+                absorbed_c[rows[dark]] = True
+                final_c[rows[dark]] = pre[dark]
+                lit = ~dark
+                rows, s, pre, pick = rows[lit], s[lit], pre[lit], pick[lit]
+                channel_w, total = channel_w[lit], total[lit]
+            # Generator.choice(p=w / total), bit for bit: normalized cumulative
+            # weights searched (side="right") with one uniform draw.
+            cdf = np.cumsum(channel_w / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            j = np.count_nonzero(cdf <= pick[:, None], axis=1)
+            jumped = lower_rows(pre, qubits[j]) * sqrt_kappas[j][:, None]
+            jump_sq = row_norms(jumped) ** 2
+            weight_c[rows] *= jump_sq
+            psi[rows] = jumped / np.sqrt(jump_sq)[:, None]
+            t[rows] += s
+            if k == len(jump_times):
+                jump_times.append(np.full(count, np.nan))
+                jump_qubits.append(np.zeros(count, dtype=int))
+            jump_times[k][chunk][rows] = t[rows]
+            jump_qubits[k][chunk][rows] = qubits[j]
+            over = t[rows] >= T
+            final_c[rows[over]] = psi[rows[over]]
+            live = rows[~over]
+            if not live.size:
+                break
+    return TrajectoryBatch(
+        psi0.n_qubits,
+        np.array(jump_times, dtype=float).reshape(len(jump_times), count).T,
+        np.array(jump_qubits, dtype=int).reshape(len(jump_qubits), count).T,
+        final,
+        weight,
+        absorbed,
+    )
 
 
 def run_trajectory(
     model: LindbladModel, psi0: Ket, T: float, rng_seed: int, trajectory_id: int = 0
 ) -> TrajectoryRecord:
-    """Simulate one quantum trajectory up to horizon T.
-
-    Between jumps the state follows exp(-i H_eff t); a jump fires when the
-    squared norm crosses a uniform threshold (bisection to relative time
-    tolerance 1e-10), the channel is drawn with probability proportional to
-    ||L_alpha psi||^2, and the state is replaced by the normalized L_alpha psi.
-    """
-    if not psi0.is_normalized(1e-9):
-        raise ValueError("initial state must be normalized")
-    rng = trajectory_rng(rng_seed, trajectory_id)
-    psi = psi0.amplitudes.copy()
-    t = 0.0
-    jumps: list[tuple[float, int]] = []
-    weight = 1.0
-    while t < T:
-        flow = _NoJumpFlow(model, psi)
-        threshold = rng.uniform()
-        remaining = T - t
-        end_sq = flow.norm_sq(remaining)
-        if end_sq > threshold:
-            final = flow.state(remaining)
-            weight *= end_sq
-            norm = np.linalg.norm(final)
-            return TrajectoryRecord(jumps, Ket(psi0.n_qubits, final / norm), weight)
-        if end_sq < _NORM_FLOOR and flow.norm_sq(0.0) < _NORM_FLOOR:
-            return TrajectoryRecord(
-                jumps, Ket(psi0.n_qubits, psi), weight, absorbed=True
-            )
-        s = _bisect_jump_time(flow, remaining, threshold)
-        pre_jump = flow.state(s)
-        weight *= threshold  # squared norm at the crossing
-        pre_ket = Ket(psi0.n_qubits, pre_jump / np.linalg.norm(pre_jump))
-        channel_w = jump_channel_weights(model, pre_ket)
-        total = channel_w.sum()
-        if total <= 0.0:
-            return TrajectoryRecord(jumps, pre_ket, weight, absorbed=True)
-        j = int(rng.choice(len(channel_w), p=channel_w / total))
-        alpha = model.channels[j][0]
-        jumped = apply_local(model.jump_operator(alpha), pre_ket)
-        jump_sq = jumped.norm() ** 2
-        weight *= jump_sq
-        psi = jumped.amplitudes / np.sqrt(jump_sq)
-        t += s
-        jumps.append((t, alpha))
-    return TrajectoryRecord(jumps, Ket(psi0.n_qubits, psi), weight)
+    """Simulate one quantum trajectory: the one-id case of run_trajectories."""
+    return run_trajectories(model, psi0, T, rng_seed, [trajectory_id]).records()[0]
 
 
 def average_trajectories(
@@ -311,22 +446,19 @@ def average_trajectories(
 ) -> DensityMatrix:
     """Mean projector over ``count`` trajectories, deterministically reduced.
 
-    Per-trajectory streams derive from (seed, trajectory_id); the reduction is
-    a chunked pairwise sum so the result is independent of scheduling.
+    Per-trajectory streams derive from (seed, trajectory_id). Each block of
+    consecutive ids adds its final states V as V^T V^* to the total in id
+    order. The product is numpy's own loop rather than BLAS, so the result
+    depends neither on batching nor on the BLAS thread count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    dim = psi0.dim
-    chunk = 1024
-    partials = []
-    for start in range(0, count, chunk):
-        ids = range(start, min(start + chunk, count))
-        block = np.empty((len(ids), dim, dim), dtype=complex)
-        for row, traj_id in enumerate(ids):
-            v = run_trajectory(model, psi0, T, seed, traj_id).final_state.amplitudes
-            block[row] = np.outer(v, v.conj())
-        partials.append(block.sum(axis=0))
-    total = np.sum(np.stack(partials), axis=0) / count
+    total = np.zeros((psi0.dim, psi0.dim), dtype=complex)
+    for start in range(0, count, _ENSEMBLE_BLOCK):
+        ids = range(start, min(start + _ENSEMBLE_BLOCK, count))
+        V = run_trajectories(model, psi0, T, seed, ids).final_states.T.copy()
+        total += np.einsum("ir,jr->ij", V, V.conj())
+    total /= count
     total = 0.5 * (total + total.conj().T)
     return DensityMatrix(total / np.trace(total).real, eig_tol=1e-7)
 

@@ -248,3 +248,107 @@ def test_kl_report_schema_matches_serializer():
     L1 = local_to_dense(LocalOperator((1,), LOWER), 4)
     data = kl_report_to_json(kl_check(KrausSet((L1,)), P))
     jsonschema.validate(data, load_schema("kl_report.schema.json"))
+
+
+def sim_outputs(out_dir: Path) -> tuple[bytes, bytes]:
+    return (out_dir / "jumps.csv").read_bytes(), (out_dir / "summary.json").read_bytes()
+
+
+class TestSimBatching:
+    IMPERFECT = [
+        "sim", "run", "--n", "4", "--t-final", "2.0", "--trajectories", "40",
+        "--seed", "21", "--delay", "0.2", "--p-miss", "0.3",
+        "--mismatch", "1.0", "1.6", "0.5", "1.0",
+    ]
+
+    def test_chunk_size_does_not_change_outputs(self, capsys, tmp_path, monkeypatch):
+        from jumpcodes import dynamics
+
+        assert main(self.IMPERFECT + ["--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 3)
+        assert main(self.IMPERFECT + ["--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert sim_outputs(tmp_path / "a") == sim_outputs(tmp_path / "b")
+
+    def test_fewer_trajectories_give_a_prefix_of_the_log(self, capsys, tmp_path):
+        args = ["sim", "run", "--n", "4", "--t-final", "2.0", "--seed", "8"]
+        main(args + ["--trajectories", "40", "--out", str(tmp_path / "a")])
+        main(args + ["--trajectories", "100", "--out", str(tmp_path / "b")])
+        capsys.readouterr()
+        short = (tmp_path / "a" / "jumps.csv").read_text().splitlines()
+        long = (tmp_path / "b" / "jumps.csv").read_text().splitlines()
+        assert len(long) > len(short) > 1
+        assert long[: len(short)] == short
+
+    @pytest.mark.parametrize("n", ["4", "8"])
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path, n):
+        import os
+        import subprocess
+        import sys
+
+        import jumpcodes
+
+        src = str(Path(jumpcodes.__file__).resolve().parent.parent)
+        argv = [
+            sys.executable, "-m", "jumpcodes.cli", "sim", "run", "--n", n,
+            "--t-final", "1.0", "--trajectories", "60", "--seed", "5",
+            "--delay", "0.1", "--p-miss", "0.2",
+            "--mismatch", *(["1.3", "0.7"] * (int(n) // 2)),
+        ]
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = {
+            threads: subprocess.Popen(
+                argv + ["--out", str(tmp_path / threads)],
+                env=dict(os.environ, PYTHONPATH=path,
+                         OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                stdout=subprocess.DEVNULL,
+            )
+            for threads in ("1", "2")
+        }
+        for proc in runs.values():
+            assert proc.wait(timeout=300) == 0
+        assert sim_outputs(tmp_path / "1") == sim_outputs(tmp_path / "2")
+
+
+class TestSimEdgeCases:
+    def run_sim(self, capsys, tmp_path, *extra):
+        status, summary = run_cli(
+            capsys,
+            "sim", "run", "--n", "4", "--t-final", "2.0", "--trajectories", "64",
+            "--seed", "4", "--out", str(tmp_path), *extra,
+        )
+        assert status == 0
+        rows = (tmp_path / "jumps.csv").read_text().splitlines()[1:]
+        return summary, [line.split(",") for line in rows]
+
+    @pytest.mark.parametrize("extra", [("--t-final", "0"), ("--kappa", "0")])
+    def test_no_decay_means_no_jumps(self, capsys, tmp_path, extra):
+        summary, rows = self.run_sim(capsys, tmp_path, *extra)
+        assert rows == [] and summary["total_jumps"] == 0
+        assert abs(summary["mean_fidelity"] - 1.0) <= 1e-12
+
+    def test_all_missed_applies_no_recovery(self, capsys, tmp_path):
+        # Without recovery every jump leaves the code's excitation sector, so
+        # exactly the trajectories that never jumped keep fidelity 1.
+        summary, rows = self.run_sim(capsys, tmp_path, "--p-miss", "1")
+        jumped = {int(tid) for tid, _, _ in rows}
+        assert 0 < len(jumped) < 64
+        assert abs(summary["mean_fidelity"] - (1.0 - len(jumped) / 64)) <= 1e-12
+
+    def test_zero_mismatch_qubit_never_jumps(self, capsys, tmp_path):
+        summary, rows = self.run_sim(
+            capsys, tmp_path, "--mismatch", "1.0", "0.0", "1.0", "1.0"
+        )
+        qubits = {int(alpha) for _, _, alpha in rows}
+        assert summary["total_jumps"] > 0
+        assert 2 not in qubits and qubits <= {1, 3, 4}
+
+    @pytest.mark.parametrize("flag, value, word", [
+        ("--seed", "-1", "seed"), ("--t-final", "inf", "finite"),
+    ])
+    def test_bad_input_is_rejected(self, capsys, flag, value, word):
+        argv = ["sim", "run", "--n", "4", "--trajectories", "4", "--seed", "1"]
+        status = main(argv + [flag, value])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert word in err and "Traceback" not in err

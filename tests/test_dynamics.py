@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from jumpcodes import dynamics
 from jumpcodes.codes import codeword_ket, dfs_basis, jump_code
 from jumpcodes.dynamics import (
     DensityMatrix,
@@ -16,6 +17,7 @@ from jumpcodes.dynamics import (
     no_jump_kraus,
     pure_density,
     records_to_csv,
+    run_trajectories,
     run_trajectory,
     trace_distance,
 )
@@ -325,3 +327,57 @@ def test_records_csv_format():
         assert int(tid) in (0, 1, 2)
         assert float(t) > 0
         assert int(alpha) in (1, 2)
+
+
+def random_state(n: int, seed: int) -> Ket:
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return Ket(n, v / np.linalg.norm(v))
+
+
+class TestRunTrajectories:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_single_trajectory_is_its_batch_row(self, n, mixed):
+        model = memory_model(n, list(np.linspace(0.4, 1.6, n)) if mixed else 1.0)
+        psi = random_state(n, n)
+        ids = [3, 0, 7, 1, 12, 5]
+        batch = run_trajectories(model, psi, 2.0, 41, ids).records()
+        for got, traj_id in zip(batch, ids):
+            rec = run_trajectory(model, psi, 2.0, 41, trajectory_id=traj_id)
+            assert rec.jumps == got.jumps
+            assert rec.final_state.amplitudes.tobytes() == got.final_state.amplitudes.tobytes()
+            assert rec.weight == got.weight
+            assert rec.absorbed == got.absorbed
+        assert sum(len(r.jumps) for r in batch) > 0
+
+    def test_driven_single_trajectory_is_its_batch_row(self):
+        H = OperatorSum((LocalOperator((1,), 0.8 * SIGMA_X),))
+        model = LindbladModel(2, H, ((1, 1.0), (2, 0.6)))
+        batch = run_trajectories(model, excited(2), 1.5, 5, range(6)).records()
+        for traj_id, got in enumerate(batch):
+            rec = run_trajectory(model, excited(2), 1.5, 5, trajectory_id=traj_id)
+            assert rec.jumps == got.jumps
+            assert np.array_equal(rec.final_state.amplitudes, got.final_state.amplitudes)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        model = memory_model(2, [1.0, 0.4])
+        psi = random_state(2, 3)
+        batch = run_trajectories(model, psi, 1.5, 33, range(20))
+        rho = average_trajectories(model, psi, 1.5, 1100, 33)
+        monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 3)
+        small = run_trajectories(model, psi, 1.5, 33, range(20))
+        assert [r.jumps for r in small.records()] == [r.jumps for r in batch.records()]
+        assert small.final_states.tobytes() == batch.final_states.tobytes()
+        assert average_trajectories(model, psi, 1.5, 1100, 33).matrix.tobytes() == (
+            rho.matrix.tobytes()
+        )
+
+
+def test_trajectory_stream_is_philox_keyed_by_seed_sequence():
+    from jumpcodes.dynamics import trajectory_rng
+
+    for seed, traj_id, stream in ((0, 0, 0), (7, 1, 1), (2**40, 10**9, 0)):
+        key = np.random.SeedSequence((seed, traj_id, stream)).generate_state(2, np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).random(8)
+        assert np.array_equal(trajectory_rng(seed, traj_id, stream).random(8), expected)

@@ -194,3 +194,26 @@ def test_sum_to_dense_adds_terms():
     total = sum_to_dense(ops, 3)
     expected = local_to_dense(ops.terms[0], 3) + local_to_dense(ops.terms[1], 3)
     assert np.allclose(total, expected)
+
+
+class TestRowKernels:
+    def test_lower_rows_matches_apply_local(self):
+        from jumpcodes.states import lower_rows
+
+        rng = np.random.default_rng(12)
+        n = 4
+        kets = [random_ket(rng, n) for _ in range(8)]
+        alpha = np.array([1, 2, 3, 4, 4, 3, 2, 1])
+        got = lower_rows(np.array([k.amplitudes for k in kets]), alpha)
+        for row, ket, a in zip(got, kets, alpha):
+            expected = apply_local(LocalOperator((int(a),), LOWER), ket).amplitudes
+            assert np.array_equal(row, expected)
+
+    def test_row_norms_are_linalg_norms_bit_for_bit(self):
+        from jumpcodes.states import row_norms
+
+        rng = np.random.default_rng(13)
+        for dim in (2, 16, 256):
+            rows = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
+            expected = [np.linalg.norm(r) for r in rows]
+            assert row_norms(rows).tolist() == expected

@@ -4,6 +4,7 @@ what breaks it: unknown error positions, missed detections, rate mismatch."""
 import numpy as np
 
 from jumpcodes import (
+    ExperimentConfig,
     KrausSet,
     correct_trajectory,
     dfs_projector,
@@ -16,9 +17,9 @@ from jumpcodes import (
     dfs_check,
     projector,
     recovery_unitary,
+    run_experiment,
     run_trajectory,
 )
-from jumpcodes.cli import ExperimentConfig, run_experiment
 from jumpcodes.states import LOWER, LocalOperator, local_to_dense
 
 kappa = 1.0

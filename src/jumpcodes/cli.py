@@ -12,63 +12,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import codes, dynamics, gates, qec
-from .dynamics import KrausSet, memory_model, trajectory_rng
-from .states import Ket, LOWER, LocalOperator, local_to_dense, lower_rows, row_norms
+from .dynamics import KrausSet, memory_model
+from .dynamics import trajectory_rng  # noqa: F401  bench/test_tracing.py expects it bound here
+from .qec import ExperimentConfig, run_experiment
+from .states import Ket, LOWER, LocalOperator, local_to_dense
 from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it bound here
 
 OUT_DIR_ENV = "JUMPCODES_OUT"
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated knobs for a decay-and-recovery simulation run."""
-
-    n_qubits: int
-    phase: float
-    kappas: list[float]
-    t_final: float
-    trajectories: int
-    seed: int
-    delay: float = 0.0
-    mismatch: list[float] = field(default_factory=list)
-    p_miss: float = 0.0
-
-    def __post_init__(self):
-        if self.n_qubits % 2 != 0 or self.n_qubits < 2:
-            raise ValueError("n must be even and >= 2")
-        if len(self.kappas) == 1:
-            self.kappas = self.kappas * self.n_qubits
-        if len(self.kappas) != self.n_qubits:
-            raise ValueError("kappa list must have 1 or n entries")
-        if any(k < 0 for k in self.kappas):
-            raise ValueError("decay rates must be non-negative")
-        if not self.mismatch:
-            self.mismatch = [1.0] * self.n_qubits
-        if len(self.mismatch) != self.n_qubits:
-            raise ValueError("mismatch list must have n entries")
-        if any(m < 0 for m in self.mismatch):
-            raise ValueError("mismatch factors must be non-negative")
-        if self.t_final < 0:
-            raise ValueError("t-final must be non-negative")
-        if self.trajectories < 1:
-            raise ValueError("trajectories must be >= 1")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-        if not (0.0 <= self.p_miss <= 1.0):
-            raise ValueError("p-miss must be within [0, 1]")
-        if self.seed is None:
-            raise ValueError("seed is mandatory for simulation commands")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    def true_rates(self) -> list[float]:
-        return [k * m for k, m in zip(self.kappas, self.mismatch)]
 
 
 def _out_dir(path_arg: str | None) -> Path:
@@ -273,130 +228,6 @@ def cmd_verify(args) -> int:
 
 
 # --- sim subcommand ----------------------------------------------------------
-
-# Replayed states whose norm falls below this count as lost (fidelity 0).
-_UNDERFLOW_NORM = 1e-150
-
-
-def _replay_fidelities(
-    config: ExperimentConfig,
-    psi_enc: np.ndarray,
-    batch: dynamics.TrajectoryBatch,
-    detected: np.ndarray,
-    recovery_ops: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Replay every sampled record at once; return each trajectory's fidelity.
-
-    A detected jump's recovery is scheduled ``delay`` after it, but never past
-    the next jump or the horizon: a pending recovery is applied before the
-    following jump is processed. With equal decay rates the no-jump flow is a
-    scalar on each excitation sector, so the delay knob alone keeps fidelity
-    1; degradation appears with rate mismatch (flow no longer scalar in the
-    window) or with missed detections. Rows advance one jump index per step.
-    Recoveries use numpy's own matrix loop rather than BLAS, so a row's result
-    depends neither on the other rows nor on the BLAS thread count.
-    """
-    rates = memory_model(config.n_qubits, config.true_rates()).decay_rates()
-    T = config.t_final
-    rows = len(batch.weights)
-    psi = np.tile(psi_enc, (rows, 1))
-    now = np.zeros(rows)
-    alive = np.ones(rows, dtype=bool)
-    pending = np.zeros(rows, dtype=int)  # qubit awaiting recovery, 0 if none
-    due = np.zeros(rows)
-
-    def flow_to(sel: np.ndarray, t: np.ndarray) -> None:
-        psi[sel] *= np.exp(-0.5 * rates * (t - now[sel])[:, None])
-        now[sel] = t
-
-    def normalize(sel: np.ndarray) -> None:
-        norms = row_norms(psi[sel])
-        lost = norms < _UNDERFLOW_NORM
-        alive[sel[lost]] = False
-        psi[sel[~lost]] /= norms[~lost, None]
-
-    def recover(sel: np.ndarray, until: np.ndarray) -> None:
-        sel = sel[pending[sel] > 0]
-        flow_to(sel, np.minimum(due[sel], until[sel]))
-        for alpha in np.unique(pending[sel]):
-            group = sel[pending[sel] == alpha]
-            psi[group] = np.einsum("ij,rj->ri", recovery_ops[alpha], psi[group])
-        normalize(sel)
-        pending[sel] = 0
-
-    for k in range(batch.jump_qubits.shape[1]):
-        t, alpha = batch.jump_times[:, k], batch.jump_qubits[:, k]
-        sel = np.flatnonzero(alive & (alpha > 0))
-        recover(sel, t)
-        sel = sel[alive[sel]]
-        flow_to(sel, t[sel])
-        psi[sel] = lower_rows(psi[sel], alpha[sel])
-        normalize(sel)
-        seen = sel[alive[sel] & detected[sel, k]]
-        pending[seen] = alpha[seen]
-        due[seen] = np.minimum(t[seen] + config.delay, T)
-    horizon = np.full(rows, T)
-    recover(np.flatnonzero(alive), horizon)
-    sel = np.flatnonzero(alive)
-    flow_to(sel, horizon[sel])
-    psi[sel] /= row_norms(psi[sel])[:, None]
-    fidelities = np.zeros(rows)
-    fidelities[sel] = np.abs(np.einsum("rj,j->r", psi[sel], psi_enc.conj())) ** 2
-    return fidelities
-
-
-def run_experiment(config: ExperimentConfig):
-    """Simulate decay trajectories of an encoded logical state and correct them.
-
-    Returns (records, fidelities, summary dict). The logical state is drawn
-    from stream (seed, 0); trajectory i uses stream (seed, i + 1) and its
-    detection coins stream (seed, i + 1, 1).
-    """
-    code = codes.jump_code(config.n_qubits, config.phase)
-    rng_logical = trajectory_rng(config.seed, 0)
-    logical = rng_logical.normal(size=code.count) + 1j * rng_logical.normal(
-        size=code.count
-    )
-    logical /= np.linalg.norm(logical)
-    psi_enc = codes.encode(code, logical).normalized()
-    model = memory_model(config.n_qubits, config.true_rates())
-    recovery_ops = {a: qec.recovery_unitary(code, a) for a in range(1, code.N + 1)}
-    batch = dynamics.run_trajectories(
-        model, psi_enc, config.t_final, config.seed, range(1, config.trajectories + 1)
-    )
-    # The coins decide nothing when p_miss is 0 or 1, so their streams are
-    # only drawn in between.
-    detected = np.full(batch.jump_qubits.shape, config.p_miss == 0.0)
-    if 0.0 < config.p_miss < 1.0:
-        for row, count in enumerate(batch.jump_counts):
-            coins = trajectory_rng(config.seed, row + 1, stream=1).uniform(size=count)
-            detected[row, :count] = coins >= config.p_miss
-    fidelities = _replay_fidelities(
-        config, psi_enc.amplitudes, batch, detected, recovery_ops
-    )
-    std_error = (
-        float(fidelities.std(ddof=1) / np.sqrt(config.trajectories))
-        if config.trajectories > 1
-        else 0.0
-    )
-    summary = {
-        "mean_fidelity": float(fidelities.mean()),
-        "std_error": std_error,
-        "trajectory_count": config.trajectories,
-        "total_jumps": int(batch.jump_counts.sum()),
-        "config": {
-            "n": config.n_qubits,
-            "phase": config.phase,
-            "kappa": config.kappas,
-            "mismatch": config.mismatch,
-            "t_final": config.t_final,
-            "seed": config.seed,
-            "delay": config.delay,
-            "p_miss": config.p_miss,
-        },
-    }
-    return batch.records(), fidelities, summary
-
 
 def cmd_sim(args) -> int:
     config = ExperimentConfig(

@@ -54,6 +54,8 @@ class LindbladModel:
             raise ValueError("channel qubits must be distinct")
         if any(a < 1 or a > self.n_qubits for a in qubits):
             raise ValueError("channel qubit out of range")
+        if not all(np.isfinite(k) for _, k in self.channels):
+            raise ValueError("decay rates must be finite")
         if any(k < 0 for _, k in self.channels):
             raise ValueError("decay rates must be non-negative")
 

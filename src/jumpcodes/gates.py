@@ -14,6 +14,7 @@ without ever leaving the code space.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,80 +354,68 @@ def _commutator_cycle(h1, h2, a: float, b: float) -> list[ProgramSegment]:
     ]
 
 
-def sum_formula_target(h1, h2, t1: float, t2: float, dim_hint: int | None = None):
-    M1, M2 = _as_matrices(h1, h2, dim_hint)
+def sum_formula_target(h1: np.ndarray, h2: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    M1, M2 = np.asarray(h1, dtype=complex), np.asarray(h2, dtype=complex)
     return dense_expm(1j * (t1 * M1 + t2 * M2))
 
 
-def commutator_formula_target(h1, h2, t1: float, t2: float, dim_hint: int | None = None):
-    M1, M2 = _as_matrices(h1, h2, dim_hint)
+def commutator_formula_target(
+    h1: np.ndarray, h2: np.ndarray, t1: float, t2: float
+) -> np.ndarray:
+    M1, M2 = np.asarray(h1, dtype=complex), np.asarray(h2, dtype=complex)
     return dense_expm(-(t1 * M1 @ (t2 * M2) - t2 * M2 @ (t1 * M1)))
 
 
-def _as_matrices(h1, h2, n_qubits: int | None):
-    def conv(h):
+def _running_products(
+    program: HamiltonianProgram,
+    n_qubits: int | None = None,
+    basis: list[Ket] | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield U_k ... U_1 after each segment k, with U_k = exp(-i H_k t_k).
+
+    Segments act physically on ``n_qubits`` qubits, or logically on
+    span(basis) when a basis is given. Each distinct (Hamiltonian value,
+    duration) pair is exponentiated once per call.
+    """
+    cache: dict[tuple, np.ndarray] = {}
+    U = None
+    for seg in program.segments:
+        h = seg.hamiltonian
         if isinstance(h, GateHamiltonian):
-            if n_qubits is None:
-                raise ValueError("n_qubits required for GateHamiltonian targets")
-            return h.matrix(n_qubits)
-        return np.asarray(h, dtype=complex)
-
-    return conv(h1), conv(h2)
-
-
-class _SegmentCache:
-    """expm cache keyed by (hamiltonian identity, duration)."""
-
-    def __init__(self, to_matrix):
-        self.to_matrix = to_matrix
-        self.cache: dict[tuple[int, float], np.ndarray] = {}
-
-    def unitary(self, seg: ProgramSegment) -> np.ndarray:
-        key = (id(seg.hamiltonian), seg.duration)
-        if key not in self.cache:
-            M = self.to_matrix(seg.hamiltonian)
-            self.cache[key] = dense_expm(-1j * seg.duration * M)
-        return self.cache[key]
+            key = (h.terms, seg.duration)
+        else:
+            h = np.asarray(h, dtype=complex)
+            key = (h.shape, h.tobytes(), seg.duration)
+        if key not in cache:
+            if isinstance(h, np.ndarray):
+                if basis is not None and h.shape != (len(basis), len(basis)):
+                    raise ValueError("abstract segment dimension does not match basis size")
+                M = h
+            elif basis is not None:
+                M = logical_matrix(h, basis)
+            elif n_qubits is None:
+                raise ValueError("n_qubits required to evaluate physical segments")
+            else:
+                M = h.matrix(n_qubits)
+            cache[key] = dense_expm(-1j * seg.duration * M)
+        U = cache[key] if U is None else cache[key] @ U
+        yield U
 
 
 def program_unitary(program: HamiltonianProgram, n_qubits: int | None = None) -> np.ndarray:
     """Full product of segment exponentials (first segment acts first)."""
     if not program.segments:
         raise ValueError("empty program has no defined dimension")
-
-    def to_matrix(h):
-        if isinstance(h, GateHamiltonian):
-            if n_qubits is None:
-                raise ValueError("n_qubits required to evaluate physical segments")
-            return h.matrix(n_qubits)
-        return np.asarray(h, dtype=complex)
-
-    cache = _SegmentCache(to_matrix)
-    U = None
-    for seg in program.segments:
-        Us = cache.unitary(seg)
-        U = Us if U is None else Us @ U
+    for U in _running_products(program, n_qubits=n_qubits):
+        pass
     return U
 
 
 def program_logical_unitary(program: HamiltonianProgram, basis: list[Ket]) -> np.ndarray:
     """Restriction of the program unitary to span(basis), segment by segment."""
-    d = len(basis)
-    if not program.segments:
-        return np.eye(d, dtype=complex)
-
-    def to_matrix(h):
-        if isinstance(h, GateHamiltonian):
-            return logical_matrix(h, basis)
-        M = np.asarray(h, dtype=complex)
-        if M.shape != (d, d):
-            raise ValueError("abstract segment dimension does not match basis size")
-        return M
-
-    cache = _SegmentCache(to_matrix)
-    U = np.eye(d, dtype=complex)
-    for seg in program.segments:
-        U = cache.unitary(seg) @ U
+    U = np.eye(len(basis), dtype=complex)
+    for U in _running_products(program, basis=basis):
+        pass
     return U
 
 
@@ -438,28 +427,13 @@ def phase_aligned_distance(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(A - (tr / abs(tr)) * B))
 
 
-def leakage_certificate(
-    program: HamiltonianProgram, code: JumpCode, n_qubits: int | None = None
-) -> float:
+def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
     """Max of ||(1-P) U_partial P|| over every segment boundary."""
-    n = n_qubits if n_qubits is not None else code.N
     P = projector(code)
-    dim = P.shape[0]
-    if not program.segments:
-        return 0.0
-
-    def to_matrix(h):
-        if isinstance(h, GateHamiltonian):
-            return h.matrix(n)
-        return np.asarray(h, dtype=complex)
-
-    cache = _SegmentCache(to_matrix)
-    U = np.eye(dim, dtype=complex)
+    leak = np.eye(P.shape[0]) - P
     worst = 0.0
-    one = np.eye(dim)
-    for seg in program.segments:
-        U = cache.unitary(seg) @ U
-        worst = max(worst, float(np.linalg.norm((one - P) @ U @ P, 2)))
+    for U in _running_products(program, n_qubits=code.N):
+        worst = max(worst, float(np.linalg.norm(leak @ U @ P, 2)))
     return worst
 
 

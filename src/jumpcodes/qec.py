@@ -9,13 +9,20 @@ Lambda factorizes as lambda_l^* lambda_l'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import JumpCode, codeword_ket, encode, projector
-from .dynamics import KrausSet, TrajectoryRecord
-from .states import Ket, LOWER, LocalOperator, apply_local, local_to_dense
+from .codes import JumpCode, codeword_ket, encode, jump_code, projector
+from .dynamics import (
+    KrausSet,
+    TrajectoryRecord,
+    memory_model,
+    run_trajectories,
+    trajectory_rng,
+)
+from .states import Ket, LOWER, LocalOperator, local_to_dense, lower_rows, row_norms
+from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it bound here
 
 DEFAULT_TOL = 1e-9
 
@@ -171,21 +178,214 @@ def correct_trajectory(
     """Replay a memory-model trajectory applying recovery after each jump.
 
     Between jumps the no-jump flow is a scalar on any equal-excitation sector,
-    so renormalized replay only needs the jump/recovery operators. Returns the
-    corrected final state and its overlap fidelity with the encoded input.
+    so renormalized replay only needs the jump/recovery operators: this is
+    the one-record case of ``replay_records`` with zero flow rates, every
+    jump detected and no delay. Returns the corrected final state and its
+    overlap fidelity with the encoded input.
     """
     psi_enc = encode(code, np.asarray(logical, dtype=complex)).normalized()
     if record.final_state.n_qubits != code.N:
         raise ValueError("record and code qubit counts differ")
-    psi = psi_enc
-    for _, alpha in record.jumps:
-        jumped = apply_local(LocalOperator((alpha,), LOWER), psi)
-        norm = jumped.norm()
-        if norm < 1e-12:
-            raise ValueError(f"recorded jump on qubit {alpha} annihilates the state")
-        psi = Ket(code.N, (_cached_recovery(code, alpha) @ jumped.amplitudes) / norm)
-    fidelity = float(abs(psi_enc.overlap(psi)) ** 2)
-    return psi, fidelity
+    times = np.array([[t for t, _ in record.jumps]], dtype=float)
+    qubits = np.array([[a for _, a in record.jumps]], dtype=int)
+    if ((qubits < 1) | (qubits > code.N)).any():
+        raise ValueError(f"jump qubit out of range 1..{code.N}")
+    states, fidelities = replay_records(
+        code,
+        psi_enc.amplitudes,
+        times,
+        qubits,
+        np.ones(qubits.shape, dtype=bool),
+        np.zeros(psi_enc.dim),
+        delay=0.0,
+        horizon=times[0, -1] if record.jumps else 0.0,
+    )
+    return Ket(code.N, states[0]), float(fidelities[0])
+
+
+# Replayed states whose norm falls below this count as lost (fidelity 0).
+_UNDERFLOW_NORM = 1e-150
+
+
+def replay_records(
+    code: JumpCode,
+    psi_enc: np.ndarray,
+    jump_times: np.ndarray,
+    jump_qubits: np.ndarray,
+    detected: np.ndarray,
+    rates: np.ndarray,
+    delay: float,
+    horizon: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay recorded jumps of the encoded state ``psi_enc`` with recovery.
+
+    Row r of ``jump_times``/``jump_qubits`` holds one record, padded with
+    qubit 0; ``detected`` marks the jumps that get a recovery. Between events
+    each basis state's amplitude decays at half its entry of ``rates``. A
+    detected jump's recovery is scheduled ``delay`` after it, but never past
+    the next jump or the horizon: a pending recovery is applied before the
+    following jump is processed. With equal decay rates the no-jump flow is a
+    scalar on each excitation sector, so the delay knob alone keeps fidelity
+    1; degradation appears with rate mismatch (flow no longer scalar in the
+    window) or with missed detections. Rows advance one jump index per step.
+    Recoveries use numpy's own matrix loop rather than BLAS, so a row's result
+    depends neither on the other rows nor on the BLAS thread count.
+
+    Returns each row's final state and its fidelity with ``psi_enc``; a row
+    whose norm underflows is lost, with fidelity 0.
+    """
+    if ((jump_qubits < 0) | (jump_qubits > code.N)).any():
+        raise ValueError(f"jump qubits must lie in 0..{code.N} (0 pads a record)")
+    rows = len(jump_qubits)
+    psi = np.tile(psi_enc, (rows, 1))
+    now = np.zeros(rows)
+    alive = np.ones(rows, dtype=bool)
+    pending = np.zeros(rows, dtype=int)  # qubit awaiting recovery, 0 if none
+    due = np.zeros(rows)
+
+    def flow_to(sel: np.ndarray, t: np.ndarray) -> None:
+        psi[sel] *= np.exp(-0.5 * rates * (t - now[sel])[:, None])
+        now[sel] = t
+
+    def normalize(sel: np.ndarray) -> None:
+        norms = row_norms(psi[sel])
+        lost = norms < _UNDERFLOW_NORM
+        alive[sel[lost]] = False
+        psi[sel[~lost]] /= norms[~lost, None]
+
+    def recover(sel: np.ndarray, until: np.ndarray) -> None:
+        sel = sel[pending[sel] > 0]
+        flow_to(sel, np.minimum(due[sel], until[sel]))
+        for alpha in np.unique(pending[sel]):
+            group = sel[pending[sel] == alpha]
+            psi[group] = np.einsum("ij,rj->ri", _cached_recovery(code, alpha), psi[group])
+        normalize(sel)
+        pending[sel] = 0
+
+    for k in range(jump_qubits.shape[1]):
+        t, alpha = jump_times[:, k], jump_qubits[:, k]
+        sel = np.flatnonzero(alive & (alpha > 0))
+        recover(sel, t)
+        sel = sel[alive[sel]]
+        flow_to(sel, t[sel])
+        psi[sel] = lower_rows(psi[sel], alpha[sel])
+        normalize(sel)
+        seen = sel[alive[sel] & detected[sel, k]]
+        pending[seen] = alpha[seen]
+        due[seen] = np.minimum(t[seen] + delay, horizon)
+    end = np.full(rows, horizon)
+    recover(np.flatnonzero(alive), end)
+    sel = np.flatnonzero(alive)
+    flow_to(sel, end[sel])
+    psi[sel] /= row_norms(psi[sel])[:, None]
+    fidelities = np.zeros(rows)
+    fidelities[sel] = np.abs(np.einsum("rj,j->r", psi[sel], psi_enc.conj())) ** 2
+    return psi, fidelities
+
+
+@dataclass
+class ExperimentConfig:
+    """Validated knobs for a decay-and-recovery simulation run."""
+
+    n_qubits: int
+    phase: float
+    kappas: list[float]
+    t_final: float
+    trajectories: int
+    seed: int
+    delay: float = 0.0
+    mismatch: list[float] = field(default_factory=list)
+    p_miss: float = 0.0
+
+    def __post_init__(self):
+        if self.n_qubits % 2 != 0 or self.n_qubits < 2:
+            raise ValueError("n must be even and >= 2")
+        if len(self.kappas) == 1:
+            self.kappas = self.kappas * self.n_qubits
+        if len(self.kappas) != self.n_qubits:
+            raise ValueError("kappa list must have 1 or n entries")
+        if any(k < 0 for k in self.kappas):
+            raise ValueError("decay rates must be non-negative")
+        if not self.mismatch:
+            self.mismatch = [1.0] * self.n_qubits
+        if len(self.mismatch) != self.n_qubits:
+            raise ValueError("mismatch list must have n entries")
+        if any(m < 0 for m in self.mismatch):
+            raise ValueError("mismatch factors must be non-negative")
+        if self.t_final < 0:
+            raise ValueError("t-final must be non-negative")
+        if self.trajectories < 1:
+            raise ValueError("trajectories must be >= 1")
+        if not self.delay >= 0:  # NaN fails too; inf means recover at the horizon
+            raise ValueError("delay must be non-negative")
+        if not (0.0 <= self.p_miss <= 1.0):
+            raise ValueError("p-miss must be within [0, 1]")
+        if self.seed is None:
+            raise ValueError("seed is mandatory for simulation commands")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
+    def true_rates(self) -> list[float]:
+        return [k * m for k, m in zip(self.kappas, self.mismatch)]
+
+
+def run_experiment(config: ExperimentConfig):
+    """Simulate decay trajectories of an encoded logical state and correct them.
+
+    Returns (records, fidelities, summary dict). The logical state is drawn
+    from stream (seed, 0); trajectory i uses stream (seed, i + 1) and its
+    detection coins stream (seed, i + 1, 1).
+    """
+    code = jump_code(config.n_qubits, config.phase)
+    rng_logical = trajectory_rng(config.seed, 0)
+    logical = rng_logical.normal(size=code.count) + 1j * rng_logical.normal(
+        size=code.count
+    )
+    logical /= np.linalg.norm(logical)
+    psi_enc = encode(code, logical).normalized()
+    model = memory_model(config.n_qubits, config.true_rates())
+    batch = run_trajectories(
+        model, psi_enc, config.t_final, config.seed, range(1, config.trajectories + 1)
+    )
+    # The coins decide nothing when p_miss is 0 or 1, so their streams are
+    # only drawn in between.
+    detected = np.full(batch.jump_qubits.shape, config.p_miss == 0.0)
+    if 0.0 < config.p_miss < 1.0:
+        for row, count in enumerate(batch.jump_counts):
+            coins = trajectory_rng(config.seed, row + 1, stream=1).uniform(size=count)
+            detected[row, :count] = coins >= config.p_miss
+    _, fidelities = replay_records(
+        code,
+        psi_enc.amplitudes,
+        batch.jump_times,
+        batch.jump_qubits,
+        detected,
+        model.decay_rates(),
+        config.delay,
+        config.t_final,
+    )
+    std_error = (
+        float(fidelities.std(ddof=1) / np.sqrt(config.trajectories))
+        if config.trajectories > 1
+        else 0.0
+    )
+    summary = {
+        "mean_fidelity": float(fidelities.mean()),
+        "std_error": std_error,
+        "trajectory_count": config.trajectories,
+        "total_jumps": int(batch.jump_counts.sum()),
+        "config": {
+            "n": config.n_qubits,
+            "phase": config.phase,
+            "kappa": config.kappas,
+            "mismatch": config.mismatch,
+            "t_final": config.t_final,
+            "seed": config.seed,
+            "delay": config.delay,
+            "p_miss": config.p_miss,
+        },
+    }
+    return batch.records(), fidelities, summary
 
 
 def kl_report_to_json(report: KLReport) -> dict:

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm as dense_expm
-from scipy.sparse.linalg import expm_multiply
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10
@@ -219,13 +217,6 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def apply_sum(ops: OperatorSum, psi: Ket) -> Ket:
-    total = np.zeros_like(psi.amplitudes)
-    for term in ops.terms:
-        total = total + apply_local(term, psi).amplitudes
-    return Ket(psi.n_qubits, total)
-
-
 def _axis_permutation(support: tuple[int, ...], n: int) -> list[int]:
     # Axis order of kron(block, I_rest), msb->lsb: support reversed, then the
     # remaining qubits in descending order. Target order: qubit n-j at axis j.
@@ -250,25 +241,6 @@ def local_to_dense(op: LocalOperator, n_qubits: int) -> np.ndarray:
     return np.ascontiguousarray(tensor_form.reshape(2**n, 2**n))
 
 
-def local_to_sparse(op: LocalOperator, n_qubits: int) -> sparse.csr_matrix:
-    """Sparse embedding of a local operator (for Krylov exponential action)."""
-    n = n_qubits
-    k = len(op.support)
-    rest = sorted(set(range(1, n + 1)) - set(op.support))
-    full = sparse.kron(
-        sparse.csr_matrix(op.block), sparse.identity(2 ** (n - k), format="csr")
-    ).tocsr()
-    # kron layout: support[j] at bit weight 2**(n-k) * 2**j ... rest bits low,
-    # rest[m] (ascending) at bit weight 2**m within the low part.
-    idx = np.arange(2**n)
-    src = np.zeros(2**n, dtype=np.int64)
-    for j, q in enumerate(op.support):
-        src |= ((idx >> (q - 1)) & 1) << (n - k + j)
-    for m, q in enumerate(rest):
-        src |= ((idx >> (q - 1)) & 1) << m
-    return full[src][:, src]
-
-
 def sum_to_dense(ops: OperatorSum | LocalOperator, n_qubits: int) -> np.ndarray:
     if isinstance(ops, LocalOperator):
         ops = OperatorSum((ops,))
@@ -278,31 +250,14 @@ def sum_to_dense(ops: OperatorSum | LocalOperator, n_qubits: int) -> np.ndarray:
     return total
 
 
-def sum_to_sparse(ops: OperatorSum | LocalOperator, n_qubits: int) -> sparse.csr_matrix:
-    if isinstance(ops, LocalOperator):
-        ops = OperatorSum((ops,))
-    total = sparse.csr_matrix((2**n_qubits, 2**n_qubits), dtype=complex)
-    for term in ops.terms:
-        total = total + local_to_sparse(term, n_qubits)
-    return total
-
-
-# Dense exponentiation is cheap up to this dimension; above it the
-# Taylor/Krylov action of scipy's expm_multiply avoids the dense matrix.
-_DENSE_EXPM_DIM = 2**8
-
-
 def expm_apply(
     hamiltonian: LocalOperator | OperatorSum | DenseOperator | np.ndarray,
     t: float,
     psi: Ket,
-    method: str = "auto",
 ) -> Ket:
     """Return exp(-i * H * t) |psi> (hbar = 1). H may be non-hermitian."""
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    if method not in ("auto", "dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
     dim = psi.dim
     if isinstance(hamiltonian, DenseOperator):
         mat: np.ndarray | None = hamiltonian.matrix
@@ -322,9 +277,5 @@ def expm_apply(
         raise ValueError("operator support exceeds state qubit count")
     if t == 0.0:
         return Ket(psi.n_qubits, psi.amplitudes.copy())
-    if method == "dense" or (method == "auto" and dim <= _DENSE_EXPM_DIM):
-        full = sum_to_dense(ops, psi.n_qubits)
-        return Ket(psi.n_qubits, dense_expm(-1j * t * full) @ psi.amplitudes)
-    full_sparse = sum_to_sparse(ops, psi.n_qubits)
-    out = expm_multiply(-1j * t * full_sparse, psi.amplitudes)
-    return Ket(psi.n_qubits, out)
+    full = sum_to_dense(ops, psi.n_qubits)
+    return Ket(psi.n_qubits, dense_expm(-1j * t * full) @ psi.amplitudes)

@@ -43,6 +43,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             LindbladModel(2, None, ((1, -0.1),))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            LindbladModel(2, None, ((1, rate),))
+
     def test_rejects_duplicate_channel(self):
         with pytest.raises(ValueError):
             LindbladModel(2, None, ((1, 0.5), (1, 0.2)))

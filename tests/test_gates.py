@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
+from jumpcodes import gates as gates_module
 from jumpcodes.codes import codeword_ket, jump_code, product_code_basis, projector
 from jumpcodes.gates import (
     GateHamiltonian,
@@ -337,6 +338,28 @@ class TestProgramSerialization:
         U1 = program_logical_unitary(prog, basis)
         U2 = program_logical_unitary(again, basis)
         assert np.linalg.norm(U1 - U2) < 1e-12
+
+    def test_round_trip_is_bitwise_and_evaluates_each_segment_value_once(
+        self, monkeypatch
+    ):
+        code = jump_code(4, 0.0)
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), code, 1e-2)
+        again = program_from_json(program_to_json(prog))
+        distinct = {(seg.hamiltonian.terms, seg.duration) for seg in again.segments}
+        assert len(distinct) < len(again.segments)
+        U, leak = program_unitary(prog, 4), leakage_certificate(prog, code)
+        calls = []
+
+        def counting_expm(M):
+            calls.append(M)
+            return expm(M)
+
+        monkeypatch.setattr(gates_module, "dense_expm", counting_expm)
+        assert program_unitary(again, 4).tobytes() == U.tobytes()
+        assert len(calls) == len(distinct)
+        calls.clear()
+        assert leakage_certificate(again, code) == leak
+        assert len(calls) == len(distinct)
 
     def test_wire_format(self):
         gh = GateHamiltonian((("F", (2, 6), 0.5),))

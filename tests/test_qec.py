@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from jumpcodes.codes import JumpCode, codeword_ket, dfs_basis, dfs_projector, encode, jump_code, projector
-from jumpcodes.dynamics import KrausSet, memory_model, no_jump_kraus, run_trajectory
+from jumpcodes.dynamics import (
+    KrausSet,
+    TrajectoryRecord,
+    memory_model,
+    no_jump_kraus,
+    run_trajectories,
+    run_trajectory,
+)
 from jumpcodes.qec import (
     correct_trajectory,
     dfs_check,
@@ -12,6 +19,7 @@ from jumpcodes.qec import (
     kraus_equivalent,
     petz_recovery_exact,
     recovery_unitary,
+    replay_records,
 )
 from jumpcodes.states import LOWER, LocalOperator, local_to_dense
 
@@ -169,6 +177,37 @@ class TestCorrectTrajectory:
         rec = run_trajectory(memory_model(2, 1.0), encode(jump_code(2), [1.0]), 1.0, 3)
         with pytest.raises(ValueError):
             correct_trajectory(rec, self.code, self.logical)
+
+    @pytest.mark.parametrize("alpha", [0, 5])
+    def test_jump_qubit_out_of_range(self, alpha):
+        rec = TrajectoryRecord([(0.1, alpha)], self.psi)
+        with pytest.raises(ValueError, match="out of range"):
+            correct_trajectory(rec, self.code, self.logical)
+
+    # At N = 8 only qubits 1 and 5 decay, so two recoveries are built, not eight.
+    @pytest.mark.parametrize("n, kappas", [(4, 1.0), (8, [1.0, 0, 0, 0, 0.7, 0, 0, 0])])
+    def test_is_one_row_of_the_batch_replay(self, n, kappas):
+        code = jump_code(n, 0.0)
+        rng = np.random.default_rng(n)
+        logical = rng.normal(size=code.count) + 1j * rng.normal(size=code.count)
+        psi = encode(code, logical).normalized()
+        T = 2.0
+        batch = run_trajectories(memory_model(n, kappas), psi, T, 11, range(40))
+        assert batch.jump_counts.max() >= 2
+        states, fidelities = replay_records(
+            code,
+            psi.amplitudes,
+            batch.jump_times,
+            batch.jump_qubits,
+            np.ones(batch.jump_qubits.shape, dtype=bool),
+            np.zeros(psi.dim),
+            delay=0.0,
+            horizon=T,
+        )
+        for row, rec in enumerate(batch.records()):
+            state, fidelity = correct_trajectory(rec, code, logical)
+            assert state.amplitudes.tobytes() == states[row].tobytes()
+            assert fidelity == fidelities[row]
 
 
 class TestBruteForceAgreement:

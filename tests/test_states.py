@@ -16,7 +16,6 @@ from jumpcodes.states import (
     ket_to_json,
     label_to_index,
     local_to_dense,
-    local_to_sparse,
     sum_to_dense,
     tensor,
 )
@@ -116,7 +115,6 @@ class TestApplyLocal:
             oracle = dense_oracle(op, n)
             assert np.linalg.norm(apply_local(op, psi).amplitudes - oracle @ psi.amplitudes) < 1e-12
             assert np.linalg.norm(local_to_dense(op, n) - oracle) < 1e-12
-            assert np.linalg.norm(local_to_sparse(op, n).toarray() - oracle) < 1e-12
 
 
 class TestExpmApply:
@@ -149,20 +147,6 @@ class TestExpmApply:
         one = expm_apply(H, 0.9, expm_apply(H, 0.4, psi))
         both = expm_apply(H, 1.3, psi)
         assert np.linalg.norm(one.amplitudes - both.amplitudes) < 1e-9
-
-    def test_krylov_matches_dense(self):
-        rng = np.random.default_rng(8)
-        psi = random_ket(rng, 8)
-        H = OperatorSum(
-            (
-                LocalOperator((1, 5), rand_herm(rng, 4)),
-                LocalOperator((3,), -0.25j * np.diag([0.0, 1.0])),
-            )
-        )
-        a = expm_apply(H, 0.6, psi, method="dense")
-        b = expm_apply(H, 0.6, psi, method="krylov")
-        rel = np.linalg.norm(a.amplitudes - b.amplitudes) / np.linalg.norm(a.amplitudes)
-        assert rel < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

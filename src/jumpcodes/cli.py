@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -38,12 +39,50 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _pretty(value, level: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` prints it at depth ``level``."""
+    text = json.dumps(value, indent=2, sort_keys=True, default=_json_default)
+    return text.replace("\n", "\n" + "  " * level)
+
+
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` of a string-keyed report, byte for byte.
+
+    Indented output goes through json's pure-Python encoder, so each distinct
+    item of a top-level list (a synthesized program repeats a handful of
+    segments thousands of times) is encoded once, and the pieces are joined
+    once. Items are told apart by their pickle, which keeps every value's type
+    and bits (so ``0.0`` and ``-0.0``, or ``1`` and ``1.0``, never share an
+    encoding).
+    """
+    if not report:
+        return "{}"
+    parts = []
+    for name in sorted(report):
+        value = report[name]
+        parts += [",\n  " if parts else "{\n  ", json.dumps(name), ": "]
+        if isinstance(value, list) and value:
+            memo: dict[bytes, str] = {}
+            parts.append("[\n    ")
+            for item in value:
+                key = pickle.dumps(item)
+                if key not in memo:
+                    memo[key] = _pretty(item, 2)
+                parts += [memo[key], ",\n    "]
+            parts[-1] = "\n  ]"
+        else:
+            parts.append(_pretty(value, 1))
+    parts.append("\n}")
+    return "".join(parts)
+
+
 def _emit(report: dict, out_file: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = _report_text(report)
     print(text)
     if out_file:
         Path(out_file).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_file).write_text(text + "\n")
+        with open(out_file, "w") as fh:
+            print(text, file=fh)
 
 
 # --- code subcommand ---------------------------------------------------------
@@ -254,10 +293,26 @@ def cmd_sim(args) -> int:
 
 # --- gates subcommand --------------------------------------------------------
 
+def _read_target(path: str) -> np.ndarray:
+    """A matrix from JSON rows of [re, im] number pairs."""
+    rows = json.loads(Path(path).read_text())
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) for row in rows)
+        and all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) for x in pair)
+            for row in rows
+            for pair in row
+        )
+    ):
+        raise ValueError("target must be a list of rows of [re, im] number pairs")
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
 def cmd_gates(args) -> int:
-    target = np.array(
-        [[complex(re, im) for re, im in row] for row in json.loads(Path(args.target).read_text())]
-    )
+    target = _read_target(args.target)
     code = codes.jump_code(4, 0.0)
     try:
         program = gates.synthesize_qutrit(target, code, args.epsilon)

@@ -28,6 +28,7 @@ from .states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    local_to_dense,
     sum_to_dense,
 )
 
@@ -76,6 +77,20 @@ def f_op(alpha: int, beta: int) -> LocalOperator:
     return LocalOperator((alpha, beta), block)
 
 
+# (kind, pair, n_qubits) -> read-only dense matrix of the unit-coefficient term
+_PAIR_UNITS: dict[tuple[str, tuple[int, int], int], np.ndarray] = {}
+
+
+def _pair_unit(kind: str, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
+    key = (kind, pair, n_qubits)
+    unit = _PAIR_UNITS.get(key)
+    if unit is None:
+        unit = local_to_dense(e_op(*pair) if kind == "E" else f_op(*pair), n_qubits)
+        unit.setflags(write=False)
+        _PAIR_UNITS[key] = unit
+    return unit
+
+
 @dataclass
 class GateHamiltonian:
     """Weighted sum of E/F pair terms: (kind, (alpha, beta), coefficient)."""
@@ -100,7 +115,11 @@ class GateHamiltonian:
         return OperatorSum(tuple(locals_))
 
     def matrix(self, n_qubits: int) -> np.ndarray:
-        return sum_to_dense(self.to_sum(), n_qubits)
+        """Dense 2^n x 2^n matrix; equal bit for bit to ``sum_to_dense(to_sum(), n)``."""
+        total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+        for kind, pair, coeff in self.terms:
+            total += coeff * _pair_unit(kind, pair, n_qubits)
+        return total
 
     def scaled(self, factor: float) -> "GateHamiltonian":
         return GateHamiltonian(
@@ -427,13 +446,38 @@ def phase_aligned_distance(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(A - (tr / abs(tr)) * B))
 
 
+# Running products stacked per batched SVD in leakage_certificate (4 MiB).
+_CERT_BLOCK_BYTES = 4 * 2**20
+
+
 def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
-    """Max of ||(1-P) U_partial P|| over every segment boundary."""
-    P = projector(code)
-    leak = np.eye(P.shape[0]) - P
-    worst = 0.0
+    """Max of ||(1-P) U_k P||_2 over every segment boundary k; 0.0 for no segments.
+
+    U_k is the running product after segment k and P = C C^dagger the code
+    projector, C the 2^N x count isometry of code words. Since C^dagger is a
+    co-isometry, ||(1-P) U P||_2 = ||(1-P) U C||_2 = ||U C - C (C^dagger U C)||_2,
+    so each boundary costs the singular values of one 2^N x count matrix,
+    taken in batches over blocks of running products.
+    """
+    C = np.column_stack([codeword_ket(code, i).amplitudes for i in range(code.count)])
+    dim = C.shape[0]
+    per_row = dim * dim * np.dtype(complex).itemsize
+    rows = max(1, min(len(program.segments), _CERT_BLOCK_BYTES // per_row))
+    block = np.empty((rows, dim, dim), dtype=complex)
+
+    def block_worst(m: int) -> float:
+        UC = (block[:m].reshape(m * dim, dim) @ C).reshape(m, dim, -1)
+        R = UC - C @ (C.conj().T @ UC)
+        return float(np.linalg.svd(R, compute_uv=False)[:, 0].max())
+
+    worst, m = 0.0, 0
     for U in _running_products(program, n_qubits=code.N):
-        worst = max(worst, float(np.linalg.norm(leak @ U @ P, 2)))
+        block[m] = U
+        m += 1
+        if m == rows:
+            worst, m = max(worst, block_worst(m)), 0
+    if m:
+        worst = max(worst, block_worst(m))
     return worst
 
 
@@ -520,6 +564,8 @@ def synthesize_qutrit(
     negated-time twin, which cancels the leading error term. Slice count
     doubles until the measured phase-aligned error is below ``epsilon``.
     """
+    if not epsilon > 0:  # also rejects NaN, for which slices would double to the cap
+        raise ValueError("epsilon must be positive")
     U = np.asarray(U, dtype=complex)
     if U.shape != (3, 3) or np.linalg.norm(U.conj().T @ U - np.eye(3)) > 1e-10:
         raise ValueError("target must be a 3x3 unitary")
@@ -731,7 +777,7 @@ def program_to_json(program: HamiltonianProgram) -> dict:
                     [kind, pair[0], pair[1], coeff]
                     for kind, pair, coeff in seg.hamiltonian.terms
                 ],
-                "duration": seg.duration,
+                "duration": float(seg.duration),
             }
         )
     out: dict = {"segments": segments}

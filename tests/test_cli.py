@@ -237,6 +237,74 @@ class TestGatesCommand:
         assert report["pass"] is False
         assert report["achieved_error"] > 1e-9
 
+    @pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])
+    def test_bad_epsilon_is_rejected(self, capsys, tmp_path, epsilon):
+        f = self._write_target(tmp_path, np.eye(3).astype(complex))
+        status = main(["gates", "synthesize", "--target", f, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "epsilon must be positive" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("entry", [["a", 0], 1])
+    def test_malformed_target_is_rejected(self, capsys, tmp_path, entry):
+        rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]] for _ in range(3)]
+        rows[1][2] = entry
+        f = tmp_path / "target.json"
+        f.write_text(json.dumps(rows))
+        status = main(["gates", "synthesize", "--target", str(f)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "[re, im] number pairs" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestReportText:
+    """Emitted JSON is byte-identical to ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("target", ["random", "identity"])
+    def test_gates_stdout_and_file(self, capsys, tmp_path, target):
+        from scipy.stats import unitary_group
+
+        U = unitary_group.rvs(3, random_state=5) if target == "random" else np.eye(3)
+        f = tmp_path / "target.json"
+        f.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in U]))
+        out_file = tmp_path / "program.json"
+        status = main(["gates", "synthesize", "--target", str(f), "--out", str(out_file)])
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert status == 0
+        assert (report["segments"] == []) == (target == "identity")
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert out_file.read_text() == out
+
+    def test_verify_stdout(self, capsys):
+        assert main(["verify", "entangle"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_items_that_print_differently_are_kept_apart(self):
+        from jumpcodes.cli import _report_text
+
+        report = {
+            "segments": [
+                {"terms": [["E", 1, 2, 0.0]], "duration": 0.5},
+                {"terms": [["E", 1, 2, -0.0]], "duration": 0.5},
+                {"terms": [["E", 1, 2, 0.0]], "duration": 0.5},
+                {"terms": [["E", 1, 2, 0]], "duration": np.float64(0.5)},
+                {"terms": [["E", 1, 2, False]], "duration": 0.5},
+            ],
+            "nested": {"b": [1, [2.5, -0.0]], "a": {}},
+            "empty": [],
+            "scalars": [0.0, -0.0, 1, 1.0, True, None, "x"],
+        }
+        text = _report_text(report)
+        assert text == json.dumps(report, indent=2, sort_keys=True)
+        assert text.count("-0.0") == 3
+        assert _report_text({}) == json.dumps({}, indent=2, sort_keys=True)
+
 
 def test_kl_report_schema_matches_serializer():
     from jumpcodes.codes import jump_code, projector

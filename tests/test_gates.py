@@ -240,6 +240,11 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_qutrit(np.ones((3, 3)), self.code, 1e-2)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0])
+    def test_rejects_non_positive_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            synthesize_qutrit(unitary_group.rvs(3, random_state=42), self.code, epsilon)
+
     def test_symmetric_expansion_unique_and_exact(self):
         rng = np.random.default_rng(31)
         S = rng.normal(size=(3, 3))
@@ -325,6 +330,91 @@ class TestPrimitivity:
 
     def test_zero_phases_primitive(self):
         assert is_primitive_diagonal(ThetaMatrix(np.zeros((3, 3))))[0]
+
+
+def dense_leakage(program, code):
+    """Oracle: max over boundaries of ||(1-P) U_k P||_2, one dense SVD per boundary."""
+    P = projector(code)
+    leak = np.eye(P.shape[0]) - P
+    U = np.eye(P.shape[0], dtype=complex)
+    worst = 0.0
+    step = {}  # exponential per (terms, duration) of E/F segments
+    for seg in program.segments:
+        h = seg.hamiltonian
+        if isinstance(h, GateHamiltonian):
+            key = (h.terms, seg.duration)
+            if key not in step:
+                step[key] = expm(-1j * seg.duration * h.matrix(code.N))
+            U = step[key] @ U
+        else:
+            U = expm(-1j * seg.duration * h) @ U
+        worst = max(worst, float(np.linalg.norm(leak @ U @ P, 2)))
+    return worst
+
+
+class TestLeakageCertificate:
+    code = jump_code(4, 0.0)
+    # sigma_x on qubit 1 maps every code word out of the code space
+    flip = sum_to_dense(LocalOperator((1,), SIGMA_X), 4)
+    swap = GateHamiltonian((("E", (1, 2), 0.7), ("F", (2, 3), -0.4)))
+
+    def program(self, length):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        segments = [ProgramSegment(self.swap, 0.01 * (k % 7)) for k in range(length - 1)]
+        return HamiltonianProgram(segments + [ProgramSegment(self.flip, 0.3)])
+
+    @pytest.mark.parametrize("seed", [5, 77, 123])
+    def test_matches_dense_oracle_on_synthesized_programs(self, seed):
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=seed), self.code, 1e-2)
+        assert abs(leakage_certificate(prog, self.code) - dense_leakage(prog, self.code)) <= 1e-15
+
+    def test_catches_a_leaking_array_segment(self):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), self.code, 1e-2)
+        middle = len(prog.segments) // 2
+        prog.segments.insert(middle, ProgramSegment(self.flip, 0.3))
+        got, want = leakage_certificate(prog, self.code), dense_leakage(prog, self.code)
+        assert want > 0.2
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_block_edges_match_oracle(self):
+        rows = gates_module._CERT_BLOCK_BYTES // (16 * 16 * 16)
+        for length in (rows - 1, rows, rows + 1):
+            prog = self.program(length)
+            want = dense_leakage(prog, self.code)
+            assert want > 0.2  # only the last boundary leaks
+            assert abs(leakage_certificate(prog, self.code) - want) <= 1e-12 * want
+
+    def test_empty_program_is_zero(self):
+        from jumpcodes.gates import HamiltonianProgram
+
+        assert leakage_certificate(HamiltonianProgram([]), self.code) == 0.0
+
+
+class TestPairMatrixCache:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_bitwise_equal_to_dense_sum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            terms = []
+            for _ in range(int(rng.integers(1, 8))):
+                a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+                coeff = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-8, 3)
+                terms.append((str(rng.choice(["E", "F"])), (int(a), int(b)), coeff))
+            gh = GateHamiltonian(tuple(terms))
+            assert gh.matrix(n).tobytes() == sum_to_dense(gh.to_sum(), n).tobytes()
+
+    def test_returned_matrix_is_a_fresh_copy(self):
+        gh = GateHamiltonian((("E", (1, 2), 1.0), ("F", (2, 4), -2.0)))
+        first = gh.matrix(4)
+        want = first.copy()
+        first[:] = 7.0
+        assert gh.matrix(4).tobytes() == want.tobytes()
+        assert GateHamiltonian((("E", (1, 2), 1.0),)).matrix(4).tobytes() == (
+            sum_to_dense(e_op(1, 2), 4).tobytes()
+        )
 
 
 class TestProgramSerialization:

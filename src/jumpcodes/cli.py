@@ -205,16 +205,13 @@ def _verify_closure(tol: float) -> dict:
 
 def _verify_entangle(tol: float) -> dict:
     code8 = codes.jump_code(8, 0.0)
-    P35 = codes.projector(code8)
+    C35 = np.column_stack([codes.codeword_ket(code8, i).amplitudes for i in range(code8.count)])
     code4 = codes.jump_code(4, 0.0)
     states = codes.product_code_basis(code4, code4)
     C9 = np.column_stack([s.amplitudes for s in states])
-    P9 = C9 @ C9.conj().T
-    one = np.eye(256)
-    leakage = 0.0
-    for tau in (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi):
-        U = gates.ent_unitary(tau)
-        leakage = max(leakage, float(np.linalg.norm((one - P35) @ U @ P9, 2)))
+    taus = (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi)
+    UC9 = np.stack([gates.ent_unitary(tau) @ C9 for tau in taus])
+    leakage = float(gates._leakage(UC9, C35).max())
     V = gates.v_gate()
     logical = C9.conj().T @ V @ C9
     v_residual = float(np.abs(logical - np.diag([1] * 8 + [-1])).max())

@@ -26,6 +26,7 @@ from .states import (
     NUMBER,
     OperatorSum,
     apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
+    local_to_dense,
     lower_rows,
     row_norms,
     sum_to_dense,
@@ -183,7 +184,7 @@ def integrate_master(
         else None
     )
     Ls = [
-        local_to_dense_jump(model, alpha)
+        local_to_dense(model.jump_operator(alpha), model.n_qubits)
         for alpha, kappa in model.channels
         if kappa > 0.0
     ]
@@ -200,12 +201,6 @@ def integrate_master(
         t += h
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho / np.trace(rho).real, eig_tol=1e-7)
-
-
-def local_to_dense_jump(model: LindbladModel, alpha: int) -> np.ndarray:
-    from .states import local_to_dense
-
-    return local_to_dense(model.jump_operator(alpha), model.n_qubits)
 
 
 def trajectory_rng(seed: int, trajectory_id: int, stream: int = 0) -> np.random.Generator:

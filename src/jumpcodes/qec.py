@@ -21,7 +21,16 @@ from .dynamics import (
     run_trajectories,
     trajectory_rng,
 )
-from .states import Ket, LOWER, LocalOperator, local_to_dense, lower_rows, row_norms
+from .states import (
+    DENSE_QUBIT_LIMIT,
+    Ket,
+    LOWER,
+    LocalOperator,
+    label_to_index,
+    local_to_dense,
+    lower_rows,
+    row_norms,
+)
 from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it bound here
 
 DEFAULT_TOL = 1e-9
@@ -107,31 +116,18 @@ def kraus_equivalent(a: KrausSet, b: KrausSet, tol: float = DEFAULT_TOL) -> bool
     return bool(np.linalg.norm(choi_matrix(a) - choi_matrix(b)) <= tol)
 
 
-def _gram_schmidt_completion(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal list to a full basis, sweeping e_0, e_1, ... in order."""
-    basis = [v.copy() for v in vectors]
-    for j in range(dim):
-        if len(basis) == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[j] = 1.0
-        for _ in range(2):  # re-orthogonalize for stability
-            for b in basis:
-                cand = cand - np.vdot(b, cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            basis.append(cand / norm)
-    if len(basis) != dim:
-        raise ValueError("failed to complete orthonormal basis")
-    return basis
-
-
 def recovery_unitary(code: JumpCode, alpha: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unitary mapping each normalized L_alpha|c_i> back to |c_i>.
 
-    The partial isometry on the jump image is completed to a full unitary by
-    deterministic Gram-Schmidt over the computational basis, so the operator
-    is reproducible bit-for-bit across runs.
+    Every column comes from the code's complementary pairs. Qubit alpha is
+    excited in exactly one string t_i of pair i, so L_alpha|c_i> is a multiple
+    of |t_i - 2^(alpha-1)>, and that column is c_i times the conjugate of c_i's
+    phase on t_i. The other input indices map in ascending order onto the
+    output indices that are not the larger index of a pair: the smaller index
+    lo of pair i stands for e_lo - conj(c_i[lo]) c_i, normalized, any other
+    index for its basis vector. This is the completion that Gram-Schmidt over
+    e_0, e_1, ... would give, up to rounding. A pair that is not
+    complementary raises ValueError.
     """
     if not (1 <= alpha <= code.N):
         raise ValueError(f"qubit {alpha} out of range")
@@ -144,21 +140,23 @@ def recovery_unitary(code: JumpCode, alpha: int, tol: float = DEFAULT_TOL) -> np
             f"single jump on qubit {alpha} is not reversible on this code "
             f"(residual {report.residual:.3e})"
         )
-    images = []
-    codewords = []
-    for i in range(code.count):
-        c = codeword_ket(code, i).amplitudes
-        v = L @ c
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            raise ValueError(f"jump image of code word {i} is degenerate")
-        images.append(v / norm)
-        codewords.append(c)
-    in_basis = _gram_schmidt_completion(images, dim)
-    out_basis = _gram_schmidt_completion(codewords, dim)
+    bit = 1 << (alpha - 1)
+    pairs = []  # (smaller index, larger index, index with qubit alpha excited)
+    for s, sbar in code.pairs:
+        lo, hi = sorted((label_to_index(s), label_to_index(sbar)))
+        if lo + hi != dim - 1:  # complementary N-bit strings sum to 2^N - 1
+            raise ValueError(f"pair ({s},{sbar}) is not complementary")
+        pairs.append((lo, hi, lo if lo & bit else hi))
+    out_idx = np.setdiff1d(np.arange(dim), [hi for _, hi, _ in pairs])
+    in_idx = np.setdiff1d(np.arange(dim), [t - bit for _, _, t in pairs])
     U = np.zeros((dim, dim), dtype=complex)
-    for out_v, in_v in zip(out_basis, in_basis):
-        U += np.outer(out_v, in_v.conj())
+    U[out_idx, in_idx] = 1.0
+    for i, (lo, hi, t) in enumerate(pairs):
+        c = codeword_ket(code, i).amplitudes
+        U[:, t - bit] = c * (c[t] / abs(c[t])).conjugate()
+        w = -c[lo].conjugate() * c[[lo, hi]]
+        w[0] += 1.0
+        U[[lo, hi], in_idx[np.searchsorted(out_idx, lo)]] = w / np.linalg.norm(w)
     return U
 
 
@@ -300,6 +298,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_qubits % 2 != 0 or self.n_qubits < 2:
             raise ValueError("n must be even and >= 2")
+        if self.n_qubits > DENSE_QUBIT_LIMIT:  # recoveries are dense 2^n x 2^n
+            raise ValueError(f"n must be at most {DENSE_QUBIT_LIMIT}")
         if len(self.kappas) == 1:
             self.kappas = self.kappas * self.n_qubits
         if len(self.kappas) != self.n_qubits:

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.linalg import expm as dense_expm
 
 NORM_TOL = 1e-12
-HERM_TOL = 1e-10
 
 # Pauli matrices in the |0>, |1> basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -69,9 +68,6 @@ class Ket:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return Ket(self.n_qubits, self.amplitudes / n)
-
-    def overlap(self, other: "Ket") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def basis_ket(label: str) -> Ket:
@@ -128,9 +124,6 @@ class LocalOperator:
     def scaled(self, factor: complex) -> "LocalOperator":
         return LocalOperator(self.support, factor * self.block)
 
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.support, self.block.conj().T)
-
 
 @dataclass
 class OperatorSum:
@@ -140,9 +133,6 @@ class OperatorSum:
 
     def __post_init__(self):
         self.terms = tuple(self.terms)
-
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        return OperatorSum(self.terms + other.terms)
 
     def scaled(self, factor: complex) -> "OperatorSum":
         return OperatorSum(tuple(t.scaled(factor) for t in self.terms))
@@ -167,13 +157,6 @@ class DenseOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return bool(np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol)
-
-    def is_unitary(self, tol: float = HERM_TOL) -> bool:
-        d = self.dimension
-        return bool(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d)) <= tol)
 
 
 def apply_local(op: LocalOperator, psi: Ket) -> Ket:

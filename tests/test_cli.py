@@ -414,7 +414,7 @@ class TestSimEdgeCases:
     @pytest.mark.parametrize("flag, value, word", [
         ("--seed", "-1", "seed"), ("--t-final", "inf", "finite"),
         ("--kappa", "nan", "finite"), ("--kappa", "inf", "finite"),
-        ("--delay", "nan", "delay"),
+        ("--delay", "nan", "delay"), ("--n", "14", "n"),
     ])
     def test_bad_input_is_rejected(self, capsys, flag, value, word):
         argv = ["sim", "run", "--n", "4", "--trajectories", "4", "--seed", "1"]

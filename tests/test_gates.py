@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from jumpcodes import gates as gates_module
-from jumpcodes.codes import codeword_ket, jump_code, product_code_basis, projector
+from jumpcodes.codes import JumpCode, codeword_ket, jump_code, product_code_basis, projector
 from jumpcodes.gates import (
     GateHamiltonian,
     LeakageError,
@@ -244,6 +244,14 @@ class TestSynthesis:
     def test_rejects_non_positive_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             synthesize_qutrit(unitary_group.rvs(3, random_state=42), self.code, epsilon)
+
+    def test_leaking_segment_hamiltonian_raises(self):
+        # With a nonzero phase, swapping the first pair's representatives
+        # changes that code word's relative phase, so the E/F segments leak
+        # (about 0.24).
+        code = JumpCode(4, 0.3, [("1100", "0011"), ("0101", "1010"), ("0110", "1001")])
+        with pytest.raises(LeakageError):
+            synthesize_qutrit(unitary_group.rvs(3, random_state=3), code, 1e-2)
 
     def test_symmetric_expansion_unique_and_exact(self):
         rng = np.random.default_rng(31)

@@ -149,6 +149,74 @@ class TestRecoveryUnitary:
             recovery_unitary(broken, 1)
 
 
+def gram_schmidt_completion(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    """Extend an orthonormal list to a full basis, sweeping e_0, e_1, ... in order."""
+    basis = [v.copy() for v in vectors]
+    for j in range(dim):
+        if len(basis) == dim:
+            break
+        cand = np.zeros(dim, dtype=complex)
+        cand[j] = 1.0
+        for _ in range(2):  # re-orthogonalize for stability
+            for b in basis:
+                cand = cand - np.vdot(b, cand) * b
+        norm = np.linalg.norm(cand)
+        if norm > 1e-8:
+            basis.append(cand / norm)
+    if len(basis) != dim:
+        raise ValueError("failed to complete orthonormal basis")
+    return basis
+
+
+def gram_schmidt_recovery(code: JumpCode, alpha: int, out_basis: list[np.ndarray]) -> np.ndarray:
+    """Oracle: map the normalized jump images onto the code words and complete
+    both lists by Gram-Schmidt over the whole computational basis.
+
+    ``out_basis`` is ``gram_schmidt_completion`` of the code words; it does not
+    depend on alpha, so callers build it once per code.
+    """
+    L = jump_matrix(alpha, code.N)
+    images = []
+    for i in range(code.count):
+        v = L @ codeword_ket(code, i).amplitudes
+        images.append(v / np.linalg.norm(v))
+    in_basis = gram_schmidt_completion(images, 2**code.N)
+    U = np.zeros((2**code.N, 2**code.N), dtype=complex)
+    for out_v, in_v in zip(out_basis, in_basis):
+        U += np.outer(out_v, in_v.conj())
+    return U
+
+
+SWAPPED_REPRESENTATIVES = [("1100", "0011"), ("0101", "1010"), ("0110", "1001")]
+
+
+class TestClosedFormRecovery:
+    @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi])
+    @pytest.mark.parametrize("code_of", [
+        lambda phase: jump_code(2, phase),
+        lambda phase: jump_code(4, phase),
+        lambda phase: jump_code(6, phase),
+        lambda phase: jump_code(8, phase),
+        lambda phase: JumpCode(4, phase, SWAPPED_REPRESENTATIVES),
+    ], ids=["n2", "n4", "n6", "n8", "n4-swapped"])
+    def test_matches_gram_schmidt_oracle(self, code_of, phase):
+        code = code_of(phase)
+        codewords = [codeword_ket(code, i).amplitudes for i in range(code.count)]
+        out_basis = gram_schmidt_completion(codewords, 2**code.N)
+        for alpha in range(1, code.N + 1):
+            want = gram_schmidt_recovery(code, alpha, out_basis)
+            assert np.abs(recovery_unitary(code, alpha) - want).max() <= 2e-16
+
+    def test_non_complementary_pair_is_rejected(self):
+        # A one-word code passes the reversibility guard for any jump (its
+        # projector has rank one), and Gram-Schmidt would complete its
+        # two-string jump image; the closed form needs complementary pairs.
+        code = JumpCode(4, 0.0, [("0011", "0101")])
+        assert kl_check(KrausSet((jump_matrix(1, 4),)), projector(code)).reversible
+        with pytest.raises(ValueError, match="not complementary"):
+            recovery_unitary(code, 1)
+
+
 class TestCorrectTrajectory:
     def setup_method(self):
         self.code = jump_code(4, 0.0)

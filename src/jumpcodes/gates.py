@@ -6,14 +6,14 @@ Physical building blocks are two classes of two-qubit Hamiltonians,
     F_ab = 1/2 (1 + ZZ)             (projector onto equal bits of a, b)
 
 whose restrictions to the three code words of the 4-qubit code are
-permutation matrices and diagonal projectors. Timed sequences of their
-exponentials (with product-formula slicing where a target generator is only
-reachable through commutators) realize arbitrary logical qutrit unitaries
-without ever leaving the code space.
+permutation matrices and diagonal projectors. At most three timed
+exponentials of their real combinations realize any logical qutrit unitary
+exactly, without ever leaving the code space.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -40,7 +40,7 @@ class LeakageError(Exception):
 
 
 class SynthesisError(Exception):
-    """Target accuracy unreachable within the slice cap."""
+    """The synthesized program's measured error exceeds the requested bound."""
 
     def __init__(self, message: str, program: "HamiltonianProgram", achieved_error: float):
         super().__init__(message)
@@ -489,9 +489,6 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
 
 # --- logical qutrit synthesis ----------------------------------------------
 
-_SYNTH_N_CAP = 2**16
-
-
 def principal_log_hamiltonian(U: np.ndarray) -> np.ndarray:
     """Hermitian H with U = exp(-i H), eigenphases in (-pi, pi]."""
     T, Z = schur(np.asarray(U, dtype=complex), output="complex")
@@ -521,50 +518,60 @@ def symmetric_to_gate_hamiltonian(S: np.ndarray) -> GateHamiltonian:
     return GateHamiltonian(tuple(t for t in terms if abs(t[2]) > 1e-15))
 
 
-def _rotation_frame(K: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """For real antisymmetric K return (S1, S2, theta) with [S1, S2] = K/theta.
+# Directions (cos a, sin a) of the real symmetric combinations of Re W and
+# Im W whose eigenvectors are tried as the common eigenbasis of W = U U^T.
+# One direction fails when two eigenvalues of W project onto it equally, and
+# for any target some global phase puts them there. Of four directions pi/4
+# apart, one keeps each of the three pairs' projected gaps above sin(pi/8)
+# of their true gaps.
+_CARTAN_ANGLES = 1.0 + np.pi / 4.0 * np.arange(4)
 
-    K generates a rotation about some axis; in a rotated frame the unit
-    generator is [diag(0,1,0), offdiag(0,1)], and both factors stay real
-    symmetric after rotating back.
+
+def _cartan_factors(U: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Real symmetric (S_k, t_k) in time order; U = prod exp(-i t_k S_k) up to phase.
+
+    AI-type Cartan decomposition U = O1 D O2: W = U U^T is a symmetric
+    unitary, so its real and imaginary parts commute and share a real
+    orthogonal eigenbasis O1 (see ``_CARTAN_ANGLES``). With D^2 = O1^T W O1,
+    O2 = D* O1^T U is real orthogonal, and U = exp(-i S) O with
+    S = O1 diag(-arg D) O1^T and O = O1 O2. Up to the global phase -1, O is a
+    rotation R, the product of two reflections I - 2 v v^T = exp(-i pi v v^T).
     """
-    w = np.array([K[2, 1], K[0, 2], K[1, 0]])
-    theta = float(np.linalg.norm(w))
-    if theta == 0.0:
-        raise ValueError("zero antisymmetric part")
-    axis = w / theta
-    e3 = np.array([0.0, 0.0, 1.0])
-    v = np.cross(e3, axis)
-    c = float(np.dot(e3, axis))
-    if np.linalg.norm(v) < 1e-12:
-        O = np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    else:
-        vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-        O = np.eye(3) + vx + vx @ vx / (1.0 + c)
-    D = np.diag([0.0, 1.0, 0.0])
-    M = np.zeros((3, 3))
-    M[0, 1] = M[1, 0] = 1.0
-    return O @ D @ O.T, O @ M @ O.T, theta
+    W = U @ U.T
+    best = np.inf
+    for a in _CARTAN_ANGLES:
+        _, V = np.linalg.eigh(np.cos(a) * W.real + np.sin(a) * W.imag)
+        M = V.T @ W @ V
+        off = np.linalg.norm(M - np.diag(np.diag(M)))
+        if off < best:  # keep the basis that leaves W most nearly diagonal
+            best, O1, d = off, V, np.sqrt(np.diag(M))
+    O = O1 @ (d.conj()[:, None] * (O1.T @ U)).real
+    R = O if np.linalg.det(O) > 0 else -O
+    S = O1 @ np.diag(-np.angle(d)) @ O1.T
+    # R = (I - 2ww^T)(I - 2uu^T) for u orthogonal to the axis of R and w on
+    # the bisector of u and Ru. The null and first right singular vectors of
+    # R - I give the axis and u at every angle; w comes from whichever of
+    # u + Ru and axis x (Ru - u) is longer, so neither cancels near 0 or pi.
+    _, _, Vt = np.linalg.svd(R - np.eye(3))
+    u, axis = Vt[0], Vt[2]
+    Ru = R @ u
+    w = max(u + Ru, np.cross(axis, Ru - u), key=np.linalg.norm)
+    w = w / np.linalg.norm(w)
+    return [(np.outer(u, u), np.pi), (np.outer(w, w), np.pi), (S, 1.0)]
 
 
-def synthesize_qutrit(
-    U: np.ndarray,
-    code: JumpCode,
-    epsilon: float,
-    n_cap: int = _SYNTH_N_CAP,
-) -> HamiltonianProgram:
-    """Emit a physical E/F program realizing U on the code space up to phase.
+def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> HamiltonianProgram:
+    """Emit a physical E/F program of at most three segments realizing U up to phase.
 
-    The principal log splits into a real-symmetric part S (one exact segment
-    per slice) and an antisymmetric part, reachable only through commutators.
-    The latter is realized as i[t1 S1, t2 S2] with S1, S2 real symmetric and
-    exactly code-preserving; each slice pairs one commutator cycle with its
-    negated-time twin, which cancels the leading error term. Slice count
-    doubles until the measured phase-aligned error is below ``epsilon``.
-    Every segment Hamiltonian is evaluated through ``logical_matrix``, which
-    raises ``LeakageError`` if it leaks from the code space.
+    The identity is the empty program, and a target whose principal log is
+    real symmetric is one segment. Any other target is a real-symmetric
+    segment after two reflections (``_cartan_factors``), so the program is
+    exact and ``epsilon`` only bounds the measured phase-aligned error: above
+    it, ``SynthesisError`` carries the program. Every segment Hamiltonian is
+    evaluated through ``logical_matrix``, which raises ``LeakageError`` if it
+    leaks from the code space.
     """
-    if not epsilon > 0:  # also rejects NaN, for which slices would double to the cap
+    if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     U = np.asarray(U, dtype=complex)
     if U.shape != (3, 3) or np.linalg.norm(U.conj().T @ U - np.eye(3)) > 1e-10:
@@ -576,75 +583,20 @@ def synthesize_qutrit(
     H = H - np.trace(H) / 3.0 * np.eye(3)
     if np.linalg.norm(H) < 1e-13:
         return HamiltonianProgram([], target_error=epsilon, achieved_error=0.0, trotter_steps=0)
-    S = 0.5 * (H.real + H.real.T)
-    K = 0.5 * (H.imag - H.imag.T)
-    if np.linalg.norm(K) < 1e-13:
-        gh = symmetric_to_gate_hamiltonian(S)
-        program = HamiltonianProgram(
-            [ProgramSegment(gh, 1.0)], target_error=epsilon, trotter_steps=0
-        )
-        program.achieved_error = phase_aligned_distance(
-            program_logical_unitary(program, basis), U
-        )
-        return program
-    S1, S2, theta = _rotation_frame(K)
-    gh_s = symmetric_to_gate_hamiltonian(S) if np.linalg.norm(S) > 1e-14 else None
-    gh_s1 = symmetric_to_gate_hamiltonian(S1)
-    gh_s2 = symmetric_to_gate_hamiltonian(S2)
-    gh_s1_neg = gh_s1.scaled(-1.0)
-    gh_s2_neg = gh_s2.scaled(-1.0)
-
-    def build(n: int) -> HamiltonianProgram:
-        # exp(-i(S + iK)) ~ [ e^{-iS/2n} C+ C- e^{-iS/2n} ]^n with adjacent
-        # S-halves merged; C+/- are commutator cycles at times +-sqrt(theta/2n)
-        # realizing exp(theta G / n) together.
-        tau = np.sqrt(theta / (2.0 * n))
-        cyc_plus = [  # e^{-ia S1} e^{+ia S2} e^{+ia S1} e^{-ia S2}, temporal order
-            ProgramSegment(gh_s2, tau),
-            ProgramSegment(gh_s1_neg, tau),
-            ProgramSegment(gh_s2_neg, tau),
-            ProgramSegment(gh_s1, tau),
-        ]
-        cyc_minus = [
-            ProgramSegment(gh_s2_neg, tau),
-            ProgramSegment(gh_s1, tau),
-            ProgramSegment(gh_s2, tau),
-            ProgramSegment(gh_s1_neg, tau),
-        ]
-        segments: list[ProgramSegment] = []
-        if gh_s is None:
-            for _ in range(n):
-                segments.extend(cyc_minus)
-                segments.extend(cyc_plus)
-            return HamiltonianProgram(segments, target_error=epsilon, trotter_steps=n)
-        half = ProgramSegment(gh_s, 0.5 / n)
-        full = ProgramSegment(gh_s, 1.0 / n)
-        segments.append(half)
-        for j in range(n):
-            segments.extend(cyc_minus)
-            segments.extend(cyc_plus)
-            segments.append(full if j < n - 1 else half)
-        return HamiltonianProgram(segments, target_error=epsilon, trotter_steps=n)
-
-    n = 4
-    best = None
-    best_err = np.inf
-    while True:
-        program = build(n)
-        err = phase_aligned_distance(program_logical_unitary(program, basis), U)
-        if err < best_err:
-            best, best_err = program, err
-        if err <= epsilon:
-            program.achieved_error = err
-            return program
-        if n >= n_cap:
-            best.achieved_error = best_err
-            raise SynthesisError(
-                f"error {best_err:.3e} above target {epsilon:.1e} at slice cap {n_cap}",
-                best,
-                best_err,
-            )
-        n *= 2
+    if np.linalg.norm(0.5 * (H.imag - H.imag.T)) < 1e-13:
+        factors = [(0.5 * (H.real + H.real.T), 1.0)]
+    else:
+        factors = _cartan_factors(U)
+    program = HamiltonianProgram(
+        [ProgramSegment(symmetric_to_gate_hamiltonian(S), t) for S, t in factors],
+        target_error=epsilon,
+        trotter_steps=0,
+    )
+    err = phase_aligned_distance(program_logical_unitary(program, basis), U)
+    program.achieved_error = err
+    if not err <= epsilon:
+        raise SynthesisError(f"error {err:.3e} above target {epsilon:.1e}", program, err)
+    return program
 
 
 # --- the two-register entanglement gate -------------------------------------
@@ -691,12 +643,19 @@ def _verify_block_form(gh: GateHamiltonian) -> None:
         raise AssertionError("|22-> is not annihilated")
 
 
-def ent_unitary(tau: float) -> np.ndarray:
-    """exp(-i H_ent tau) on the full two-register space (diagonal, exact)."""
+@functools.cache
+def _h_ent_diagonal() -> np.ndarray:
+    """Read-only diagonal of H_ent, built (and its block form checked) once."""
     H = h_ent().matrix(8)
     diag = np.diag(H).copy()
     assert np.linalg.norm(H - np.diag(diag)) < 1e-14
-    return np.diag(np.exp(-1j * tau * diag))
+    diag.setflags(write=False)
+    return diag
+
+
+def ent_unitary(tau: float) -> np.ndarray:
+    """exp(-i H_ent tau) on the full two-register space (diagonal, exact)."""
+    return np.diag(np.exp(-1j * tau * _h_ent_diagonal()))
 
 
 def v_gate() -> np.ndarray:

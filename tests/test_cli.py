@@ -57,6 +57,23 @@ class TestCodeCommand:
     def test_odd_n_fails(self, capsys):
         assert main(["code", "generate", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("action", ["generate", "inspect"])
+    @pytest.mark.parametrize("n", ["22", "30"])
+    def test_n_above_limit_is_rejected(self, capsys, action, n):
+        status = main(["code", action, "--n", n])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "n must be at most 20" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_limit_does_not_apply_to_inspect_from_file(self, capsys, tmp_path):
+        status, data = run_cli(capsys, "code", "generate", "--n", "4")
+        f = tmp_path / "code.json"
+        f.write_text(json.dumps(data))
+        status, report = run_cli(capsys, "code", "inspect", "--in", str(f), "--n", "30")
+        assert status == 0 and report["N"] == 4
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("check", ["table1", "kl", "dfs", "closure", "entangle"])
@@ -212,30 +229,17 @@ class TestGatesCommand:
         jsonschema.validate(report, load_schema("program.schema.json"))
 
     def test_unreachable_epsilon_exits_nonzero(self, capsys, tmp_path):
+        # Synthesis is exact, so only a bound below rounding is unreachable.
         from scipy.stats import unitary_group
 
         U = unitary_group.rvs(3, random_state=124)
         f = self._write_target(tmp_path, U)
-        import jumpcodes.gates as gates_mod
-
-        original = gates_mod.synthesize_qutrit
-
-        def capped(U, code, epsilon, n_cap=8):
-            return original(U, code, epsilon, n_cap=8)
-
-        gates_mod.synthesize_qutrit = capped
-        try:
-            import jumpcodes.cli as cli_mod
-
-            cli_mod.gates.synthesize_qutrit = capped
-            status = main(["gates", "synthesize", "--target", f, "--epsilon", "1e-9"])
-        finally:
-            gates_mod.synthesize_qutrit = original
+        status = main(["gates", "synthesize", "--target", f, "--epsilon", "1e-17"])
         out = capsys.readouterr().out
         report = json.loads(out)
         assert status == 1
         assert report["pass"] is False
-        assert report["achieved_error"] > 1e-9
+        assert report["achieved_error"] > 1e-17
 
     @pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])
     def test_bad_epsilon_is_rejected(self, capsys, tmp_path, epsilon):
@@ -285,8 +289,8 @@ class TestReportText:
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
-    def test_items_that_print_differently_are_kept_apart(self):
-        from jumpcodes.cli import _report_text
+    def test_items_that_print_differently_are_kept_apart(self, capsys):
+        from jumpcodes.cli import _emit
 
         report = {
             "segments": [
@@ -300,10 +304,12 @@ class TestReportText:
             "empty": [],
             "scalars": [0.0, -0.0, 1, 1.0, True, None, "x"],
         }
-        text = _report_text(report)
-        assert text == json.dumps(report, indent=2, sort_keys=True)
+        _emit(report, None)
+        text = capsys.readouterr().out
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert text.count("-0.0") == 3
-        assert _report_text({}) == json.dumps({}, indent=2, sort_keys=True)
+        _emit({}, None)
+        assert capsys.readouterr().out == json.dumps({}, indent=2, sort_keys=True) + "\n"
 
 
 def test_kl_report_schema_matches_serializer():

@@ -230,11 +230,60 @@ class TestSynthesis:
         assert phase_aligned_distance(restricted, U) <= 1e-2
 
     def test_unreachable_epsilon_raises_with_partial_program(self):
+        # Synthesis is exact, so only a bound below rounding is unreachable.
         U = unitary_group.rvs(3, random_state=42)
         with pytest.raises(SynthesisError) as exc:
-            synthesize_qutrit(U, self.code, 1e-12, n_cap=8)
+            synthesize_qutrit(U, self.code, 1e-17)
         assert exc.value.program.segments
-        assert exc.value.achieved_error > 1e-12
+        assert exc.value.achieved_error > 1e-17
+
+    def check_exact(self, U):
+        prog = synthesize_qutrit(U, self.code, 1e-12)
+        assert len(prog.segments) <= 3
+        assert prog.trotter_steps == 0
+        got = program_logical_unitary(prog, self.basis)
+        assert phase_aligned_distance(got, U) <= 1e-12
+        assert prog.achieved_error <= 1e-12
+        assert leakage_certificate(prog, self.code) <= 1e-12
+
+    def test_haar_targets_exact_in_three_segments(self):
+        for seed in range(9000, 9200):
+            self.check_exact(unitary_group.rvs(3, random_state=seed))
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-9, 1e-12, 0.0])
+    def test_near_degenerate_targets(self, s):
+        # Repeated or nearly repeated eigenvalues of U U^T, and rotations
+        # near 0 and pi, where a bisector or an axis can cancel.
+        rng = np.random.default_rng(17)
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        H = 0.5 * (A + A.conj().T)
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        K = np.cross(np.eye(3), axis)  # K @ x == axis x x
+        bases = [
+            np.eye(3),
+            TABLE1["E12"],
+            TABLE1["E12"] @ TABLE1["E23"],
+            np.diag([1.0, 1.0, -1.0]),
+            np.diag([-1.0, -1.0, 1.0]),
+            expm(np.pi * (1.0 - 1e-6) * K),
+            np.diag(np.exp(1j * np.array([0.7, 0.7, -1.3]))),
+        ]
+        for B in bases:
+            self.check_exact(B @ expm(-1j * s * H))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degenerate_eigenbasis_directions(self, seed):
+        # U = O1 diag(e^{i theta}) O2 has U U^T = O1 diag(e^{2i theta}) O1^T.
+        # With theta_1 + theta_2 = a, its first two eigenvalues project
+        # equally onto the direction (cos a, sin a), so that direction's
+        # combination of Re and Im cannot separate them. For any target, some
+        # global phase puts it at such a point for a given direction.
+        O1 = expm(np.cross(np.eye(3), np.random.default_rng(seed).normal(size=3)))
+        O2 = expm(np.cross(np.eye(3), np.random.default_rng(100 + seed).normal(size=3)))
+        for a in gates_module._CARTAN_ANGLES:
+            for half_gap in (0.3, 1e-7):
+                theta = np.array([a / 2 + half_gap, a / 2 - half_gap, 2.1])
+                self.check_exact(O1 @ np.diag(np.exp(1j * theta)) @ O2)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -298,6 +347,11 @@ class TestEntanglementGate:
         for tau in (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi):
             U = ent_unitary(tau)
             assert np.linalg.norm((one - P35) @ U @ P9, 2) < 1e-12
+
+    def test_ent_unitary_is_bitwise_the_diagonal_exponential(self):
+        for tau in (0.0, np.pi / 7.0, np.pi, -2.5):
+            want = np.diag(np.exp(-1j * tau * np.diag(h_ent().matrix(8))))
+            assert ent_unitary(tau).tobytes() == want.tobytes()
 
     def test_v_gate_diagonal_action(self):
         V = v_gate()
@@ -440,8 +494,15 @@ class TestProgramSerialization:
     def test_round_trip_is_bitwise_and_evaluates_each_segment_value_once(
         self, monkeypatch
     ):
+        # A product formula repeats its segments; a synthesized program does not.
         code = jump_code(4, 0.0)
-        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), code, 1e-2)
+        prog = trotter_sum(
+            GateHamiltonian((("E", (1, 2), 0.7), ("F", (2, 3), -0.4))),
+            GateHamiltonian((("E", (2, 3), 1.1),)),
+            0.3,
+            -0.5,
+            6,
+        )
         again = program_from_json(program_to_json(prog))
         distinct = {(seg.hamiltonian.terms, seg.duration) for seg in again.segments}
         assert len(distinct) < len(again.segments)

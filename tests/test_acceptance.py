@@ -27,6 +27,7 @@ from jumpcodes.dynamics import (
     memory_model,
     no_jump_kraus,
     pure_density,
+    run_trajectories,
     run_trajectory,
     trace_distance,
 )
@@ -173,13 +174,10 @@ def test_criterion_5_trajectory_master_consistency():
     approx2 = average_trajectories(model2, bell, 1.0, count, 607)
     exact2 = integrate_master(model2, pure_density(bell), 1.0, 1e-3)
     d2 = trace_distance(approx2, exact2)
-    # jump-time law: first-jump CDF of the excited qubit vs 1 - e^{-t}
-    times = []
-    for traj in range(count):
-        rec = run_trajectory(model1, Ket(1, np.array([0.0, 1.0])), 25.0, 608, trajectory_id=traj)
-        if rec.jumps:
-            times.append(rec.jumps[0][0])
-    times = np.sort(np.array(times))
+    # jump-time law: first-jump CDF of the excited qubit vs 1 - e^{-t}; one
+    # batch over the ids gives each trajectory's record bit for bit
+    batch = run_trajectories(model1, Ket(1, np.array([0.0, 1.0])), 25.0, 608, range(count))
+    times = np.sort(batch.jump_times[batch.jump_counts > 0, 0])
     m = len(times)
     cdf = 1.0 - np.exp(-times)
     ks = max(
@@ -282,19 +280,17 @@ def test_criterion_9_qutrit_synthesis():
     basis = [codeword_ket(code, i) for i in range(3)]
     worst_err = 0.0
     worst_leak = 0.0
-    max_steps = 0
     for k in range(20):
         U = unitary_group.rvs(3, random_state=9000 + k)
-        program = synthesize_qutrit(U, code, 1e-2)
+        program = synthesize_qutrit(U, code, 1e-12)
         err = phase_aligned_distance(program_logical_unitary(program, basis), U)
         leak = leakage_certificate(program, code)
         worst_err = max(worst_err, err)
         worst_leak = max(worst_leak, leak)
-        max_steps = max(max_steps, program.trotter_steps or 0)
     elapsed = time.time() - start
     report(
         9,
-        worst_err <= 1e-2 and worst_leak <= 1e-12 and elapsed < 300.0,
-        f"20 Haar targets, worst error {worst_err:.4f}, worst leakage {worst_leak:.1e}, "
-        f"max slices {max_steps}, {elapsed:.0f}s",
+        worst_err <= 1e-12 and worst_leak <= 1e-12 and elapsed < 300.0,
+        f"20 Haar targets, worst error {worst_err:.1e}, worst leakage {worst_leak:.1e}, "
+        f"{elapsed:.0f}s",
     )

@@ -417,6 +417,13 @@ class TestSimEdgeCases:
         assert summary["total_jumps"] > 0
         assert 2 not in qubits and qubits <= {1, 3, 4}
 
+    def test_seed_beyond_64_bits_runs(self, capsys, tmp_path):
+        # SeedSequence takes any non-negative int, so such seeds are kept.
+        summary, rows = self.run_sim(capsys, tmp_path, "--seed", str(2**70))
+        assert summary["config"]["seed"] == 2**70
+        assert len(rows) == summary["total_jumps"] > 0
+        assert abs(summary["mean_fidelity"] - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("flag, value, word", [
         ("--seed", "-1", "seed"), ("--t-final", "inf", "finite"),
         ("--kappa", "nan", "finite"), ("--kappa", "inf", "finite"),

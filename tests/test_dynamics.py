@@ -148,6 +148,29 @@ class TestIntegrateMaster:
         expected = (expm(liouv * T) @ vec0).reshape(2, 2, order="F")
         assert np.linalg.norm(rho.matrix - expected) < 1e-8
 
+    def test_driven_mixed_rates_match_liouvillian(self):
+        # N = 3 with a two-qubit drive and unequal rates: RK4 against expm of
+        # the full 64x64 Liouvillian, column-stacked vec(A rho B) = (B^T x A) vec(rho)
+        rng = np.random.default_rng(31)
+        M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        H = OperatorSum((
+            LocalOperator((1, 3), 0.5 * (M + M.conj().T)),
+            LocalOperator((2,), 0.7 * SIGMA_X),
+        ))
+        model = LindbladModel(3, H, ((1, 1.2), (2, 0.5), (3, 0.8)))
+        psi = random_state(3, 8)
+        T = 0.9
+        rho = integrate_master(model, pure_density(psi), T, 1e-3)
+        Hm, eye = sum_to_dense(H, 3), np.eye(8)
+        liouv = -1j * (np.kron(eye, Hm) - np.kron(Hm.T, eye))
+        for alpha, _ in model.channels:
+            L = local_to_dense(model.jump_operator(alpha), 3)
+            LdL = L.conj().T @ L
+            liouv += np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+        vec0 = pure_density(psi).matrix.reshape(-1, order="F")
+        expected = (expm(liouv * T) @ vec0).reshape(8, 8, order="F")
+        assert np.linalg.norm(rho.matrix - expected) < 1e-8
+
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             integrate_master(memory_model(1, 1.0), pure_density(basis_ket("1")), 1.0, 0.0)
@@ -377,6 +400,39 @@ class TestRunTrajectories:
         assert average_trajectories(model, psi, 1.5, 1100, 33).matrix.tobytes() == (
             rho.matrix.tobytes()
         )
+
+
+class TestNoJumpFlow:
+    """The driven no-jump flow against exp(-i H_eff t) applied row by row."""
+
+    def assert_matches_expm(self, model, eigenbasis):
+        flow = dynamics._NoJumpRows(model)
+        assert flow.eigenbasis == eigenbasis
+        psi = np.array([random_state(model.n_qubits, seed).amplitudes for seed in range(6)])
+        t = np.array([0.0, 1e-6, 0.3, 1.0, 2.2, 3.0])
+        flow.start(psi)
+        got = flow.state(np.arange(6), t)
+        h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
+        for row, (tr, p) in enumerate(zip(t, psi)):
+            assert np.abs(got[row] - expm(-1j * tr * h_eff) @ p).max() < 1e-12
+        # A subset of the rows, at other times, as bisection evaluates them.
+        rows, times = np.array([4, 1]), np.array([0.7, 2.9])
+        expected = [
+            np.linalg.norm(expm(-1j * tr * h_eff) @ psi[r]) ** 2 for tr, r in zip(times, rows)
+        ]
+        assert np.abs(flow.norm_sq(rows)(times) - expected).max() < 1e-12
+
+    def test_code_preserving_drive_uses_the_eigenbasis(self):
+        from jumpcodes.gates import GateHamiltonian
+
+        drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
+        model = LindbladModel(4, drive, ((1, 1.3), (2, 0.7), (3, 1.0), (4, 1.0)))
+        self.assert_matches_expm(model, eigenbasis=True)
+
+    def test_exceptional_point_takes_the_expm_path(self):
+        # H_eff = 0.25 sigma_x - (i/2) n has one eigenvector at kappa = 1.
+        H = OperatorSum((LocalOperator((1,), 0.25 * SIGMA_X),))
+        self.assert_matches_expm(LindbladModel(1, H, ((1, 1.0),)), eigenbasis=False)
 
 
 def test_trajectory_stream_is_philox_keyed_by_seed_sequence():

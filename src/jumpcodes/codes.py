@@ -219,7 +219,13 @@ def code_to_json(code: JumpCode) -> dict:
 def code_from_json(data: dict) -> JumpCode:
     pairs = [(s, sbar) for s, sbar in data["pairs"]]
     code = JumpCode(int(data["N"]), float(data["phase"]), pairs)
+    seen: set[str] = set()
     for s, sbar in code.pairs:
+        if len(s) != code.N or set(s) - {"0", "1"}:
+            raise ValueError(f"pair ({s},{sbar}) is not of {code.N}-bit strings")
         if _complement(s) != sbar:
             raise ValueError(f"pair ({s},{sbar}) is not complementary")
+        if s in seen or sbar in seen:
+            raise ValueError(f"pair ({s},{sbar}) repeats a code word")
+        seen.update((s, sbar))
     return code

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import JumpCode, codeword_ket, encode, jump_code, projector
+from .codes import JumpCode, encode, jump_code
 from .dynamics import (
     KrausSet,
     TrajectoryRecord,
@@ -24,10 +24,7 @@ from .dynamics import (
 from .states import (
     DENSE_QUBIT_LIMIT,
     Ket,
-    LOWER,
-    LocalOperator,
     label_to_index,
-    local_to_dense,
     lower_rows,
     row_norms,
 )
@@ -116,57 +113,82 @@ def kraus_equivalent(a: KrausSet, b: KrausSet, tol: float = DEFAULT_TOL) -> bool
     return bool(np.linalg.norm(choi_matrix(a) - choi_matrix(b)) <= tol)
 
 
-def recovery_unitary(code: JumpCode, alpha: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary mapping each normalized L_alpha|c_i> back to |c_i>.
+def recovery_map(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recovery after a jump on qubit alpha, as two entries per output row.
 
-    Every column comes from the code's complementary pairs. Qubit alpha is
-    excited in exactly one string t_i of pair i, so L_alpha|c_i> is a multiple
-    of |t_i - 2^(alpha-1)>, and that column is c_i times the conjugate of c_i's
-    phase on t_i. The other input indices map in ascending order onto the
-    output indices that are not the larger index of a pair: the smaller index
-    lo of pair i stands for e_lo - conj(c_i[lo]) c_i, normalized, any other
-    index for its basis vector. This is the completion that Gram-Schmidt over
-    e_0, e_1, ... would give, up to rounding. A pair that is not
-    complementary raises ValueError.
+    Entry x of the recovered state is psi[cols[x, 0]] vals[x, 0] +
+    psi[cols[x, 1]] vals[x, 1]; ``recovery_unitary`` is the same map as a
+    dense matrix. The map sends each normalized L_alpha|c_i> back to |c_i>.
+    Qubit alpha is excited in exactly one string t_i of pair i, so
+    L_alpha|c_i> is a multiple of |t_i - 2^(alpha-1)>, which maps onto c_i
+    times the conjugate of c_i's phase on t_i. The other input indices map in
+    ascending order onto the output indices that are not the larger index of
+    a pair: the smaller index lo of pair i stands for e_lo - conj(c_i[lo]) c_i,
+    normalized, any other index for its basis vector (with a second entry of
+    0). This is the completion that Gram-Schmidt over e_0, e_1, ... would
+    give, up to rounding.
+
+    For complementary pairs whose strings are all distinct, every L_alpha|c_i>
+    has norm^2 1/2 and the images are orthogonal, so P L_alpha^+ L_alpha P =
+    P/2: the jump is reversible on the code. A pair that is not complementary,
+    or a basis string shared by two code words, raises ValueError.
     """
     if not (1 <= alpha <= code.N):
         raise ValueError(f"qubit {alpha} out of range")
+    if not code.pairs:
+        raise ValueError("code has no code words")
     dim = 2**code.N
-    P = projector(code)
-    L = local_to_dense(LocalOperator((alpha,), LOWER), code.N)
-    report = kl_check(KrausSet((L,)), P, tol)
-    if not report.reversible:
-        raise ValueError(
-            f"single jump on qubit {alpha} is not reversible on this code "
-            f"(residual {report.residual:.3e})"
-        )
+    s = np.array([label_to_index(a) for a, _ in code.pairs])
+    sbar = np.array([label_to_index(b) for _, b in code.pairs])
+    lo, hi = np.minimum(s, sbar), np.maximum(s, sbar)
+    for i in np.flatnonzero(lo + hi != dim - 1):  # complementary strings sum to 2^N - 1
+        raise ValueError("pair ({},{}) is not complementary".format(*code.pairs[i]))
+    if len(np.unique(lo)) != len(lo):  # lo < 2^(N-1) <= hi, so a shared string repeats a lo
+        raise ValueError("two code words share a basis string")
     bit = 1 << (alpha - 1)
-    pairs = []  # (smaller index, larger index, index with qubit alpha excited)
-    for s, sbar in code.pairs:
-        lo, hi = sorted((label_to_index(s), label_to_index(sbar)))
-        if lo + hi != dim - 1:  # complementary N-bit strings sum to 2^N - 1
-            raise ValueError(f"pair ({s},{sbar}) is not complementary")
-        pairs.append((lo, hi, lo if lo & bit else hi))
-    out_idx = np.setdiff1d(np.arange(dim), [hi for _, hi, _ in pairs])
-    in_idx = np.setdiff1d(np.arange(dim), [t - bit for _, _, t in pairs])
-    U = np.zeros((dim, dim), dtype=complex)
-    U[out_idx, in_idx] = 1.0
-    for i, (lo, hi, t) in enumerate(pairs):
-        c = codeword_ket(code, i).amplitudes
-        U[:, t - bit] = c * (c[t] / abs(c[t])).conjugate()
-        w = -c[lo].conjugate() * c[[lo, hi]]
-        w[0] += 1.0
-        U[[lo, hi], in_idx[np.searchsorted(out_idx, lo)]] = w / np.linalg.norm(w)
+    image = np.where(lo & bit, lo, hi) - bit  # index of L_alpha|c_i>
+    rows = np.arange(dim)
+    out_idx, in_idx = np.setdiff1d(rows, hi), np.setdiff1d(rows, image)
+    cols = np.empty((dim, 2), dtype=np.intp)
+    vals = np.zeros((dim, 2), dtype=complex)
+    cols[out_idx] = in_idx[:, None]
+    vals[out_idx, 0] = 1.0
+    # c_i's amplitudes on (lo, hi): 1/sqrt(2) on s_i, e^{i phase}/sqrt(2) on its complement
+    r, e = 1.0 / np.sqrt(2.0), np.exp(1j * code.phase) / np.sqrt(2.0)
+    c = np.where((s < sbar)[:, None], [r, e], [e, r])
+    ct = np.where(lo & bit, c[:, 0], c[:, 1])
+    w = -c[:, :1].conjugate() * c
+    w[:, 0] += 1.0
+    pair_rows = np.column_stack([lo, hi])
+    cols[pair_rows] = np.column_stack([cols[lo, 0], image])[:, None, :]
+    vals[pair_rows, 0] = w / row_norms(w)[:, None]
+    vals[pair_rows, 1] = c * (ct / abs(ct)).conjugate()[:, None]
+    return cols, vals
+
+
+def recovery_unitary(code: JumpCode, alpha: int) -> np.ndarray:
+    """``recovery_map`` as a dense unitary: the same entries, scattered."""
+    cols, vals = recovery_map(code, alpha)
+    rows = np.arange(len(cols))
+    U = np.zeros((len(cols), len(cols)), dtype=complex)
+    U[rows, cols[:, 0]] = vals[:, 0]
+    U[rows, cols[:, 1]] += vals[:, 1]
     return U
 
 
-_recovery_cache: dict[tuple, np.ndarray] = {}
+def apply_recovery(psi: np.ndarray, recovery: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each row of ``psi`` through a ``recovery_map``: two gathers per row."""
+    cols, vals = recovery
+    return psi[:, cols[:, 0]] * vals[:, 0] + psi[:, cols[:, 1]] * vals[:, 1]
 
 
-def _cached_recovery(code: JumpCode, alpha: int) -> np.ndarray:
+_recovery_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _cached_recovery(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     key = (code.N, code.phase, tuple(code.pairs), alpha)
     if key not in _recovery_cache:
-        _recovery_cache[key] = recovery_unitary(code, alpha)
+        _recovery_cache[key] = recovery_map(code, alpha)
     return _recovery_cache[key]
 
 
@@ -226,7 +248,7 @@ def replay_records(
     scalar on each excitation sector, so the delay knob alone keeps fidelity
     1; degradation appears with rate mismatch (flow no longer scalar in the
     window) or with missed detections. Rows advance one jump index per step.
-    Recoveries use numpy's own matrix loop rather than BLAS, so a row's result
+    A recovery is two gathers per row (``apply_recovery``), so a row's result
     depends neither on the other rows nor on the BLAS thread count.
 
     Returns each row's final state and its fidelity with ``psi_enc``; a row
@@ -256,7 +278,7 @@ def replay_records(
         flow_to(sel, np.minimum(due[sel], until[sel]))
         for alpha in np.unique(pending[sel]):
             group = sel[pending[sel] == alpha]
-            psi[group] = np.einsum("ij,rj->ri", _cached_recovery(code, alpha), psi[group])
+            psi[group] = apply_recovery(psi[group], _cached_recovery(code, alpha))
         normalize(sel)
         pending[sel] = 0
 
@@ -298,7 +320,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_qubits % 2 != 0 or self.n_qubits < 2:
             raise ValueError("n must be even and >= 2")
-        if self.n_qubits > DENSE_QUBIT_LIMIT:  # recoveries are dense 2^n x 2^n
+        if self.n_qubits > DENSE_QUBIT_LIMIT:  # states are dense (rows, 2^n) arrays
             raise ValueError(f"n must be at most {DENSE_QUBIT_LIMIT}")
         if len(self.kappas) == 1:
             self.kappas = self.kappas * self.n_qubits
@@ -395,39 +417,3 @@ def kl_report_to_json(report: KLReport) -> dict:
         "psd_ok": bool(report.psd_ok),
         "verdict": report.verdict,
     }
-
-
-def petz_recovery_exact(ks: KrausSet, P: np.ndarray, tol: float = 1e-8) -> bool:
-    """Independent reversibility oracle: does the transpose-channel recovery
-    restore every code-space state?
-
-    Builds R_l = P K_l^+ sigma^{-1/2} with sigma the channel output of the
-    maximally mixed code state, then checks R(E(rho)) = c * rho with one
-    common constant c on a basis of code-space operators. The transpose
-    channel recovers exactly precisely when the operation is reversible, so
-    the proportionality test decides the verdict without touching Lambda.
-    """
-    rank = _check_projector(P)
-    sigma = sum(K @ (P / rank) @ K.conj().T for K in ks.operators)
-    w, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    inv_sqrt = np.zeros_like(w)
-    inv_sqrt[w > 1e-12] = 1.0 / np.sqrt(w[w > 1e-12])
-    sigma_inv_sqrt = V @ np.diag(inv_sqrt) @ V.conj().T
-    recovery = [P @ K.conj().T @ sigma_inv_sqrt for K in ks.operators]
-    # orthonormal code basis from the projector
-    wp, Vp = np.linalg.eigh(P)
-    basis = [Vp[:, j] for j in range(len(wp)) if wp[j] > 0.5]
-
-    def recover(rho: np.ndarray) -> np.ndarray:
-        out = sum(K @ rho @ K.conj().T for K in ks.operators)
-        return sum(R @ out @ R.conj().T for R in recovery)
-
-    scale = np.trace(recover(np.outer(basis[0], basis[0].conj()))).real
-    if scale <= tol:
-        return False
-    for a in basis:
-        for b in basis:
-            rho = np.outer(a, b.conj())
-            if np.linalg.norm(recover(rho) - scale * rho) > tol * scale:
-                return False
-    return True

@@ -28,7 +28,6 @@ from jumpcodes.dynamics import (
     no_jump_kraus,
     pure_density,
     run_trajectories,
-    run_trajectory,
     trace_distance,
 )
 from jumpcodes.gates import (
@@ -52,7 +51,7 @@ from jumpcodes.gates import (
     trotter_sum,
     v_gate,
 )
-from jumpcodes.qec import correct_trajectory, dfs_check, kl_check
+from jumpcodes.qec import dfs_check, kl_check, replay_records
 from jumpcodes.states import Ket, LOWER, LocalOperator, local_to_dense
 
 
@@ -144,13 +143,21 @@ def test_criterion_4_recovery_exactness():
     logical /= np.linalg.norm(logical)
     psi = encode(code, logical)
     T = 3.0 / kappa
-    worst = 1.0
-    jumps = 0
-    for traj in range(1000):
-        rec = run_trajectory(model, psi, T, 515, trajectory_id=traj)
-        _, fid = correct_trajectory(rec, code, logical)
-        worst = min(worst, fid)
-        jumps += len(rec.jumps)
+    # All 1000 records in one batch, replayed as correct_trajectory replays
+    # each: every jump detected, recovery without delay, zero flow rates.
+    batch = run_trajectories(model, psi, T, 515, range(1000))
+    _, fidelities = replay_records(
+        code,
+        psi.normalized().amplitudes,
+        batch.jump_times,
+        batch.jump_qubits,
+        np.ones(batch.jump_qubits.shape, dtype=bool),
+        np.zeros(psi.dim),
+        delay=0.0,
+        horizon=T,
+    )
+    worst = min(1.0, fidelities.min())
+    jumps = batch.jump_counts.sum()
     elapsed = time.time() - start
     report(
         4,

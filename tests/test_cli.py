@@ -67,6 +67,19 @@ class TestCodeCommand:
         assert "n must be at most 20" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("pairs, word", [
+        ([["0011", "1100"], ["0011", "1100"]], "repeats a code word"),
+        ([["0011", "1100"], ["00111", "11000"]], "4-bit strings"),
+    ], ids=["repeated-pair", "wrong-length"])
+    def test_bad_code_file_is_rejected(self, capsys, tmp_path, pairs, word):
+        f = tmp_path / "code.json"
+        f.write_text(json.dumps({"N": 4, "k": 2, "phase": 0.0, "pairs": pairs}))
+        status = main(["code", "inspect", "--in", str(f)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert word in captured.err and "Traceback" not in captured.err
+
     def test_limit_does_not_apply_to_inspect_from_file(self, capsys, tmp_path):
         status, data = run_cli(capsys, "code", "generate", "--n", "4")
         f = tmp_path / "code.json"
@@ -354,7 +367,7 @@ class TestSimBatching:
         assert len(long) > len(short) > 1
         assert long[: len(short)] == short
 
-    @pytest.mark.parametrize("n", ["4", "8"])
+    @pytest.mark.parametrize("n", ["4", "8", "10"])
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path, n):
         import os
         import subprocess
@@ -422,6 +435,16 @@ class TestSimEdgeCases:
         summary, rows = self.run_sim(capsys, tmp_path, "--seed", str(2**70))
         assert summary["config"]["seed"] == 2**70
         assert len(rows) == summary["total_jumps"] > 0
+        assert abs(summary["mean_fidelity"] - 1.0) <= 1e-12
+
+    def test_twelve_qubits_recover_exactly(self, capsys, tmp_path):
+        status, summary = run_cli(
+            capsys,
+            "sim", "run", "--n", "12", "--t-final", "1.0", "--trajectories", "50",
+            "--seed", "3", "--out", str(tmp_path),
+        )
+        assert status == 0
+        assert summary["total_jumps"] > 0
         assert abs(summary["mean_fidelity"] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("flag, value, word", [

@@ -11,13 +11,14 @@ from jumpcodes.dynamics import (
     run_trajectory,
 )
 from jumpcodes.qec import (
+    apply_recovery,
     correct_trajectory,
     dfs_check,
     dfs_factorization_residual,
     kl_check,
     kl_report_to_json,
     kraus_equivalent,
-    petz_recovery_exact,
+    recovery_map,
     recovery_unitary,
     replay_records,
 )
@@ -26,6 +27,42 @@ from jumpcodes.states import LOWER, LocalOperator, local_to_dense
 
 def jump_matrix(alpha: int, n: int, kappa: float = 1.0) -> np.ndarray:
     return np.sqrt(kappa) * local_to_dense(LocalOperator((alpha,), LOWER), n)
+
+
+def petz_recovery_exact(ks: KrausSet, P: np.ndarray, tol: float = 1e-8) -> bool:
+    """Independent reversibility oracle: does the transpose-channel recovery
+    restore every code-space state?
+
+    Builds R_l = P K_l^+ sigma^{-1/2} with sigma the channel output of the
+    maximally mixed code state, then checks R(E(rho)) = c * rho with one
+    common constant c on a basis of code-space operators. The transpose
+    channel recovers exactly precisely when the operation is reversible, so
+    the proportionality test decides the verdict without touching Lambda.
+    """
+    rank = int(round(np.trace(P).real))
+    sigma = sum(K @ (P / rank) @ K.conj().T for K in ks.operators)
+    w, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    inv_sqrt = np.zeros_like(w)
+    inv_sqrt[w > 1e-12] = 1.0 / np.sqrt(w[w > 1e-12])
+    sigma_inv_sqrt = V @ np.diag(inv_sqrt) @ V.conj().T
+    recovery = [P @ K.conj().T @ sigma_inv_sqrt for K in ks.operators]
+    # orthonormal code basis from the projector
+    wp, Vp = np.linalg.eigh(P)
+    basis = [Vp[:, j] for j in range(len(wp)) if wp[j] > 0.5]
+
+    def recover(rho: np.ndarray) -> np.ndarray:
+        out = sum(K @ rho @ K.conj().T for K in ks.operators)
+        return sum(R @ out @ R.conj().T for R in recovery)
+
+    scale = np.trace(recover(np.outer(basis[0], basis[0].conj()))).real
+    if scale <= tol:
+        return False
+    for a in basis:
+        for b in basis:
+            rho = np.outer(a, b.conj())
+            if np.linalg.norm(recover(rho) - scale * rho) > tol * scale:
+                return False
+    return True
 
 
 class TestKLCheck:
@@ -208,13 +245,50 @@ class TestClosedFormRecovery:
             assert np.abs(recovery_unitary(code, alpha) - want).max() <= 2e-16
 
     def test_non_complementary_pair_is_rejected(self):
-        # A one-word code passes the reversibility guard for any jump (its
-        # projector has rank one), and Gram-Schmidt would complete its
-        # two-string jump image; the closed form needs complementary pairs.
+        # A one-word code passes kl_check for any jump (its projector has
+        # rank one), and Gram-Schmidt would complete its two-string jump
+        # image; the closed form needs complementary pairs.
         code = JumpCode(4, 0.0, [("0011", "0101")])
         assert kl_check(KrausSet((jump_matrix(1, 4),)), projector(code)).reversible
         with pytest.raises(ValueError, match="not complementary"):
             recovery_unitary(code, 1)
+
+    # The pair check replaces a dense Knill-Laflamme guard: complementary
+    # pairs of distinct strings give P L^+ L P = P/2 for every jump.
+    @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_every_single_jump_is_reversible_with_lambda_one_half(self, n, phase):
+        code = jump_code(n, phase)
+        P = projector(code)
+        for alpha in range(1, n + 1):
+            report = kl_check(KrausSet((jump_matrix(alpha, n),)), P)
+            assert report.reversible
+            assert abs(report.lam[0, 0] - 0.5) <= 1e-12
+            assert report.residual <= 1e-12
+
+    @pytest.mark.parametrize("pairs", [
+        [("0011", "1100"), ("0011", "1100")],
+        [("0011", "1100"), ("1100", "0011"), ("0101", "1010")],
+    ], ids=["repeated", "swapped"])
+    def test_shared_basis_string_is_rejected(self, pairs):
+        with pytest.raises(ValueError, match="share a basis string"):
+            recovery_unitary(JumpCode(4, 0.3, pairs), 1)
+
+    def test_empty_code_is_rejected(self):
+        with pytest.raises(ValueError, match="no code words"):
+            recovery_unitary(JumpCode(4, 0.0, []), 1)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_map_application_matches_dense_product(self, n, phase):
+        code = jump_code(n, phase)
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(16, 2**n)) + 1j * rng.normal(size=(16, 2**n))
+        for alpha in range(1, n + 1):
+            got = apply_recovery(rows, recovery_map(code, alpha))
+            want = rows @ recovery_unitary(code, alpha).T
+            err = np.linalg.norm(got - want, axis=1)
+            assert (err <= 1e-15 * np.linalg.norm(rows, axis=1)).all()
 
 
 class TestCorrectTrajectory:

@@ -11,6 +11,7 @@ from jumpcodes import (
     memory_model,
     no_jump_kraus,
     pure_density,
+    run_trajectories,
     run_trajectory,
     trace_distance,
 )
@@ -49,12 +50,8 @@ for count in (100, 1000, 10000):
     print(f"{count:6d} trajectories: trace distance {trace_distance(approx, exact):.5f}")
 
 print("\n=== jump-time statistics ===")
-times = []
-for traj in range(20000):
-    rec = run_trajectory(model, basis_ket("1"), 20.0, 11, trajectory_id=traj)
-    if rec.jumps:
-        times.append(rec.jumps[0][0])
-times = np.sort(times)
+batch = run_trajectories(model, basis_ket("1"), 20.0, 11, range(20000))
+times = np.sort(batch.jump_times[batch.jump_counts > 0, 0])
 emp = np.arange(1, len(times) + 1) / len(times)
 ks = np.abs(emp - (1 - np.exp(-times))).max()
 print(f"first-jump empirical CDF vs 1 - e^-t: KS distance {ks:.4f} ({len(times)} samples)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,11 +70,9 @@ def cmd_code(args) -> int:
         "k": code.k,
         "phase": code.phase,
         "codewords": code.count,
-        "logical_qubits": codes.logical_qubits(code.N),
+        "logical_qubits": math.log2(code.count),
         "redundancy": code.redundancy,
-        "dfs_dimension": codes.dfs_basis(code.N, code.k).dimension
-        if code.N <= 12
-        else None,
+        "dfs_dimension": math.comb(code.N, code.k),
     }
     _emit(report, args.out)
     return 0

@@ -219,12 +219,16 @@ def code_to_json(code: JumpCode) -> dict:
 def code_from_json(data: dict) -> JumpCode:
     pairs = [(s, sbar) for s, sbar in data["pairs"]]
     code = JumpCode(int(data["N"]), float(data["phase"]), pairs)
+    if not pairs:
+        raise ValueError("code has no pairs")
     seen: set[str] = set()
     for s, sbar in code.pairs:
         if len(s) != code.N or set(s) - {"0", "1"}:
             raise ValueError(f"pair ({s},{sbar}) is not of {code.N}-bit strings")
         if _complement(s) != sbar:
             raise ValueError(f"pair ({s},{sbar}) is not complementary")
+        if 2 * s.count("1") != code.N:
+            raise ValueError(f"pair ({s},{sbar}) is not of weight {code.N}/2")
         if s in seen or sbar in seen:
             raise ValueError(f"pair ({s},{sbar}) repeats a code word")
         seen.update((s, sbar))

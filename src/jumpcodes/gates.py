@@ -21,16 +21,7 @@ import numpy as np
 from scipy.linalg import expm as dense_expm, schur
 
 from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
-from .states import (
-    Ket,
-    LocalOperator,
-    OperatorSum,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    local_to_dense,
-    sum_to_dense,
-)
+from .states import DENSE_QUBIT_LIMIT, Ket, LocalOperator, OperatorSum, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -55,40 +46,17 @@ _EQUAL_BITS = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 
 
 def e_op(alpha: int, beta: int) -> LocalOperator:
-    """Heisenberg-type pair Hamiltonian; equals the SWAP of the two qubits."""
+    """Heisenberg-type pair Hamiltonian 1/2 (1 + XX + YY + ZZ): the SWAP of the two qubits."""
     if alpha == beta:
         raise ValueError("pair indices must differ")
-    block = 0.5 * (
-        np.eye(4)
-        + np.kron(SIGMA_X, SIGMA_X)
-        + np.kron(SIGMA_Y, SIGMA_Y)
-        + np.kron(SIGMA_Z, SIGMA_Z)
-    )
-    assert np.allclose(block, _SWAP)
-    return LocalOperator((alpha, beta), block)
+    return LocalOperator((alpha, beta), _SWAP)
 
 
 def f_op(alpha: int, beta: int) -> LocalOperator:
-    """Ising-type pair Hamiltonian; projects onto the equal-bits subspace."""
+    """Ising-type pair Hamiltonian 1/2 (1 + ZZ): the projector onto equal bits."""
     if alpha == beta:
         raise ValueError("pair indices must differ")
-    block = 0.5 * (np.eye(4) + np.kron(SIGMA_Z, SIGMA_Z))
-    assert np.allclose(block, _EQUAL_BITS)
-    return LocalOperator((alpha, beta), block)
-
-
-# (kind, pair, n_qubits) -> read-only dense matrix of the unit-coefficient term
-_PAIR_UNITS: dict[tuple[str, tuple[int, int], int], np.ndarray] = {}
-
-
-def _pair_unit(kind: str, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
-    key = (kind, pair, n_qubits)
-    unit = _PAIR_UNITS.get(key)
-    if unit is None:
-        unit = local_to_dense(e_op(*pair) if kind == "E" else f_op(*pair), n_qubits)
-        unit.setflags(write=False)
-        _PAIR_UNITS[key] = unit
-    return unit
+    return LocalOperator((alpha, beta), _EQUAL_BITS)
 
 
 @dataclass
@@ -104,6 +72,8 @@ class GateHamiltonian:
                 raise ValueError(f"unknown term kind {kind!r}")
             if a == b:
                 raise ValueError("pair indices must differ")
+            if min(a, b) < 1:
+                raise ValueError(f"pair indices must be >= 1, got {(a, b)}")
             cleaned.append((kind, (int(a), int(b)), float(coeff)))
         self.terms = tuple(cleaned)
 
@@ -115,10 +85,25 @@ class GateHamiltonian:
         return OperatorSum(tuple(locals_))
 
     def matrix(self, n_qubits: int) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; equal bit for bit to ``sum_to_dense(to_sum(), n)``."""
-        total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-        for kind, pair, coeff in self.terms:
-            total += coeff * _pair_unit(kind, pair, n_qubits)
+        """Dense 2^n x 2^n matrix; equal bit for bit to ``sum_to_dense(to_sum(), n)``.
+
+        Where bits a and b of basis index x differ, E_ab maps x to x with both
+        bits flipped; where they agree, E_ab and F_ab keep x. Written from the
+        indices rather than through ``sum_to_dense``, whose kron-and-transpose
+        embedding per term makes the ``gates`` benchmark about a third slower.
+        """
+        if n_qubits > DENSE_QUBIT_LIMIT:
+            raise ValueError(f"refusing dense embedding beyond {DENSE_QUBIT_LIMIT} qubits")
+        if any(max(pair) > n_qubits for _, pair, _ in self.terms):
+            raise ValueError(f"pair support exceeds qubit count {n_qubits}")
+        x = np.arange(2**n_qubits)
+        total = np.zeros((x.size, x.size), dtype=complex)
+        for kind, (a, b), coeff in self.terms:
+            differ = ((x >> (a - 1)) ^ (x >> (b - 1))) & 1
+            if kind == "E":
+                total[x, x ^ differ * ((1 << (a - 1)) | (1 << (b - 1)))] += coeff
+            else:
+                total[x[differ == 0], x[differ == 0]] += coeff
         return total
 
     def scaled(self, factor: float) -> "GateHamiltonian":
@@ -321,7 +306,6 @@ class HamiltonianProgram:
     """Ordered segments, applied first-to-last in time."""
 
     segments: list[ProgramSegment]
-    target_error: float | None = None
     achieved_error: float | None = None
     trotter_steps: int | None = None
 
@@ -453,10 +437,6 @@ def phase_aligned_distance(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(A - (tr / abs(tr)) * B))
 
 
-# Running products stacked per batched SVD in leakage_certificate (4 MiB).
-_CERT_BLOCK_BYTES = 4 * 2**20
-
-
 def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
     """Max of ||(1-P) U_k P||_2 over every segment boundary k; 0.0 for no segments.
 
@@ -464,27 +444,11 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
     projector, C the 2^N x count isometry of code words. Since C^dagger is a
     co-isometry, ||(1-P) U P||_2 = ||(1-P) U C||_2 = ||U C - C (C^dagger U C)||_2,
     so each boundary costs the singular values of one 2^N x count matrix,
-    taken in batches over blocks of running products.
+    all taken in one batched SVD.
     """
     C = np.column_stack([codeword_ket(code, i).amplitudes for i in range(code.count)])
-    dim = C.shape[0]
-    per_row = dim * dim * np.dtype(complex).itemsize
-    rows = max(1, min(len(program.segments), _CERT_BLOCK_BYTES // per_row))
-    block = np.empty((rows, dim, dim), dtype=complex)
-
-    def block_worst(m: int) -> float:
-        UC = (block[:m].reshape(m * dim, dim) @ C).reshape(m, dim, -1)
-        return float(_leakage(UC, C).max())
-
-    worst, m = 0.0, 0
-    for U in _running_products(program, n_qubits=code.N):
-        block[m] = U
-        m += 1
-        if m == rows:
-            worst, m = max(worst, block_worst(m)), 0
-    if m:
-        worst = max(worst, block_worst(m))
-    return worst
+    UC = [U @ C for U in _running_products(program, n_qubits=code.N)]
+    return float(_leakage(np.stack(UC), C).max()) if UC else 0.0
 
 
 # --- logical qutrit synthesis ----------------------------------------------
@@ -582,14 +546,13 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> Hamilton
     H = principal_log_hamiltonian(U)
     H = H - np.trace(H) / 3.0 * np.eye(3)
     if np.linalg.norm(H) < 1e-13:
-        return HamiltonianProgram([], target_error=epsilon, achieved_error=0.0, trotter_steps=0)
+        return HamiltonianProgram([], achieved_error=0.0, trotter_steps=0)
     if np.linalg.norm(0.5 * (H.imag - H.imag.T)) < 1e-13:
         factors = [(0.5 * (H.real + H.real.T), 1.0)]
     else:
         factors = _cartan_factors(U)
     program = HamiltonianProgram(
         [ProgramSegment(symmetric_to_gate_hamiltonian(S), t) for S, t in factors],
-        target_error=epsilon,
         trotter_steps=0,
     )
     err = phase_aligned_distance(program_logical_unitary(program, basis), U)

@@ -1,4 +1,5 @@
 import json
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -70,7 +71,9 @@ class TestCodeCommand:
     @pytest.mark.parametrize("pairs, word", [
         ([["0011", "1100"], ["0011", "1100"]], "repeats a code word"),
         ([["0011", "1100"], ["00111", "11000"]], "4-bit strings"),
-    ], ids=["repeated-pair", "wrong-length"])
+        ([["0001", "1110"]], "weight 4/2"),
+        ([], "no pairs"),
+    ], ids=["repeated-pair", "wrong-length", "wrong-weight", "empty"])
     def test_bad_code_file_is_rejected(self, capsys, tmp_path, pairs, word):
         f = tmp_path / "code.json"
         f.write_text(json.dumps({"N": 4, "k": 2, "phase": 0.0, "pairs": pairs}))
@@ -79,6 +82,19 @@ class TestCodeCommand:
         assert status == 2
         assert captured.out == ""
         assert word in captured.err and "Traceback" not in captured.err
+
+    def test_inspect_reports_the_file_code(self, capsys, tmp_path):
+        f = tmp_path / "code.json"
+        pairs = [["0011", "1100"], ["0101", "1010"]]
+        f.write_text(json.dumps({"N": 4, "k": 2, "phase": 0.0, "pairs": pairs}))
+        status, report = run_cli(capsys, "code", "inspect", "--in", str(f))
+        assert status == 0
+        assert report["codewords"] == 2 and report["logical_qubits"] == 1.0
+        assert report["dfs_dimension"] == 6
+
+    def test_inspect_reports_dfs_dimension_above_twelve_qubits(self, capsys):
+        status, report = run_cli(capsys, "code", "inspect", "--n", "14")
+        assert status == 0 and report["dfs_dimension"] == comb(14, 7)
 
     def test_limit_does_not_apply_to_inspect_from_file(self, capsys, tmp_path):
         status, data = run_cli(capsys, "code", "generate", "--n", "4")

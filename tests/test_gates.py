@@ -43,6 +43,8 @@ from jumpcodes.states import (
     Ket,
     NUMBER,
     SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     LocalOperator,
     OperatorSum,
     apply_local,
@@ -83,6 +85,11 @@ class TestPairOperators:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             e_op(2, 2)
+
+    def test_blocks_are_the_pauli_forms(self):
+        XX, YY, ZZ = (np.kron(P, P) for P in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        assert e_op(1, 2).block.tobytes() == (0.5 * (np.eye(4) + XX + YY + ZZ)).tobytes()
+        assert f_op(1, 2).block.tobytes() == (0.5 * (np.eye(4) + ZZ)).tobytes()
 
 
 class TestLogicalMatrix:
@@ -442,12 +449,23 @@ class TestLeakageCertificate:
         assert abs(got - want) <= 1e-12 * want
 
     def test_block_edges_match_oracle(self):
-        rows = gates_module._CERT_BLOCK_BYTES // (16 * 16 * 16)
+        rows = 1024
         for length in (rows - 1, rows, rows + 1):
             prog = self.program(length)
             want = dense_leakage(prog, self.code)
             assert want > 0.2  # only the last boundary leaks
             assert abs(leakage_certificate(prog, self.code) - want) <= 1e-12 * want
+
+    def test_leak_undone_by_a_later_segment_still_counts(self):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        # exp(-i pi/2 X_1) maps every code word out of the code; twice it is -1
+        half_flip = ProgramSegment(self.flip, np.pi / 2)
+        segments = self.program(4).segments[:-1]
+        prog = HamiltonianProgram(segments[:2] + [half_flip, half_flip] + segments[2:])
+        want = dense_leakage(prog, self.code)
+        assert want > 0.99
+        assert abs(leakage_certificate(prog, self.code) - want) <= 1e-12
 
     def test_empty_program_is_zero(self):
         from jumpcodes.gates import HamiltonianProgram
@@ -526,6 +544,16 @@ class TestProgramSerialization:
 
         data = program_to_json(HamiltonianProgram([ProgramSegment(gh, np.pi)]))
         assert data["segments"] == [{"terms": [["F", 2, 6, 0.5]], "duration": np.pi}]
+
+    @pytest.mark.parametrize("kind", ["E", "F"])
+    @pytest.mark.parametrize("a, b", [(0, 2), (2, 0), (-1, 3)])
+    def test_qubit_index_below_one_is_rejected(self, kind, a, b):
+        # an F term on (0, 2) would shift by -1 and read as "bit 2 is 0"
+        with pytest.raises(ValueError):
+            GateHamiltonian(((kind, (a, b), 1.0),))
+        data = {"segments": [{"terms": [[kind, a, b, 1.0]], "duration": 1.0}]}
+        with pytest.raises(ValueError):
+            program_from_json(data)
 
     def test_abstract_programs_not_serializable(self):
         prog = trotter_sum(np.eye(3), np.eye(3), 1.0, 1.0, 1)

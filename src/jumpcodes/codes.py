@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, log2
+from math import comb, isfinite, log2
 
 import numpy as np
 
@@ -221,6 +221,10 @@ def code_from_json(data: dict) -> JumpCode:
     code = JumpCode(int(data["N"]), float(data["phase"]), pairs)
     if not pairs:
         raise ValueError("code has no pairs")
+    if "k" in data and data["k"] != code.k:
+        raise ValueError(f"k must be N/2 = {code.k}, not {data['k']}")
+    if not isfinite(code.phase):
+        raise ValueError(f"phase {code.phase} is not finite")
     seen: set[str] = set()
     for s, sbar in code.pairs:
         if len(s) != code.N or set(s) - {"0", "1"}:

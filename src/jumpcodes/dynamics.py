@@ -212,8 +212,8 @@ def trajectory_rng(seed: int, trajectory_id: int, stream: int = 0) -> np.random.
 # Rows that run_trajectories advances together. Bounds its working memory to
 # a few (rows, 2^N) arrays for any number of trajectories.
 TRAJECTORY_CHUNK = 1024
-# average_trajectories sums the projectors of this many consecutive ids per
-# partial. Fixed apart from TRAJECTORY_CHUNK so the sum has one order.
+# average_trajectories groups and sums the final states of this many
+# consecutive ids. Fixed apart from TRAJECTORY_CHUNK so the sum has one order.
 _ENSEMBLE_BLOCK = 1024
 
 
@@ -468,17 +468,25 @@ def average_trajectories(
     """Mean projector over ``count`` trajectories, deterministically reduced.
 
     Per-trajectory streams derive from (seed, trajectory_id). Each block of
-    consecutive ids adds its final states V as V^T V^* to the total in id
-    order. The product is numpy's own loop rather than BLAS, so the result
-    depends neither on batching nor on the BLAS thread count.
+    consecutive ids groups its final states by exact nonzero pattern S (few
+    under decay: a jump zeroes half the amplitudes) and, in sorted pattern
+    order, adds each group's rows V on S, in id order, as V^T V^* to
+    total[S, S]. The product is numpy's own loop rather than BLAS, so the
+    result depends neither on batching nor on the BLAS thread count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     total = np.zeros((psi0.dim, psi0.dim), dtype=complex)
     for start in range(0, count, _ENSEMBLE_BLOCK):
         ids = range(start, min(start + _ENSEMBLE_BLOCK, count))
-        V = run_trajectories(model, psi0, T, seed, ids).final_states.T.copy()
-        total += np.einsum("ir,jr->ij", V, V.conj())
+        states = run_trajectories(model, psi0, T, seed, ids).final_states
+        nonzero = states != 0
+        packed = np.packbits(nonzero, axis=1)  # one byte string per row's pattern
+        keys = packed.view(f"V{packed.shape[1]}")[:, 0]
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        for g, support in enumerate(nonzero[first]):
+            V = states[group == g][:, support].T.copy()
+            total[np.ix_(support, support)] += np.einsum("ir,jr->ij", V, V.conj())
     total /= count
     total = 0.5 * (total + total.conj().T)
     return DensityMatrix(total / np.trace(total).real, eig_tol=1e-7)

@@ -68,15 +68,18 @@ class TestCodeCommand:
         assert "n must be at most 20" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("pairs, word", [
-        ([["0011", "1100"], ["0011", "1100"]], "repeats a code word"),
-        ([["0011", "1100"], ["00111", "11000"]], "4-bit strings"),
-        ([["0001", "1110"]], "weight 4/2"),
-        ([], "no pairs"),
-    ], ids=["repeated-pair", "wrong-length", "wrong-weight", "empty"])
-    def test_bad_code_file_is_rejected(self, capsys, tmp_path, pairs, word):
+    @pytest.mark.parametrize("fields, word", [
+        ({"pairs": [["0011", "1100"], ["0011", "1100"]]}, "repeats a code word"),
+        ({"pairs": [["0011", "1100"], ["00111", "11000"]]}, "4-bit strings"),
+        ({"pairs": [["0001", "1110"]]}, "weight 4/2"),
+        ({"pairs": []}, "no pairs"),
+        ({"k": 3}, "k must be N/2"),
+        ({"phase": float("nan")}, "not finite"),
+    ], ids=["repeated-pair", "wrong-length", "wrong-weight", "empty", "wrong-k", "nan-phase"])
+    def test_bad_code_file_is_rejected(self, capsys, tmp_path, fields, word):
         f = tmp_path / "code.json"
-        f.write_text(json.dumps({"N": 4, "k": 2, "phase": 0.0, "pairs": pairs}))
+        data = {"N": 4, "k": 2, "phase": 0.0, "pairs": [["0011", "1100"]], **fields}
+        f.write_text(json.dumps(data))  # a NaN phase is written as NaN, which json reads
         status = main(["code", "inspect", "--in", str(f)])
         captured = capsys.readouterr()
         assert status == 2

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from jumpcodes import dynamics
-from jumpcodes.codes import codeword_ket, dfs_basis, jump_code
+from jumpcodes.codes import codeword_ket, dfs_basis, encode, jump_code
 from jumpcodes.dynamics import (
     DensityMatrix,
     KrausSet,
@@ -262,6 +262,114 @@ class TestAverageTrajectories:
         approx = average_trajectories(model, basis_ket("1"), 1.1, 3000, 17)
         exact = integrate_master(model, pure_density(basis_ket("1")), 1.1, 1e-3)
         assert trace_distance(approx, exact) < 0.03
+
+
+def code_state(n: int, seed: int) -> Ket:
+    """A random normalized state of the n-qubit jump code."""
+    code = jump_code(n, 0.0)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=code.count) + 1j * rng.normal(size=code.count)
+    return encode(code, a / np.linalg.norm(a))
+
+
+def projector_case(name: str):
+    """(model, psi0, T, count, seed) of one ensemble, by name."""
+    rates = ((1, 1.3), (2, 0.7), (3, 1.0), (4, 1.0))
+    if name == "code-n8":
+        return memory_model(8, 1.0), code_state(8, 2), 0.5, 300, 5
+    if name == "driven-e23-f23":
+        # The benchmark's drive. It couples only basis states that differ by
+        # a swap of bits 2 and 3, so its states keep exact zeros too.
+        from jumpcodes.gates import GateHamiltonian
+
+        drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
+        return LindbladModel(4, drive, rates), code_state(4, 1), 1.0, 300, 5
+    if name == "driven-sigma-x":
+        H = OperatorSum(tuple(LocalOperator((a,), 0.7 * SIGMA_X) for a in range(1, 5)))
+        return LindbladModel(4, H, rates), code_state(4, 1), 1.0, 300, 5
+    if name == "dense-mixed-rates":
+        # Most rows never jump, so one group holds a dense (rows, 256) block.
+        model = memory_model(8, list(np.linspace(0.1, 0.3, 8)))
+        return model, random_state(8, 4), 0.5, 300, 5
+    if name == "count-1100":
+        return memory_model(2, [1.0, 0.4]), random_state(2, 3), 1.5, 1100, 33
+    raise KeyError(name)
+
+
+def dense_projector_mean(model, psi0, T, count, seed) -> np.ndarray:
+    """Oracle: the projectors summed by one einsum over all rows and all
+    2^N x 2^N entries, with no grouping."""
+    V = run_trajectories(model, psi0, T, seed, range(count)).final_states.T.copy()
+    total = np.einsum("ir,jr->ij", V, V.conj()) / count
+    total = 0.5 * (total + total.conj().T)
+    return total / np.trace(total).real
+
+
+class TestGroupedProjectorSum:
+    @pytest.mark.parametrize("name", [
+        "code-n8", "driven-e23-f23", "driven-sigma-x", "dense-mixed-rates", "count-1100",
+    ])
+    def test_matches_dense_einsum(self, name):
+        model, psi0, T, count, seed = projector_case(name)
+        expected = dense_projector_mean(model, psi0, T, count, seed)
+        got = average_trajectories(model, psi0, T, count, seed).matrix
+        assert np.abs(got - expected).max() <= 1e-13 * np.trace(expected).real
+
+    def test_code_state_decay_leaves_several_patterns(self):
+        model, psi0, T, count, seed = projector_case("code-n8")
+        final = run_trajectories(model, psi0, T, seed, range(count)).final_states
+        assert len(np.unique(final != 0, axis=0)) > 1
+
+    def test_drive_on_every_qubit_leaves_one_dense_support(self):
+        model, psi0, T, count, seed = projector_case("driven-sigma-x")
+        final = run_trajectories(model, psi0, T, seed, range(count)).final_states
+        assert np.count_nonzero(final) == final.size
+
+    @pytest.mark.parametrize("name", ["code-n8", "driven-e23-f23"])
+    def test_at_time_zero_is_the_initial_projector(self, name):
+        model, psi0, _, _, seed = projector_case(name)
+        # 64 rows: summing count equal projectors rounds about count ulps.
+        rho = average_trajectories(model, psi0, 0.0, 64, seed).matrix
+        v = psi0.amplitudes
+        assert np.abs(rho - np.outer(v, v.conj())).max() <= 1e-15
+
+    @pytest.mark.parametrize("T", [0.5, 3.0, 40.0])
+    def test_no_decay_keeps_the_initial_projector(self, T):
+        psi0 = random_state(4, 8)
+        rho = average_trajectories(memory_model(4, 0.0), psi0, T, 64, 3).matrix
+        v = psi0.amplitudes
+        assert np.abs(rho - np.outer(v, v.conj())).max() <= 1e-15
+
+    def test_blas_thread_count_does_not_change_result(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import jumpcodes
+
+        src = str(Path(jumpcodes.__file__).resolve().parent.parent)
+        here = str(Path(__file__).resolve().parent)
+        script = (
+            "import hashlib\n"
+            "from test_dynamics import average_trajectories, projector_case\n"
+            "for name in ('code-n8', 'driven-e23-f23', 'dense-mixed-rates'):\n"
+            "    rho = average_trajectories(*projector_case(name))\n"
+            "    print(name, hashlib.sha256(rho.matrix.tobytes()).hexdigest())\n"
+        )
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=path,
+                         OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                stdout=subprocess.PIPE, text=True,
+            )
+            for threads in ("1", "2")
+        ]
+        outputs = [proc.communicate(timeout=300)[0] for proc in runs]
+        assert all(proc.returncode == 0 for proc in runs)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 3
 
 
 class TestApplyOperation:

@@ -18,10 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import codes, dynamics, gates, qec
-from .dynamics import KrausSet, memory_model
 from .dynamics import trajectory_rng  # noqa: F401  bench/test_tracing.py expects it bound here
 from .qec import ExperimentConfig, run_experiment
-from .states import Ket, LOWER, LocalOperator, local_to_dense
 from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it bound here
 
 OUT_DIR_ENV = "JUMPCODES_OUT"
@@ -80,152 +78,16 @@ def cmd_code(args) -> int:
 
 # --- verify subcommand -------------------------------------------------------
 
-def _verify_table1(tol: float) -> dict:
-    expected = {
-        "E12": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
-        "E23": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
-        "E13": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-        "F12": [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-        "F13": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
-        "F23": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-    }
-    got = gates.table1_matrices(0.0)
-    checks = {}
-    for name, mat in expected.items():
-        residual = float(np.abs(got[name] - np.array(mat)).max())
-        checks[name] = {"residual": residual, "pass": residual < tol}
-    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
-
-
-def _verify_kl(which: str, kappa: float, tol: float) -> dict:
-    code = codes.jump_code(4, 0.0)
-    P = codes.projector(code)
-    L = {
-        a: np.sqrt(kappa) * local_to_dense(LocalOperator((a,), LOWER), 4)
-        for a in range(1, 5)
-    }
-    report: dict = {"checks": {}}
-    ok = True
-    if which in ("known-position", "both"):
-        for a in range(1, 5):
-            r = qec.kl_check(KrausSet((L[a],)), P, tol)
-            lam = r.lam[0, 0].real
-            passed = r.reversible and abs(lam - kappa / 2.0) < 1e-9
-            ok &= passed
-            report["checks"][f"L{a}"] = {
-                "verdict": r.verdict,
-                "lambda": lam,
-                "expected_lambda": kappa / 2.0,
-                "residual": r.residual,
-                "pass": passed,
-            }
-    if which in ("unknown-position", "both"):
-        r = qec.kl_check(KrausSet((L[1], L[2])), P, tol)
-        witness = float(np.abs(P @ L[1].conj().T @ L[2] @ P).max())
-        passed = (not r.reversible) and witness > 1e-6
-        ok &= passed
-        report["checks"]["L1,L2"] = {
-            "verdict": r.verdict,
-            "offdiagonal_witness": witness,
-            "residual": r.residual,
-            "pass": passed,
-        }
-    report["pass"] = bool(ok)
-    return report
-
-
-def _verify_dfs(kappa: float, tol: float) -> dict:
-    basis = codes.dfs_basis(4, 2)
-    P = codes.dfs_projector(basis)
-    model = memory_model(4, kappa)
-    checks = {}
-    for t in (0.3, 1.0, 2.5):
-        K0 = dynamics.no_jump_kraus(model, t).matrix
-        r = qec.dfs_check(KrausSet((K0,)), P, tol)
-        expected = float(np.exp(-kappa * t))
-        passed = r.passed and abs(r.lambdas[0].real - expected) < 1e-9
-        checks[f"K0(t={t})"] = {
-            "lambda": float(r.lambdas[0].real),
-            "expected_lambda": expected,
-            "residual": float(r.residuals[0]),
-            "pass": passed,
-        }
-    L1 = np.sqrt(kappa) * local_to_dense(LocalOperator((1,), LOWER), 4)
-    r = qec.dfs_check(KrausSet((L1,)), P, tol)
-    checks["L1"] = {"residual": float(r.residuals[0]), "pass": not r.passed}
-    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
-
-
-def _verify_closure(tol: float) -> dict:
-    gens = gates.su3_generators()
-    closure = gates.lie_closure([g.logical for g in gens])
-    traceless = [M - np.trace(M) / 3.0 * np.eye(3) for M in closure.basis]
-    worst = max(gates.span_residual(traceless, gm) for gm in gates.gell_mann_matrices())
-    ok = closure.dimension == 9 and closure.traceless_dimension == 8 and worst < tol
-    return {
-        "dimension": closure.dimension,
-        "traceless_dimension": closure.traceless_dimension,
-        "gell_mann_inclusion_residual": worst,
-        "pass": bool(ok),
-    }
-
-
-def _verify_entangle(tol: float) -> dict:
-    code8 = codes.jump_code(8, 0.0)
-    C35 = np.column_stack([codes.codeword_ket(code8, i).amplitudes for i in range(code8.count)])
-    code4 = codes.jump_code(4, 0.0)
-    states = codes.product_code_basis(code4, code4)
-    C9 = np.column_stack([s.amplitudes for s in states])
-    taus = (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi)
-    UC9 = np.stack([gates.ent_unitary(tau) @ C9 for tau in taus])
-    leakage = float(gates._leakage(UC9, C35).max())
-    V = gates.v_gate()
-    logical = C9.conj().T @ V @ C9
-    v_residual = float(np.abs(logical - np.diag([1] * 8 + [-1])).max())
-    theta = gates.gate_theta_matrix(V, states, 3)
-    primitive, witness = gates.is_primitive_diagonal(theta)
-    named = (
-        theta.theta[1, 1] + theta.theta[2, 2],
-        theta.theta[1, 2] + theta.theta[2, 1],
-    )
-    uniform = Ket(8, C9.sum(axis=1) / 3.0)
-    rank = gates.schmidt_rank(Ket(8, V @ uniform.amplitudes), 4)
-    ok = (
-        leakage <= 1e-12
-        and v_residual <= 1e-10
-        and not primitive
-        and witness is not None
-        and abs((named[0] - named[1]) % (2 * np.pi) - np.pi) < 1e-9
-        and rank == 2
-    )
-    return {
-        "leakage": leakage,
-        "v_gate_residual": v_residual,
-        "primitive": primitive,
-        "witness": list(witness) if witness else None,
-        "theta": theta.theta.tolist(),
-        "schmidt_rank": rank,
-        "pass": bool(ok),
-    }
-
-
 def cmd_verify(args) -> int:
-    tol = args.tol
-    if args.check == "table1":
-        report = _verify_table1(tol if tol is not None else 1e-12)
-    elif args.check == "kl":
-        which = "both"
-        if args.known_position:
-            which = "known-position"
-        elif args.unknown_position:
-            which = "unknown-position"
-        report = _verify_kl(which, args.kappa, tol if tol is not None else 1e-9)
-    elif args.check == "dfs":
-        report = _verify_dfs(args.kappa, tol if tol is not None else 1e-9)
-    elif args.check == "closure":
-        report = _verify_closure(tol if tol is not None else 1e-10)
-    else:
-        report = _verify_entangle(tol if tol is not None else 1e-12)
+    kwargs = {} if args.tol is None else {"tol": args.tol}
+    suites = {
+        "table1": lambda: gates.verify_table1(**kwargs),
+        "kl": lambda: qec.verify_kl(args.which, args.kappa, **kwargs),
+        "dfs": lambda: qec.verify_dfs(args.kappa, **kwargs),
+        "closure": lambda: gates.verify_closure(**kwargs),
+        "entangle": lambda: gates.verify_entangle(**kwargs),
+    }
+    report = suites[args.check]()
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -316,11 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
         "check", choices=["kl", "dfs", "table1", "closure", "entangle"]
     )
     p_verify.add_argument("--kappa", type=float, default=1.0)
-    p_verify.add_argument("--known-position", action="store_true")
-    p_verify.add_argument("--unknown-position", action="store_true")
+    position = p_verify.add_mutually_exclusive_group()
+    position.add_argument(
+        "--known-position", dest="which", action="store_const", const="known-position"
+    )
+    position.add_argument(
+        "--unknown-position", dest="which", action="store_const", const="unknown-position"
+    )
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, which="both")
 
     p_sim = sub.add_parser("sim", help="decay-and-recovery simulation")
     p_sim.add_argument("action", choices=["run"])

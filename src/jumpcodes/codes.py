@@ -217,8 +217,24 @@ def code_to_json(code: JumpCode) -> dict:
 
 
 def code_from_json(data: dict) -> JumpCode:
-    pairs = [(s, sbar) for s, sbar in data["pairs"]]
-    code = JumpCode(int(data["N"]), float(data["phase"]), pairs)
+    """The code of a ``code_to_json`` document; ValueError names what is malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("code file must hold a JSON object")
+    missing = [key for key in ("N", "phase", "pairs") if key not in data]
+    if missing:
+        raise ValueError(f"code file lacks {', '.join(missing)}")
+    if type(data["N"]) is not int:
+        raise ValueError(f"N must be an integer, not {data['N']!r}")
+    if type(data["phase"]) not in (int, float):
+        raise ValueError(f"phase must be a number, not {data['phase']!r}")
+    raw = data["pairs"]
+    if not isinstance(raw, list) or any(
+        not isinstance(p, list) or len(p) != 2 or not all(isinstance(s, str) for s in p)
+        for p in raw
+    ):
+        raise ValueError("pairs must be a list of [string, string] pairs")
+    pairs = [(s, sbar) for s, sbar in raw]
+    code = JumpCode(data["N"], float(data["phase"]), pairs)
     if not pairs:
         raise ValueError("code has no pairs")
     if "k" in data and data["k"] != code.k:

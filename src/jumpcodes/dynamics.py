@@ -494,10 +494,9 @@ def average_trajectories(
 
 @dataclass
 class KrausSet:
-    """Finite set of error operators; ``complete`` asserts sum K^+ K = 1."""
+    """Finite set of square error operators of one dimension."""
 
     operators: tuple[np.ndarray, ...]
-    complete: bool = False
 
     def __post_init__(self):
         ops = tuple(np.asarray(K, dtype=complex) for K in self.operators)
@@ -507,37 +506,6 @@ class KrausSet:
         if any(K.shape != (d, d) for K in ops):
             raise ValueError("all operators must be square with equal dimension")
         self.operators = ops
-        if self.complete:
-            total = sum(K.conj().T @ K for K in ops)
-            if np.linalg.norm(total - np.eye(d)) > TRACE_TOL:
-                raise ValueError("operators flagged complete do not sum to identity")
-
-    @property
-    def dimension(self) -> int:
-        return self.operators[0].shape[0]
-
-
-def apply_operation(ks: KrausSet, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
-    """Outcome probabilities and normalized post-measurement states.
-
-    Outcomes below probability 1e-14 are omitted. For a complete set the
-    probabilities sum to 1 within 1e-9.
-    """
-    if ks.dimension != rho.dimension:
-        raise ValueError("operator and state dimensions differ")
-    outcomes = []
-    for K in ks.operators:
-        out = K @ rho.matrix @ K.conj().T
-        p = float(np.trace(out).real)
-        if p < 1e-14:
-            continue
-        out = 0.5 * (out + out.conj().T) / p
-        outcomes.append((p, DensityMatrix(out, eig_tol=1e-7)))
-    if ks.complete:
-        total = sum(p for p, _ in outcomes)
-        if abs(total - 1.0) > TRACE_TOL:
-            raise ValueError(f"complete set produced total probability {total}")
-    return outcomes
 
 
 def records_to_csv(records: list[TrajectoryRecord]) -> str:
@@ -548,7 +516,3 @@ def records_to_csv(records: list[TrajectoryRecord]) -> str:
         for t, alpha in rec.jumps:
             buf.write(f"{traj_id},{t:.17g},{alpha}\n")
     return buf.getvalue()
-
-
-def density_to_json(rho: DensityMatrix) -> list[list[list[float]]]:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in rho.matrix]

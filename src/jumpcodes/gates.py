@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm as dense_expm, schur
 
 from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
-from .states import DENSE_QUBIT_LIMIT, Ket, LocalOperator, OperatorSum, sum_to_dense
+from .states import DENSE_QUBIT_LIMIT, Ket, LocalOperator, OperatorSum, basis_ket, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -170,6 +170,26 @@ def table1_matrices(phase: float = 0.0) -> dict[str, np.ndarray]:
     return out
 
 
+def verify_table1(tol: float = 1e-12) -> dict:
+    """The ``verify table1`` report: each pair Hamiltonian's logical matrix."""
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tol must be positive")
+    expected = {
+        "E12": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+        "E23": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        "E13": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "F12": [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        "F13": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        "F23": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+    }
+    got = table1_matrices(0.0)
+    checks = {}
+    for name, mat in expected.items():
+        residual = float(np.abs(got[name] - np.array(mat)).max())
+        checks[name] = {"residual": residual, "pass": residual < tol}
+    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
+
+
 def su3_generators() -> list[LogicalGenerator]:
     """The eight logical generators with their physical realizations.
 
@@ -258,11 +278,6 @@ def lie_closure(generators: list[np.ndarray], tol: float = 1e-10) -> LieClosure:
     return LieClosure(len(basis), tdim, basis)
 
 
-def lie_closure_dimension(generators: list[np.ndarray]) -> tuple[int, int]:
-    closure = lie_closure(generators)
-    return closure.dimension, closure.traceless_dimension
-
-
 def span_residual(basis: list[np.ndarray], target: np.ndarray) -> float:
     """Distance from ``target`` to the real span of ``basis`` (hermitian matrices)."""
     A = np.column_stack([_herm_to_real_vec(M) for M in basis])
@@ -282,6 +297,23 @@ def gell_mann_matrices() -> list[np.ndarray]:
     l7 = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
     l8 = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0)
     return [l1, l2, l3, l4, l5, l6, l7, l8]
+
+
+def verify_closure(tol: float = 1e-10) -> dict:
+    """The ``verify closure`` report: the eight logical generators close to
+    u(3), whose traceless part spans every Gell-Mann matrix to within ``tol``.
+    """
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tol must be positive")
+    closure = lie_closure([g.logical for g in su3_generators()])
+    traceless = [M - np.trace(M) / 3.0 * np.eye(3) for M in closure.basis]
+    worst = max(span_residual(traceless, gm) for gm in gell_mann_matrices())
+    return {
+        "dimension": closure.dimension,
+        "traceless_dimension": closure.traceless_dimension,
+        "gell_mann_inclusion_residual": worst,
+        "pass": closure.dimension == 9 and closure.traceless_dimension == 8 and worst < tol,
+    }
 
 
 # --- timed Hamiltonian programs -------------------------------------------
@@ -587,8 +619,6 @@ def _ent_states() -> tuple[list[Ket], Ket, Ket]:
 
 
 def _string_pair_ket(s1: str, s2: str) -> Ket:
-    from .states import basis_ket
-
     amps = (basis_ket(s1).amplitudes + basis_ket(s2).amplitudes) / np.sqrt(2.0)
     return Ket(len(s1), amps)
 
@@ -681,6 +711,46 @@ def schmidt_rank(psi: Ket, low_qubits: int, tol: float = 1e-10) -> int:
     M = psi.amplitudes.reshape(2**high, 2**low_qubits)
     s = np.linalg.svd(M, compute_uv=False)
     return int(np.sum(s > tol))
+
+
+def verify_entangle(tol: float = 1e-12) -> dict:
+    """The ``verify entangle`` report. exp(-i H_ent tau) keeps the product code
+    space in the 8-qubit code space (leakage within ``tol``, five tau), and V
+    is diag(1, ..., 1, -1) on |ij>_L, not primitive, and of Schmidt rank 2 on
+    the uniform logical state.
+    """
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tol must be positive")
+    code8 = jump_code(8, 0.0)
+    C35 = np.column_stack([codeword_ket(code8, i).amplitudes for i in range(code8.count)])
+    code4 = jump_code(4, 0.0)
+    states = product_code_basis(code4, code4)
+    C9 = np.column_stack([s.amplitudes for s in states])
+    taus = (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi)
+    leakage = float(_leakage(np.stack([ent_unitary(tau) @ C9 for tau in taus]), C35).max())
+    V = v_gate()
+    v_residual = float(np.abs(C9.conj().T @ V @ C9 - np.diag([1] * 8 + [-1])).max())
+    theta = gate_theta_matrix(V, states, 3)
+    primitive, witness = is_primitive_diagonal(theta)
+    th = theta.theta
+    named_gap = (th[1, 1] + th[2, 2] - (th[1, 2] + th[2, 1])) % (2 * np.pi)
+    rank = schmidt_rank(Ket(8, V @ (C9.sum(axis=1) / 3.0)), 4)
+    return {
+        "leakage": leakage,
+        "v_gate_residual": v_residual,
+        "primitive": primitive,
+        "witness": list(witness) if witness else None,
+        "theta": th.tolist(),
+        "schmidt_rank": rank,
+        "pass": bool(
+            leakage <= tol
+            and v_residual <= 1e-10
+            and not primitive
+            and witness is not None
+            and abs(named_gap - np.pi) < 1e-9
+            and rank == 2
+        ),
+    }
 
 
 # --- program serialization ---------------------------------------------------

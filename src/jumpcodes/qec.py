@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import JumpCode, encode, jump_code
+from .codes import JumpCode, dfs_basis, dfs_projector, encode, jump_code, projector
 from .dynamics import (
     KrausSet,
     TrajectoryRecord,
     memory_model,
+    no_jump_kraus,
     run_trajectories,
     trajectory_rng,
 )
@@ -25,6 +26,7 @@ from .states import (
     DENSE_QUBIT_LIMIT,
     Ket,
     label_to_index,
+    local_to_dense,
     lower_rows,
     row_norms,
 )
@@ -88,29 +90,69 @@ def dfs_check(ks: KrausSet, P: np.ndarray, tol: float = DEFAULT_TOL) -> DFSRepor
     return DFSReport(lambdas, residuals, bool(residuals.max() <= tol))
 
 
-def dfs_factorization_residual(ks: KrausSet, P: np.ndarray) -> float:
-    """|Lambda - lambda^* lambda^T| consistency between the two criteria."""
-    kl = kl_check(ks, P)
-    dfs = dfs_check(ks, P)
-    predicted = np.outer(dfs.lambdas.conj(), dfs.lambdas)
-    return float(np.linalg.norm(kl.lam - predicted))
+def verify_kl(which: str = "both", kappa: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
+    """The ``verify kl`` report: Knill-Laflamme checks on the 4-qubit code.
+
+    A jump at a known position (``which="known-position"``) must be
+    reversible with Lambda = kappa/2. L1 and L2 together (position unknown,
+    ``"unknown-position"``) must not be, with a nonzero witness |P L1^+ L2 P|.
+    """
+    if which not in ("known-position", "unknown-position", "both"):
+        raise ValueError(f"unknown KL check {which!r}")
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and positive")
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tol must be positive")
+    P = projector(jump_code(4, 0.0))
+    model = memory_model(4, kappa)
+    L = {a: local_to_dense(model.jump_operator(a), 4) for a in range(1, 5)}
+    checks = {}
+    if which != "unknown-position":
+        for a in range(1, 5):
+            r = kl_check(KrausSet((L[a],)), P, tol)
+            lam = float(r.lam[0, 0].real)
+            checks[f"L{a}"] = {
+                "verdict": r.verdict,
+                "lambda": lam,
+                "expected_lambda": kappa / 2.0,
+                "residual": r.residual,
+                "pass": r.reversible and abs(lam - kappa / 2.0) < 1e-9,
+            }
+    if which != "known-position":
+        r = kl_check(KrausSet((L[1], L[2])), P, tol)
+        witness = float(np.abs(P @ L[1].conj().T @ L[2] @ P).max())
+        checks["L1,L2"] = {
+            "verdict": r.verdict,
+            "offdiagonal_witness": witness,
+            "residual": r.residual,
+            "pass": not r.reversible and witness > 1e-6,
+        }
+    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
 
 
-def choi_matrix(ks: KrausSet) -> np.ndarray:
-    """Choi matrix via column-stacked vectorization: sum vec(K) vec(K)^+."""
-    d = ks.dimension
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for K in ks.operators:
-        v = K.reshape(-1, order="F")
-        C += np.outer(v, v.conj())
-    return C
-
-
-def kraus_equivalent(a: KrausSet, b: KrausSet, tol: float = DEFAULT_TOL) -> bool:
-    """Same channel iff equal Choi matrices (the unitary-mixing freedom)."""
-    if a.dimension != b.dimension:
-        raise ValueError("Kraus sets act on different dimensions")
-    return bool(np.linalg.norm(choi_matrix(a) - choi_matrix(b)) <= tol)
+def verify_dfs(kappa: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
+    """The ``verify dfs`` report: K0(t) acts as e^{-kappa t} on the weight-2
+    sector of 4 qubits at three times, and the jump L1 does not act as a scalar.
+    """
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and positive")
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tol must be positive")
+    P = dfs_projector(dfs_basis(4, 2))
+    model = memory_model(4, kappa)
+    checks = {}
+    for t in (0.3, 1.0, 2.5):
+        r = dfs_check(KrausSet((no_jump_kraus(model, t).matrix,)), P, tol)
+        lam, expected = float(r.lambdas[0].real), float(np.exp(-kappa * t))
+        checks[f"K0(t={t})"] = {
+            "lambda": lam,
+            "expected_lambda": expected,
+            "residual": float(r.residuals[0]),
+            "pass": r.passed and abs(lam - expected) < 1e-9,
+        }
+    r = dfs_check(KrausSet((local_to_dense(model.jump_operator(1), 4),)), P, tol)
+    checks["L1"] = {"residual": float(r.residuals[0]), "pass": not r.passed}
+    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
 
 
 def recovery_map(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,12 +450,3 @@ def run_experiment(config: ExperimentConfig):
         },
     }
     return batch.records(), fidelities, summary
-
-
-def kl_report_to_json(report: KLReport) -> dict:
-    return {
-        "lambda": [[[float(x.real), float(x.imag)] for x in row] for row in report.lam],
-        "residual": float(report.residual),
-        "psd_ok": bool(report.psd_ok),
-        "verdict": report.verdict,
-    }

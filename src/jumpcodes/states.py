@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as dense_expm
 
 NORM_TOL = 1e-12
 
@@ -31,10 +30,6 @@ def label_to_index(label: str) -> int:
     if not label or any(c not in "01" for c in label):
         raise ValueError(f"label must be a nonempty 0/1 string, got {label!r}")
     return int(label, 2)
-
-
-def index_to_label(index: int, n_qubits: int) -> str:
-    return format(index, f"0{n_qubits}b")
 
 
 @dataclass
@@ -86,19 +81,6 @@ def tensor(high: Ket, low: Ket) -> Ket:
     return Ket(high.n_qubits + low.n_qubits, np.kron(high.amplitudes, low.amplitudes))
 
 
-def ket_to_json(psi: Ket) -> list[list[float]]:
-    """Amplitudes as [re, im] pairs (the serialization wire format)."""
-    return [[float(a.real), float(a.imag)] for a in psi.amplitudes]
-
-
-def ket_from_json(pairs: list[list[float]]) -> Ket:
-    amps = np.array([complex(re, im) for re, im in pairs])
-    n = int(round(np.log2(amps.size)))
-    if 2**n != amps.size:
-        raise ValueError(f"amplitude count {amps.size} is not a power of two")
-    return Ket(n, amps)
-
-
 @dataclass
 class LocalOperator:
     """Operator acting on ``support`` qubits, identity elsewhere.
@@ -137,9 +119,6 @@ class OperatorSum:
     def scaled(self, factor: complex) -> "OperatorSum":
         return OperatorSum(tuple(t.scaled(factor) for t in self.terms))
 
-    def max_support(self) -> int:
-        return max((max(t.support) for t in self.terms), default=0)
-
 
 @dataclass
 class DenseOperator:
@@ -153,10 +132,6 @@ class DenseOperator:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         mat.setflags(write=False)
         self.matrix = mat
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def apply_local(op: LocalOperator, psi: Ket) -> Ket:
@@ -231,34 +206,3 @@ def sum_to_dense(ops: OperatorSum | LocalOperator, n_qubits: int) -> np.ndarray:
     for term in ops.terms:
         total += local_to_dense(term, n_qubits)
     return total
-
-
-def expm_apply(
-    hamiltonian: LocalOperator | OperatorSum | DenseOperator | np.ndarray,
-    t: float,
-    psi: Ket,
-) -> Ket:
-    """Return exp(-i * H * t) |psi> (hbar = 1). H may be non-hermitian."""
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    dim = psi.dim
-    if isinstance(hamiltonian, DenseOperator):
-        mat: np.ndarray | None = hamiltonian.matrix
-    elif isinstance(hamiltonian, np.ndarray):
-        mat = np.asarray(hamiltonian, dtype=complex)
-    else:
-        mat = None
-    if mat is not None:
-        if mat.shape != (dim, dim):
-            raise ValueError(f"operator dimension {mat.shape[0]} != state dimension {dim}")
-        if t == 0.0:
-            return Ket(psi.n_qubits, psi.amplitudes.copy())
-        return Ket(psi.n_qubits, dense_expm(-1j * t * mat) @ psi.amplitudes)
-    # sum of local operators
-    ops = hamiltonian if isinstance(hamiltonian, OperatorSum) else OperatorSum((hamiltonian,))
-    if ops.max_support() > psi.n_qubits:
-        raise ValueError("operator support exceeds state qubit count")
-    if t == 0.0:
-        return Ket(psi.n_qubits, psi.amplitudes.copy())
-    full = sum_to_dense(ops, psi.n_qubits)
-    return Ket(psi.n_qubits, dense_expm(-1j * t * full) @ psi.amplitudes)

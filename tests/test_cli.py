@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from jumpcodes import gates, qec
 from jumpcodes.cli import ExperimentConfig, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -86,6 +87,22 @@ class TestCodeCommand:
         assert captured.out == ""
         assert word in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("text, word", [
+        ('{"N": 4, "phase": 0.0}', "lacks pairs"),
+        ('{"N": 4, "pairs": [["0011", "1100"]]}', "lacks phase"),
+        ("[1, 2]", "JSON object"),
+        ('{"N": 4, "phase": 0.0, "pairs": [[3, 12]]}', "[string, string] pairs"),
+        ('{"N": 4.7, "phase": 0.0, "pairs": [["0011", "1100"]]}', "N must be an integer"),
+    ], ids=["no-pairs", "no-phase", "top-level-list", "numeric-pairs", "fractional-n"])
+    def test_malformed_code_file_is_rejected(self, capsys, tmp_path, text, word):
+        f = tmp_path / "code.json"
+        f.write_text(text)
+        status = main(["code", "inspect", "--in", str(f)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert word in captured.err and "Traceback" not in captured.err
+
     def test_inspect_reports_the_file_code(self, capsys, tmp_path):
         f = tmp_path / "code.json"
         pairs = [["0011", "1100"], ["0101", "1010"]]
@@ -136,6 +153,53 @@ class TestVerifyCommand:
         assert report["schmidt_rank"] == 2
         assert report["primitive"] is False
         assert report["leakage"] <= 1e-12
+
+    @pytest.mark.parametrize("argv, word", [
+        pytest.param(argv.split(), word, id=argv) for argv, word in [
+            ("kl --kappa -1", "kappa must be finite and positive"),
+            ("kl --kappa nan", "kappa must be finite and positive"),
+            ("kl --kappa 0", "kappa must be finite and positive"),
+            ("dfs --kappa 0", "kappa must be finite and positive"),
+            ("dfs --kappa inf", "kappa must be finite and positive"),
+            ("kl --tol nan", "tol must be positive"),
+            ("dfs --tol -1", "tol must be positive"),
+            ("table1 --tol nan", "tol must be positive"),
+            ("closure --tol -1", "tol must be positive"),
+            ("entangle --tol 0", "tol must be positive"),
+        ]
+    ])
+    def test_bad_input_is_rejected(self, capsys, argv, word):
+        status = main(["verify"] + argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert word in captured.err and "Traceback" not in captured.err
+
+    def test_position_flags_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "kl", "--known-position", "--unknown-position"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, suite, args", [
+        pytest.param(argv.split(), suite, args, id=argv) for argv, suite, args in [
+            ("table1", gates.verify_table1, ()),
+            ("kl", qec.verify_kl, ()),
+            ("kl --known-position", qec.verify_kl, ("known-position",)),
+            ("kl --unknown-position", qec.verify_kl, ("unknown-position",)),
+            ("kl --kappa 2 --tol 1e-6", qec.verify_kl, ("both", 2.0, 1e-6)),
+            ("dfs", qec.verify_dfs, ()),
+            ("dfs --kappa 0.5", qec.verify_dfs, (0.5,)),
+            ("closure", gates.verify_closure, ()),
+            ("entangle", gates.verify_entangle, ()),
+        ]
+    ])
+    def test_stdout_is_the_library_report(self, capsys, argv, suite, args):
+        """The command only prints: its stdout is the library's report, as is."""
+        status = main(["verify"] + argv)
+        report = suite(*args)
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert status == (0 if report["pass"] else 1)
 
 
 class TestSimCommand:
@@ -342,18 +406,6 @@ class TestReportText:
         assert text.count("-0.0") == 3
         _emit({}, None)
         assert capsys.readouterr().out == json.dumps({}, indent=2, sort_keys=True) + "\n"
-
-
-def test_kl_report_schema_matches_serializer():
-    from jumpcodes.codes import jump_code, projector
-    from jumpcodes.dynamics import KrausSet
-    from jumpcodes.qec import kl_check, kl_report_to_json
-    from jumpcodes.states import LOWER, LocalOperator, local_to_dense
-
-    P = projector(jump_code(4, 0.0))
-    L1 = local_to_dense(LocalOperator((1,), LOWER), 4)
-    data = kl_report_to_json(kl_check(KrausSet((L1,)), P))
-    jsonschema.validate(data, load_schema("kl_report.schema.json"))
 
 
 def sim_outputs(out_dir: Path) -> tuple[bytes, bytes]:

@@ -1,0 +1,26 @@
+"""Every demo script runs to completion against the library in ``src/``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_run(tmp_path):
+    assert len(DEMOS) == 5
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    runs = {
+        demo.name: subprocess.Popen(
+            [sys.executable, str(demo)], cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for demo in DEMOS
+    }
+    outputs = {name: proc.communicate(timeout=300) for name, proc in runs.items()}
+    failed = {name: err for name, (_, err) in outputs.items() if runs[name].returncode != 0}
+    assert failed == {}
+    assert all(out.strip() for out, _ in outputs.values())

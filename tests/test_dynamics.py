@@ -6,9 +6,7 @@ from jumpcodes import dynamics
 from jumpcodes.codes import codeword_ket, dfs_basis, encode, jump_code
 from jumpcodes.dynamics import (
     DensityMatrix,
-    KrausSet,
     LindbladModel,
-    apply_operation,
     average_trajectories,
     effective_hamiltonian,
     integrate_master,
@@ -372,48 +370,6 @@ class TestGroupedProjectorSum:
         assert outputs[0] == outputs[1] and outputs[0].count("\n") == 3
 
 
-class TestApplyOperation:
-    def test_identity_only(self):
-        rho = pure_density(basis_ket("0"))
-        out = apply_operation(KrausSet((np.eye(2),), complete=True), rho)
-        assert len(out) == 1
-        p, r = out[0]
-        assert abs(p - 1.0) < 1e-12
-        assert np.allclose(r.matrix, rho.matrix)
-
-    def test_amplitude_damping_complete(self):
-        kappa, t = 1.0, 0.6
-        p_decay = 1.0 - np.exp(-kappa * t)
-        K0 = np.diag([1.0, np.sqrt(1.0 - p_decay)])
-        K1 = np.sqrt(p_decay) * LOWER
-        plus = Ket(1, np.array([1.0, 1.0]) / np.sqrt(2))
-        out = apply_operation(KrausSet((K0, K1), complete=True), pure_density(plus))
-        assert abs(sum(p for p, _ in out) - 1.0) < 1e-12
-
-    def test_no_jump_probability_on_dfs_state(self):
-        kappa, t = 0.8, 0.5
-        model = memory_model(4, kappa)
-        K0 = no_jump_kraus(model, t).matrix
-        psi = codeword_ket(jump_code(4, 0.0), 0)
-        out = apply_operation(KrausSet((K0,)), pure_density(psi))
-        p, _ = out[0]
-        assert abs(p - np.exp(-2.0 * kappa * t)) < 1e-12  # k = 2 excitations
-
-    def test_pure_state_stays_pure(self):
-        kappa, t = 1.0, 0.4
-        p_decay = 1.0 - np.exp(-kappa * t)
-        K0 = np.diag([1.0, np.sqrt(1.0 - p_decay)])
-        K1 = np.sqrt(p_decay) * LOWER
-        plus = Ket(1, np.array([1.0, 1.0]) / np.sqrt(2))
-        for p, r in apply_operation(KrausSet((K0, K1), complete=True), pure_density(plus)):
-            eigs = np.linalg.eigvalsh(r.matrix)
-            assert eigs.max() > 1.0 - 1e-9  # rank one
-
-    def test_incomplete_flagged_complete_rejected(self):
-        with pytest.raises(ValueError):
-            KrausSet((0.5 * np.eye(2),), complete=True)
-
-
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
@@ -443,13 +399,55 @@ def test_dfs_no_jump_flow_is_scalar():
         assert np.linalg.norm(evolved - scalar * psi0) <= 1e-10
 
 
-def test_density_to_json_pairs():
-    from jumpcodes.dynamics import density_to_json
+def test_no_jump_probability_on_dfs_state():
+    kappa, t = 0.8, 0.5
+    K0 = no_jump_kraus(memory_model(4, kappa), t).matrix
+    psi = codeword_ket(jump_code(4, 0.0), 0).amplitudes
+    p = np.linalg.norm(K0 @ psi) ** 2
+    assert abs(p - np.exp(-2.0 * kappa * t)) < 1e-12  # k = 2 excitations
 
-    rho = pure_density(basis_ket("01"))
-    data = density_to_json(rho)
-    assert data[1][1] == [1.0, 0.0]
-    assert data[0][0] == [0.0, 0.0]
+
+def amplitude_damping_product(rho: np.ndarray, n: int, gammas) -> np.ndarray:
+    """Oracle: an independent amplitude-damping channel on each qubit, applied
+    through its Kraus pair {diag(1, sqrt(1 - g)), sqrt(g) |0><1|}."""
+    t = rho.reshape((2,) * (2 * n))
+    for a, g in enumerate(gammas, start=1):
+        row, col = n - a, 2 * n - a  # qubit a owns bit 2**(a-1)
+        acc = np.zeros_like(t)
+        for K in (np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - g)]]),
+                  np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])):
+            u = np.moveaxis(np.tensordot(K, t, axes=([1], [row])), 0, row)
+            acc += np.moveaxis(np.tensordot(K.conj(), u, axes=([1], [col])), 0, col)
+        t = acc
+    return t.reshape(2**n, 2**n)
+
+
+class TestExactReferenceChannel:
+    """With H = 0 the memory-model channel up to time T is the product of
+    amplitude-damping maps with gamma_a = 1 - exp(-kappa_a T) (Nielsen &
+    Chuang, section 8.3.5): an exact reference for RK4 and for the ensemble."""
+
+    N, RATES, T = 3, [1.0, 0.7, 0.4], 1.3
+
+    def case(self):
+        rng = np.random.default_rng(1)
+        amps = rng.normal(size=2**self.N) + 1j * rng.normal(size=2**self.N)
+        psi = Ket(self.N, amps / np.linalg.norm(amps))
+        gammas = [1.0 - np.exp(-k * self.T) for k in self.RATES]
+        exact = amplitude_damping_product(pure_density(psi).matrix, self.N, gammas)
+        return memory_model(self.N, self.RATES), psi, exact
+
+    @pytest.mark.parametrize("dt, bound", [(1e-2, 1e-9), (1e-3, 1e-12)])
+    def test_rk4_matches_exact_channel(self, dt, bound):
+        model, psi, exact = self.case()
+        rho = integrate_master(model, pure_density(psi), self.T, dt).matrix
+        assert np.abs(rho - exact).max() <= bound
+
+    def test_trajectory_ensemble_matches_exact_channel(self):
+        model, psi, exact = self.case()
+        count = 4000
+        rho = average_trajectories(model, psi, self.T, count, 11)
+        assert trace_distance(rho, DensityMatrix(exact)) <= 3.0 / np.sqrt(count)
 
 
 def test_records_csv_format():

@@ -21,7 +21,6 @@ from jumpcodes.gates import (
     is_primitive_diagonal,
     leakage_certificate,
     lie_closure,
-    lie_closure_dimension,
     logical_matrix,
     phase_aligned_distance,
     program_from_json,
@@ -146,14 +145,16 @@ class TestSU3Generators:
 
 class TestLieClosure:
     def test_paper_generators_close_to_u3(self):
-        gens = [g.logical for g in su3_generators()]
-        assert lie_closure_dimension(gens) == (9, 8)
+        closure = lie_closure([g.logical for g in su3_generators()])
+        assert (closure.dimension, closure.traceless_dimension) == (9, 8)
 
     def test_single_diagonal_is_abelian(self):
-        assert lie_closure_dimension([np.diag([1.0, -1.0, 0.0])]) == (1, 1)
+        closure = lie_closure([np.diag([1.0, -1.0, 0.0])])
+        assert (closure.dimension, closure.traceless_dimension) == (1, 1)
 
     def test_gell_mann_closure(self):
-        assert lie_closure_dimension(gell_mann_matrices()) == (8, 8)
+        closure = lie_closure(gell_mann_matrices())
+        assert (closure.dimension, closure.traceless_dimension) == (8, 8)
 
     def test_traceless_part_contains_gell_mann(self):
         closure = lie_closure([g.logical for g in su3_generators()])

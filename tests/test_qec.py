@@ -14,13 +14,11 @@ from jumpcodes.qec import (
     apply_recovery,
     correct_trajectory,
     dfs_check,
-    dfs_factorization_residual,
     kl_check,
-    kl_report_to_json,
-    kraus_equivalent,
     recovery_map,
     recovery_unitary,
     replay_records,
+    verify_kl,
 )
 from jumpcodes.states import LOWER, LocalOperator, local_to_dense
 
@@ -117,32 +115,10 @@ class TestDFSCheck:
         model = memory_model(4, 1.0)
         P = dfs_projector(dfs_basis(4, 2))
         ks = KrausSet((no_jump_kraus(model, 0.3).matrix, no_jump_kraus(model, 0.9).matrix))
-        assert dfs_check(ks, P).passed
-        assert dfs_factorization_residual(ks, P) < 1e-9
-
-
-class TestKrausEquivalent:
-    def test_same_set(self):
-        ks = KrausSet((jump_matrix(1, 2), np.eye(4)))
-        assert kraus_equivalent(ks, ks)
-
-    def test_unitary_mixing_preserves_channel(self):
-        rng = np.random.default_rng(3)
-        kappa, t = 1.0, 0.5
-        p = 1.0 - np.exp(-kappa * t)
-        K0 = np.diag([1.0, np.sqrt(1.0 - p)]).astype(complex)
-        K1 = np.sqrt(p) * LOWER
-        # random 2x2 unitary from QR
-        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        Q, _ = np.linalg.qr(M)
-        mixed = KrausSet((Q[0, 0] * K0 + Q[0, 1] * K1, Q[1, 0] * K0 + Q[1, 1] * K1))
-        assert kraus_equivalent(KrausSet((K0, K1)), mixed)
-
-    def test_damping_differs_from_identity(self):
-        p = 0.3
-        damp = KrausSet((np.diag([1.0, np.sqrt(1 - p)]), np.sqrt(p) * LOWER))
-        ident = KrausSet((np.eye(2),))
-        assert not kraus_equivalent(damp, ident)
+        dfs = dfs_check(ks, P)
+        assert dfs.passed
+        predicted = np.outer(dfs.lambdas.conj(), dfs.lambdas)
+        assert np.linalg.norm(kl_check(ks, P).lam - predicted) < 1e-9
 
 
 class TestRecoveryUnitary:
@@ -381,10 +357,7 @@ class TestBruteForceAgreement:
         assert petz_recovery_exact(ks, P)
 
 
-def test_report_json_shape():
-    P = projector(jump_code(4, 0.0))
-    report = kl_check(KrausSet((jump_matrix(1, 4),)), P)
-    data = kl_report_to_json(report)
-    assert data["verdict"] == "reversible"
-    assert data["lambda"][0][0][0] == pytest.approx(0.5)
-    assert data["residual"] < 1e-12
+
+def test_verify_kl_rejects_an_unknown_check():
+    with pytest.raises(ValueError, match="unknown KL check"):
+        verify_kl("sideways")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from jumpcodes.states import (
     Ket,
@@ -10,10 +9,6 @@ from jumpcodes.states import (
     SIGMA_Z,
     apply_local,
     basis_ket,
-    expm_apply,
-    index_to_label,
-    ket_from_json,
-    ket_to_json,
     label_to_index,
     local_to_dense,
     sum_to_dense,
@@ -53,11 +48,6 @@ class TestBasisKet:
     def test_rejects_bad_labels(self, bad):
         with pytest.raises(ValueError):
             basis_ket(bad)
-
-    @given(st.integers(1, 10), st.data())
-    def test_label_index_round_trip(self, n, data):
-        idx = data.draw(st.integers(0, 2**n - 1))
-        assert label_to_index(index_to_label(idx, n)) == idx
 
 
 class TestTensor:
@@ -117,42 +107,6 @@ class TestApplyLocal:
             assert np.linalg.norm(local_to_dense(op, n) - oracle) < 1e-12
 
 
-class TestExpmApply:
-    def test_zero_time(self):
-        rng = np.random.default_rng(5)
-        psi = random_ket(rng, 3)
-        H = OperatorSum((LocalOperator((1,), SIGMA_Z),))
-        assert np.allclose(expm_apply(H, 0.0, psi).amplitudes, psi.amplitudes)
-
-    def test_hermitian_preserves_norm(self):
-        rng = np.random.default_rng(6)
-        psi = random_ket(rng, 4)
-        H = OperatorSum(
-            (LocalOperator((1,), SIGMA_Z), LocalOperator((2, 4), rand_herm(rng, 4)))
-        )
-        out = expm_apply(H, 1.7, psi)
-        assert abs(out.norm() - 1.0) < 1e-10
-
-    def test_decay_amplitude_factor(self):
-        kappa, t = 0.8, 1.3
-        H = LocalOperator((1,), -0.5j * kappa * np.diag([0.0, 1.0]))
-        out = expm_apply(H, t, basis_ket("01"))
-        expected = np.exp(-kappa * t / 2.0)
-        assert abs(out.amplitudes[1] - expected) < 1e-12
-
-    def test_flow_composition(self):
-        rng = np.random.default_rng(7)
-        psi = random_ket(rng, 3)
-        H = OperatorSum((LocalOperator((1, 3), rand_herm(rng, 4)),))
-        one = expm_apply(H, 0.9, expm_apply(H, 0.4, psi))
-        both = expm_apply(H, 1.3, psi)
-        assert np.linalg.norm(one.amplitudes - both.amplitudes) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expm_apply(np.eye(4), 1.0, basis_ket("101"))
-
-
 def rand_herm(rng, d):
     M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (M + M.conj().T)
@@ -161,13 +115,6 @@ def rand_herm(rng, d):
 def test_ket_validation():
     with pytest.raises(ValueError):
         Ket(2, np.zeros(3))
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(9)
-    psi = random_ket(rng, 3)
-    again = ket_from_json(ket_to_json(psi))
-    assert np.allclose(again.amplitudes, psi.amplitudes)
 
 
 def test_sum_to_dense_adds_terms():

@@ -79,11 +79,15 @@ def cmd_code(args) -> int:
 # --- verify subcommand -------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    kwargs = {} if args.tol is None else {"tol": args.tol}
+    if args.kappa is not None and args.check not in ("kl", "dfs"):
+        raise ValueError("--kappa is valid only with kl and dfs")
+    if args.which is not None and args.check != "kl":
+        raise ValueError("--known-position and --unknown-position are valid only with kl")
+    kwargs = {k: v for k, v in {"kappa": args.kappa, "tol": args.tol}.items() if v is not None}
     suites = {
         "table1": lambda: gates.verify_table1(**kwargs),
-        "kl": lambda: qec.verify_kl(args.which, args.kappa, **kwargs),
-        "dfs": lambda: qec.verify_dfs(args.kappa, **kwargs),
+        "kl": lambda: qec.verify_kl(args.which or "both", **kwargs),
+        "dfs": lambda: qec.verify_dfs(**kwargs),
         "closure": lambda: gates.verify_closure(**kwargs),
         "entangle": lambda: gates.verify_entangle(**kwargs),
     }
@@ -177,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "check", choices=["kl", "dfs", "table1", "closure", "entangle"]
     )
-    p_verify.add_argument("--kappa", type=float, default=1.0)
+    p_verify.add_argument("--kappa", type=float, help="decay rate (kl and dfs; default 1)")
     position = p_verify.add_mutually_exclusive_group()
     position.add_argument(
         "--known-position", dest="which", action="store_const", const="known-position"
@@ -187,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify, which="both")
+    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("sim", help="decay-and-recovery simulation")
     p_sim.add_argument("action", choices=["run"])

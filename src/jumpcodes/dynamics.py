@@ -203,10 +203,98 @@ def trajectory_rng(seed: int, trajectory_id: int, stream: int = 0) -> np.random.
     """Counter-based per-trajectory stream: Philox keyed by (seed, id, stream).
 
     Philox takes its key as ``generate_state(2, np.uint64)`` of the given
-    SeedSequence, with the counter at zero.
+    SeedSequence, with the counter at zero. ``run_trajectories`` and the
+    detection coins of ``qec.run_experiment`` draw the same bits for all
+    rows at once (``_stream_keys``, ``_philox_uniforms``), with no Generator.
     """
     seq = np.random.SeedSequence((seed, trajectory_id, stream))
     return np.random.Generator(np.random.Philox(seq))
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 word arrays, advancing its constant."""
+
+    def hash32(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hash32
+
+
+def _stream_keys(seed: int, ids, stream: int = 0) -> np.ndarray:
+    """``SeedSequence((seed, i, stream)).generate_state(2, np.uint64)`` for
+    each id i, as (rows, 2) uint64: the Philox keys of ``trajectory_rng``.
+
+    The entropy words are seed's, then i's (one below 2**32, else two), then
+    stream's. ``mix_entropy`` hashes the first four (zero-padded) into a pool,
+    mixes each pool word into the others, then each further word into all
+    four; ``generate_state`` hashes the pool once more.
+    """
+    seed, stream, ids = int(seed), int(stream), [int(i) for i in ids]
+    if seed < 0 or stream < 0 or (ids and (min(ids) < 0 or max(ids) >> 64)):
+        raise ValueError("seed and stream must be >= 0 and trajectory ids in [0, 2**64)")
+    ids = np.array(ids, dtype=np.uint64)
+    keys = np.empty((ids.size, 2), dtype=np.uint64)
+    wide = ids >> 32 != 0
+
+    def mix(x, y):
+        out = x * 0xCA01F9DD - y * 0x4973F715
+        return out ^ out >> 16
+
+    def word_count(n: int) -> int:  # SeedSequence splits an int into 32-bit words
+        return max(1, (n.bit_length() + 31) // 32)
+
+    for sel, id_words in ((~wide, 1), (wide, 2)):
+        rows = ids[sel]
+        parts = ((seed, word_count(seed)), (rows, id_words), (stream, word_count(stream)))
+        entropy = [np.full(rows.size, n >> 32 * j & _MASK32, dtype=np.uint32)
+                   for n, count in parts for j in range(count)]
+        entropy += [np.zeros(rows.size, dtype=np.uint32)] * (4 - len(entropy))
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        out = [w.astype(np.uint64) for w in map(_hasher(0x8B51F9DD, 0x58F38DED), pool)]
+        keys[sel] = np.column_stack([out[0] | out[1] << 32, out[2] | out[3] << 32])
+    return keys
+
+
+def _mulhilo64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32), a * b
+
+
+def _philox_uniforms(keys: np.ndarray, blocks) -> np.ndarray:
+    """Philox4x64-10 of each key row at each counter in ``blocks``, as the
+    doubles of ``Generator.random``: (rows, 4 len(blocks)). numpy increments
+    the counter before its first block, so counter b gives draws 4(b - 1) to
+    4b - 1 of the stream.
+    """
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    c0, c1, c2, c3 = np.asarray(blocks, dtype=np.uint64)[None, :], zero, zero, zero
+    for r in range(10):  # every word is (rows, len(blocks)) from round 3 on
+        if r:
+            k0, k1 = k0 + 0x9E3779B97F4A7C15, k1 + 0xBB67AE8584CAA73B
+        hi0, lo0 = _mulhilo64(c0, 0xD2E7470EE14C6C93)
+        hi1, lo1 = _mulhilo64(c2, 0xCA5A826395121157)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    bits = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)
+    return (bits >> 11).astype(float) * 2.0**-53
 
 
 # Rows that run_trajectories advances together. Bounds its working memory to
@@ -371,16 +459,19 @@ def run_trajectories(
     time tolerance 1e-10), the channel is drawn with probability proportional
     to ||L_alpha psi||^2, and the row is replaced by the normalized
     L_alpha psi. Trajectory i draws from ``trajectory_rng(seed, i)``: one
-    threshold, then (if it jumps) one channel draw, per round. Each row's
-    arithmetic is independent of the other rows, so a trajectory comes out
-    bit for bit the same in any batch. Rows advance TRAJECTORY_CHUNK at a time.
+    threshold, then (if it jumps) one channel draw, per round, so round k
+    reads draws 2k and 2k + 1. Those bits are computed for all rows at once
+    (``_stream_keys``, then one Philox block per two rounds), not through a
+    Generator per row. Each row's arithmetic is independent of the other
+    rows, so a trajectory comes out bit for bit the same in any batch. Rows
+    advance TRAJECTORY_CHUNK at a time.
     """
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
     if not np.isfinite(T):
         raise ValueError("horizon must be finite")
-    ids = [int(i) for i in ids]
-    count = len(ids)
+    keys = _stream_keys(seed, ids)
+    count = len(keys)
     flow = _NoJumpRows(model)
     qubits = np.array([a for a, _ in model.channels], dtype=int)
     sqrt_kappas = np.sqrt([k for _, k in model.channels])
@@ -393,12 +484,15 @@ def run_trajectories(
         # Views of this chunk's rows; ``live`` indexes within the chunk.
         chunk = slice(start, start + TRAJECTORY_CHUNK)
         final_c, weight_c, absorbed_c = final[chunk], weight[chunk], absorbed[chunk]
-        rngs = [trajectory_rng(seed, i) for i in ids[chunk]]
+        keys_c = keys[chunk]
+        block = np.empty((len(keys_c), 4))  # the Philox block of rounds k and k + 1
         psi = final_c.copy()
         t = np.zeros(len(psi))
         live = np.arange(len(psi))
         for k in itertools.count():
-            draws = np.array([rngs[r].random(2) for r in live])
+            if k % 2 == 0:
+                block[live] = _philox_uniforms(keys_c[live], [k // 2 + 1])
+            draws = block[live, 2 * (k % 2) : 2 * (k % 2) + 2]
             flow.start(psi[live])
             remaining = T - t[live]
             end_sq = flow.norm_sq(np.arange(live.size))(remaining)

@@ -166,6 +166,10 @@ class TestVerifyCommand:
             ("table1 --tol nan", "tol must be positive"),
             ("closure --tol -1", "tol must be positive"),
             ("entangle --tol 0", "tol must be positive"),
+            ("table1 --kappa 5 --known-position", "--kappa is valid only with kl and dfs"),
+            ("closure --kappa 1", "--kappa is valid only with kl and dfs"),
+            ("dfs --unknown-position", "are valid only with kl"),
+            ("entangle --known-position", "are valid only with kl"),
         ]
     ])
     def test_bad_input_is_rejected(self, capsys, argv, word):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from jumpcodes import dynamics
@@ -548,3 +549,80 @@ def test_trajectory_stream_is_philox_keyed_by_seed_sequence():
         key = np.random.SeedSequence((seed, traj_id, stream)).generate_state(2, np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).random(8)
         assert np.array_equal(trajectory_rng(seed, traj_id, stream).random(8), expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@example(seed=2**80, extra=[2**64 - 1], stream=1, first=3, count=2)
+@example(seed=0, extra=[], stream=0, first=0, count=9)
+@given(
+    seed=st.integers(0, 2**80),
+    extra=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+    stream=st.sampled_from([0, 1]),
+    first=st.integers(0, 10),
+    count=st.integers(1, 9),
+)
+def test_batch_streams_match_numpy_bit_for_bit(seed, extra, stream, first, count):
+    """Keys and draws computed for a batch of ids, whose ids take one or two
+    32-bit entropy words, are SeedSequence -> Philox -> random(), and no
+    unsigned overflow warning escapes."""
+    from jumpcodes.dynamics import _philox_uniforms, _stream_keys
+
+    ids = [0, 2**32 - 1, 2**32, *extra]
+    keys = _stream_keys(seed, ids, stream)
+    blocks = range(first // 4 + 1, (first + count - 1) // 4 + 2)
+    draws = _philox_uniforms(keys, blocks)[:, first % 4 : first % 4 + count]
+    for row, traj_id in enumerate(ids):
+        seq = np.random.SeedSequence((seed, traj_id, stream))
+        assert np.array_equal(keys[row], seq.generate_state(2, np.uint64))
+        expected = np.random.Generator(np.random.Philox(seq)).random(first + count)
+        assert np.array_equal(draws[row], expected[first:])
+
+
+def test_no_generator_is_built_per_trajectory(monkeypatch):
+    from jumpcodes.qec import ExperimentConfig, run_experiment
+
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics.np.random, "Philox", counting_philox)
+    run_trajectories(memory_model(2, 1.0), excited(2), 2.0, 5, range(1000))
+    assert built == []
+    config = ExperimentConfig(4, 0.0, [1.0], 3.0, 300, seed=9, p_miss=0.3)
+    assert run_experiment(config)[2]["total_jumps"] > 300
+    assert len(built) == 1  # the logical state's normal() draw
+
+
+def test_stream_keys_reject_negative_inputs_and_ids_past_64_bits():
+    from jumpcodes.dynamics import _stream_keys
+
+    for seed, ids, stream in ((-1, [0], 0), (0, [-1], 0), (0, [2**64], 0), (0, [1], -1)):
+        with pytest.raises(ValueError, match="trajectory ids"):
+            _stream_keys(seed, ids, stream)
+
+
+def test_rounds_read_each_rows_stream_in_order():
+    """Round k of trajectory i uses draws 2k and 2k + 1 of trajectory_rng(seed, i):
+    a threshold, then a channel pick. From |111> under pure decay, each round's
+    jump time and channel follow from those two draws in closed form."""
+    from jumpcodes.dynamics import trajectory_rng
+
+    rates = np.array([1.0, 0.7, 0.4])
+    ids = [0, 3, 2**32 + 5, 99]
+    batch = run_trajectories(memory_model(3, list(rates)), basis_ket("111"), 50.0, 21, ids)
+    for row, traj_id in enumerate(ids):
+        rng = trajectory_rng(21, traj_id)
+        excited, t = np.ones(3, dtype=bool), 0.0
+        for k in range(3):
+            threshold, pick = rng.random(2)
+            t += -np.log(threshold) / rates[excited].sum()
+            cdf = np.cumsum(rates[excited] / rates[excited].sum())
+            qubit = np.flatnonzero(excited)[np.count_nonzero(cdf / cdf[-1] <= pick)]
+            excited[qubit] = False
+            assert batch.jump_qubits[row, k] == qubit + 1
+            assert abs(batch.jump_times[row, k] - t) <= 1e-8 * t
+        assert batch.jump_counts[row] == 3

@@ -18,6 +18,7 @@ from jumpcodes.qec import (
     recovery_map,
     recovery_unitary,
     replay_records,
+    verify_dfs,
     verify_kl,
 )
 from jumpcodes.states import LOWER, LocalOperator, local_to_dense
@@ -361,3 +362,23 @@ class TestBruteForceAgreement:
 def test_verify_kl_rejects_an_unknown_check():
     with pytest.raises(ValueError, match="unknown KL check"):
         verify_kl("sideways")
+
+
+@pytest.mark.parametrize("kappa", [1e-20, 1e-10, 1e-6, 1.0, 1e4, 1e8])
+def test_verify_verdicts_do_not_depend_on_kappa(kappa):
+    """The code's reversibility does not depend on the decay rate: every
+    check passes with the same verdicts, and the report is in physical units."""
+    kl = verify_kl(kappa=kappa)
+    assert kl["pass"] is True
+    for a in range(1, 5):
+        entry = kl["checks"][f"L{a}"]
+        assert entry["verdict"] == "reversible"
+        assert entry["expected_lambda"] == kappa / 2
+        assert abs(entry["lambda"] - kappa / 2) <= 1e-12 * kappa
+    pair = kl["checks"]["L1,L2"]
+    assert pair["verdict"] == "not reversible"
+    assert abs(pair["offdiagonal_witness"] - kappa / 4) <= 1e-12 * kappa
+    dfs = verify_dfs(kappa=kappa)
+    assert dfs["pass"] is True
+    assert all(entry["pass"] for entry in dfs["checks"].values())
+    assert abs(dfs["checks"]["L1"]["residual"] - np.sqrt(kappa)) <= 1e-12 * np.sqrt(kappa)

@@ -12,7 +12,6 @@ from jumpcodes import (
     no_jump_kraus,
     pure_density,
     run_trajectories,
-    run_trajectory,
     trace_distance,
 )
 
@@ -33,13 +32,13 @@ dfs_model = memory_model(4, kappa)
 for t in (0.5, 1.0):
     K0 = no_jump_kraus(dfs_model, t)
     v = basis_ket("0101").amplitudes
-    eig = (K0.matrix @ v)[v != 0][0].real
+    eig = (K0 @ v)[v != 0][0].real
     print(f"K0({t}) on a 2-excitation state: factor {eig:.6f} = e^-kt")
 
 print("\n=== single trajectories ===")
-for traj in range(5):
-    rec = run_trajectory(model, basis_ket("1"), 5.0, 42, trajectory_id=traj)
-    jumps = ", ".join(f"t={t:.3f} (qubit {a})" for t, a in rec.jumps) or "none"
+batch = run_trajectories(model, basis_ket("1"), 5.0, 42, range(5))
+for traj, (times, qubits) in enumerate(zip(batch.jump_times, batch.jump_qubits)):
+    jumps = ", ".join(f"t={t:.3f} (qubit {a})" for t, a in zip(times, qubits) if a) or "none"
     print(f"trajectory {traj}: jumps {jumps}")
 
 print("\n=== ensemble average vs master ===")

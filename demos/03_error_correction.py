@@ -18,7 +18,7 @@ from jumpcodes import (
     projector,
     recovery_unitary,
     run_experiment,
-    run_trajectory,
+    run_trajectories,
 )
 from jumpcodes.states import LOWER, LocalOperator, local_to_dense
 
@@ -33,7 +33,7 @@ print(f"known-position jump L1:   {r.verdict}, Lambda = {r.lam[0, 0].real:.3f} (
 r = kl_check(KrausSet((jump(1), jump(2))), P)
 print(f"unknown-position {{L1,L2}}: {r.verdict}, residual {r.residual:.3f}")
 r = dfs_check(
-    KrausSet((no_jump_kraus(memory_model(4, kappa), 0.8).matrix,)),
+    KrausSet((no_jump_kraus(memory_model(4, kappa), 0.8),)),
     dfs_projector(dfs_basis(4, 2)),
 )
 print(f"no-jump family on DFS:    lambda = {r.lambdas[0].real:.4f} (= e^-0.8)")
@@ -52,10 +52,10 @@ for alpha in (1, 3):
 
 print("\n=== trajectory correction ===")
 model = memory_model(4, kappa)
-for traj in range(5):
-    rec = run_trajectory(model, psi, 3.0, 99, trajectory_id=traj)
-    _, fid = correct_trajectory(rec, code, a)
-    print(f"trajectory {traj}: {len(rec.jumps)} jump(s), corrected fidelity {fid:.12f}")
+batch = run_trajectories(model, psi, 3.0, 99, range(5))
+_, fids = correct_trajectory(batch, code, a)
+for traj, (jumps, fid) in enumerate(zip(batch.jump_counts, fids)):
+    print(f"trajectory {traj}: {jumps} jump(s), corrected fidelity {fid:.12f}")
 
 print("\n=== imperfection study (1000 trajectories each) ===")
 base = dict(n_qubits=4, phase=0.0, kappas=[kappa], t_final=3.0, trajectories=1000, seed=7)

@@ -110,10 +110,10 @@ def cmd_sim(args) -> int:
         mismatch=args.mismatch or [],
         p_miss=args.p_miss,
     )
-    records, _, summary = run_experiment(config)
+    batch, _, summary = run_experiment(config)
     out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "jumps.csv").write_text(dynamics.records_to_csv(records))
+    (out_dir / "jumps.csv").write_text(dynamics.records_to_csv(batch))
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

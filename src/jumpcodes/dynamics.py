@@ -11,7 +11,6 @@ exp(-kappa t) and the no-jump generator is H - (i/2) sum_a kappa_a n_a.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ import numpy as np
 from scipy.linalg import expm as dense_expm
 
 from .states import (
-    DenseOperator,
     Ket,
     LocalOperator,
     LOWER,
@@ -117,21 +115,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-@dataclass
-class TrajectoryRecord:
-    """One measurement record: jump times/positions plus the conditioned state."""
-
-    jumps: list[tuple[float, int]]
-    final_state: Ket
-    weight: float = 1.0
-    absorbed: bool = False
-
-    def __post_init__(self):
-        times = [t for t, _ in self.jumps]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("jump times must be strictly increasing")
-
-
 def effective_hamiltonian(model: LindbladModel) -> OperatorSum:
     """No-jump generator H - (i/2) sum_a kappa_a |1_a><1_a|."""
     terms = list(model.hamiltonian.terms) if model.hamiltonian is not None else []
@@ -141,13 +124,13 @@ def effective_hamiltonian(model: LindbladModel) -> OperatorSum:
     return OperatorSum(tuple(terms))
 
 
-def no_jump_kraus(model: LindbladModel, t: float) -> DenseOperator:
+def no_jump_kraus(model: LindbladModel, t: float) -> np.ndarray:
     """exp(-sum_a kappa_a n_a t / 2): the zero-count Kraus family of the memory case."""
     if model.hamiltonian is not None and model.hamiltonian.terms:
         raise ValueError("no-jump Kraus family is defined for the H = 0 memory case")
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    return DenseOperator(np.diag(np.exp(-0.5 * model.decay_rates() * t)))
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("time must be finite and non-negative")
+    return np.diag(np.exp(-0.5 * model.decay_rates() * t))
 
 
 def integrate_master(
@@ -434,20 +417,6 @@ class TrajectoryBatch:
     def jump_counts(self) -> np.ndarray:
         return np.count_nonzero(self.jump_qubits, axis=1)
 
-    def records(self) -> list[TrajectoryRecord]:
-        """One TrajectoryRecord per row, in row order."""
-        times, qubits = self.jump_times.tolist(), self.jump_qubits.tolist()
-        rows = zip(self.jump_counts.tolist(), self.weights.tolist(), self.absorbed.tolist())
-        return [
-            TrajectoryRecord(
-                list(zip(times[r][:n], qubits[r][:n])),
-                Ket(self.n_qubits, self.final_states[r]),
-                weight,
-                absorbed,
-            )
-            for r, (n, weight, absorbed) in enumerate(rows)
-        ]
-
 
 def run_trajectories(
     model: LindbladModel, psi0: Ket, T: float, seed: int, ids
@@ -468,8 +437,8 @@ def run_trajectories(
     """
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
-    if not np.isfinite(T):
-        raise ValueError("horizon must be finite")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError("horizon must be finite and non-negative")
     keys = _stream_keys(seed, ids)
     count = len(keys)
     flow = _NoJumpRows(model)
@@ -551,9 +520,9 @@ def run_trajectories(
 
 def run_trajectory(
     model: LindbladModel, psi0: Ket, T: float, rng_seed: int, trajectory_id: int = 0
-) -> TrajectoryRecord:
-    """Simulate one quantum trajectory: the one-id case of run_trajectories."""
-    return run_trajectories(model, psi0, T, rng_seed, [trajectory_id]).records()[0]
+) -> TrajectoryBatch:
+    """Simulate one quantum trajectory: the one-row batch of run_trajectories."""
+    return run_trajectories(model, psi0, T, rng_seed, [trajectory_id])
 
 
 def average_trajectories(
@@ -602,11 +571,10 @@ class KrausSet:
         self.operators = ops
 
 
-def records_to_csv(records: list[TrajectoryRecord]) -> str:
-    """Jump log with columns (trajectory_id, t, alpha)."""
-    buf = io.StringIO()
-    buf.write("trajectory_id,t,alpha\n")
-    for traj_id, rec in enumerate(records):
-        for t, alpha in rec.jumps:
-            buf.write(f"{traj_id},{t:.17g},{alpha}\n")
-    return buf.getvalue()
+def records_to_csv(batch: TrajectoryBatch) -> str:
+    """Jump log with columns (trajectory_id, t, alpha); the id is the batch row."""
+    rows, cols = np.nonzero(batch.jump_qubits)
+    times = batch.jump_times[rows, cols].tolist()
+    qubits = batch.jump_qubits[rows, cols].tolist()
+    lines = (f"{r},{t:.17g},{a}\n" for r, t, a in zip(rows.tolist(), times, qubits))
+    return "trajectory_id,t,alpha\n" + "".join(lines)

@@ -16,7 +16,7 @@ import numpy as np
 from .codes import JumpCode, dfs_basis, dfs_projector, encode, jump_code, projector
 from .dynamics import (
     KrausSet,
-    TrajectoryRecord,
+    TrajectoryBatch,
     _philox_uniforms,
     _stream_keys,
     memory_model,
@@ -26,7 +26,6 @@ from .dynamics import (
 )
 from .states import (
     DENSE_QUBIT_LIMIT,
-    Ket,
     label_to_index,
     local_to_dense,
     lower_rows,
@@ -148,7 +147,7 @@ def verify_dfs(kappa: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
     model = memory_model(4, kappa)
     checks = {}
     for t in (0.3, 1.0, 2.5):
-        r = dfs_check(KrausSet((no_jump_kraus(model, t).matrix,)), P, tol)
+        r = dfs_check(KrausSet((no_jump_kraus(model, t),)), P, tol)
         lam, expected = float(r.lambdas[0].real), float(np.exp(-kappa * t))
         checks[f"K0(t={t})"] = {
             "lambda": lam,
@@ -242,34 +241,30 @@ def _cached_recovery(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray
 
 
 def correct_trajectory(
-    record: TrajectoryRecord, code: JumpCode, logical: np.ndarray
-) -> tuple[Ket, float]:
-    """Replay a memory-model trajectory applying recovery after each jump.
+    batch: TrajectoryBatch, code: JumpCode, logical: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay memory-model trajectories applying recovery after each jump.
 
     Between jumps the no-jump flow is a scalar on any equal-excitation sector,
     so renormalized replay only needs the jump/recovery operators: this is
-    the one-record case of ``replay_records`` with zero flow rates, every
-    jump detected and no delay. Returns the corrected final state and its
+    ``replay_records`` with zero flow rates, every jump detected and no delay.
+    A zero-rate flow is exp(0) = 1 over any time, so the horizon is the
+    batch's latest jump. Returns each row's corrected final state and its
     overlap fidelity with the encoded input.
     """
     psi_enc = encode(code, np.asarray(logical, dtype=complex)).normalized()
-    if record.final_state.n_qubits != code.N:
-        raise ValueError("record and code qubit counts differ")
-    times = np.array([[t for t, _ in record.jumps]], dtype=float)
-    qubits = np.array([[a for _, a in record.jumps]], dtype=int)
-    if ((qubits < 1) | (qubits > code.N)).any():
-        raise ValueError(f"jump qubit out of range 1..{code.N}")
-    states, fidelities = replay_records(
+    if batch.n_qubits != code.N:
+        raise ValueError("batch and code qubit counts differ")
+    return replay_records(
         code,
         psi_enc.amplitudes,
-        times,
-        qubits,
-        np.ones(qubits.shape, dtype=bool),
+        batch.jump_times,
+        batch.jump_qubits,
+        np.ones(batch.jump_qubits.shape, dtype=bool),
         np.zeros(psi_enc.dim),
         delay=0.0,
-        horizon=times[0, -1] if record.jumps else 0.0,
+        horizon=batch.jump_times[batch.jump_qubits > 0].max(initial=0.0),
     )
-    return Ket(code.N, states[0]), float(fidelities[0])
 
 
 # Replayed states whose norm falls below this count as lost (fidelity 0).
@@ -403,8 +398,9 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig):
     """Simulate decay trajectories of an encoded logical state and correct them.
 
-    Returns (records, fidelities, summary dict). The logical state is drawn
-    from stream (seed, 0); trajectory i uses stream (seed, i + 1) and its
+    Returns (batch, fidelities, summary dict): the sampled TrajectoryBatch
+    and each row's fidelity after replay. The logical state is drawn from
+    stream (seed, 0); trajectory i uses stream (seed, i + 1) and its
     detection coins stream (seed, i + 1, 1).
     """
     code = jump_code(config.n_qubits, config.phase)
@@ -458,4 +454,4 @@ def run_experiment(config: ExperimentConfig):
             "p_miss": config.p_miss,
         },
     }
-    return batch.records(), fidelities, summary
+    return batch, fidelities, summary

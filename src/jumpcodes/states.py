@@ -120,20 +120,6 @@ class OperatorSum:
         return OperatorSum(tuple(t.scaled(factor) for t in self.terms))
 
 
-@dataclass
-class DenseOperator:
-    """Explicit matrix on a small space (full spaces up to ~2**12, or logical bases)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        mat.setflags(write=False)
-        self.matrix = mat
-
-
 def apply_local(op: LocalOperator, psi: Ket) -> Ket:
     """Apply (op x identity) without materializing the global matrix.
 

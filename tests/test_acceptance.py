@@ -121,7 +121,7 @@ def test_criterion_3_kl_verdicts():
     ok &= (not pair.reversible) and witness > 1e-6
     t = 0.8
     dfs = dfs_check(
-        KrausSet((no_jump_kraus(memory_model(4, kappa), t).matrix,)),
+        KrausSet((no_jump_kraus(memory_model(4, kappa), t),)),
         dfs_projector(dfs_basis(4, 2)),
     )
     ok &= dfs.passed and abs(dfs.lambdas[0] - np.exp(-kappa * t)) < 1e-12
@@ -144,7 +144,7 @@ def test_criterion_4_recovery_exactness():
     psi = encode(code, logical)
     T = 3.0 / kappa
     # All 1000 records in one batch, replayed as correct_trajectory replays
-    # each: every jump detected, recovery without delay, zero flow rates.
+    # them: every jump detected, recovery without delay, zero flow rates.
     batch = run_trajectories(model, psi, T, 515, range(1000))
     _, fidelities = replay_records(
         code,

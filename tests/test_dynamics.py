@@ -84,20 +84,25 @@ class TestEffectiveHamiltonian:
 class TestNoJumpKraus:
     def test_zero_time_identity(self):
         K = no_jump_kraus(memory_model(3, 1.0), 0.0)
-        assert np.allclose(K.matrix, np.eye(8))
+        assert np.allclose(K, np.eye(8))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_rejects_time_that_is_not_finite_and_non_negative(self, t):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            no_jump_kraus(memory_model(2, 1.0), t)
 
     def test_dfs_eigenvalue(self):
         kappa, t = 0.9, 0.7
-        K = no_jump_kraus(memory_model(4, kappa), t).matrix
+        K = no_jump_kraus(memory_model(4, kappa), t)
         for s in dfs_basis(4, 2).basis:
             v = basis_ket(s).amplitudes
             assert np.allclose(K @ v, np.exp(-kappa * t) * v)
 
     def test_semigroup(self):
         model = memory_model(3, [0.3, 1.0, 2.2])
-        K1 = no_jump_kraus(model, 0.4).matrix
-        K2 = no_jump_kraus(model, 1.1).matrix
-        K12 = no_jump_kraus(model, 1.5).matrix
+        K1 = no_jump_kraus(model, 0.4)
+        K2 = no_jump_kraus(model, 1.1)
+        K12 = no_jump_kraus(model, 1.5)
         assert np.linalg.norm(K1 @ K2 - K12) < 1e-12
 
     def test_requires_memory_case(self):
@@ -178,16 +183,17 @@ class TestIntegrateMaster:
 class TestRunTrajectory:
     def test_dark_state_never_jumps(self):
         model = memory_model(3, 2.0)
-        rec = run_trajectory(model, basis_ket("000"), 5.0, 11)
-        assert rec.jumps == []
-        assert np.allclose(rec.final_state.amplitudes, basis_ket("000").amplitudes)
+        batch = run_trajectory(model, basis_ket("000"), 5.0, 11)
+        assert batch.jump_counts.tolist() == [0]
+        assert np.allclose(batch.final_states[0], basis_ket("000").amplitudes)
 
     def test_deterministic_per_seed(self):
         model = memory_model(2, 1.0)
         a = run_trajectory(model, excited(2), 4.0, 3, trajectory_id=5)
         b = run_trajectory(model, excited(2), 4.0, 3, trajectory_id=5)
-        assert a.jumps == b.jumps
-        assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+        assert np.array_equal(a.jump_times, b.jump_times)
+        assert np.array_equal(a.jump_qubits, b.jump_qubits)
+        assert np.array_equal(a.final_states, b.final_states)
 
     def test_channel_weights_uniform_on_codeword(self):
         kappa = 1.0
@@ -207,15 +213,15 @@ class TestRunTrajectory:
             rec = run_trajectory(model, excited(3), 6.0, 21, trajectory_id=traj)
             psi = excited(3).amplitudes
             t_prev = 0.0
-            for t, alpha in rec.jumps:
+            for t, alpha in zip(rec.jump_times[0], rec.jump_qubits[0]):
                 psi = expm(-1j * H_eff * (t - t_prev)) @ psi
                 psi = local_to_dense(model.jump_operator(alpha), 3) @ psi
                 t_prev = t
             psi = expm(-1j * H_eff * (6.0 - t_prev)) @ psi
-            assert abs(rec.weight - np.linalg.norm(psi) ** 2) < 1e-9
-            direction = rec.final_state.amplitudes
+            assert abs(rec.weights[0] - np.linalg.norm(psi) ** 2) < 1e-9
+            direction = rec.final_states[0]
             assert np.linalg.norm(psi / np.linalg.norm(psi) - direction) < 1e-7
-            found += len(rec.jumps)
+            found += rec.jump_counts[0]
         assert found > 0
 
     def test_requires_normalized_input(self):
@@ -402,7 +408,7 @@ def test_dfs_no_jump_flow_is_scalar():
 
 def test_no_jump_probability_on_dfs_state():
     kappa, t = 0.8, 0.5
-    K0 = no_jump_kraus(memory_model(4, kappa), t).matrix
+    K0 = no_jump_kraus(memory_model(4, kappa), t)
     psi = codeword_ket(jump_code(4, 0.0), 0).amplitudes
     p = np.linalg.norm(K0 @ psi) ** 2
     assert abs(p - np.exp(-2.0 * kappa * t)) < 1e-12  # k = 2 excitations
@@ -453,8 +459,7 @@ class TestExactReferenceChannel:
 
 def test_records_csv_format():
     model = memory_model(2, 1.0)
-    recs = [run_trajectory(model, excited(2), 5.0, 1, trajectory_id=i) for i in range(3)]
-    csv = records_to_csv(recs)
+    csv = records_to_csv(run_trajectories(model, excited(2), 5.0, 1, range(3)))
     lines = csv.strip().split("\n")
     assert lines[0] == "trajectory_id,t,alpha"
     for line in lines[1:]:
@@ -462,6 +467,37 @@ def test_records_csv_format():
         assert int(tid) in (0, 1, 2)
         assert float(t) > 0
         assert int(alpha) in (1, 2)
+
+
+def test_records_csv_is_the_batch_jump_log_exactly():
+    model = memory_model(3, [1.0, 0.6, 1.7])
+    batch = run_trajectories(model, excited(3), 2.0, 8, range(25))
+    lines = records_to_csv(batch).splitlines()
+    assert lines[0] == "trajectory_id,t,alpha"
+    assert len(lines) - 1 == batch.jump_counts.sum() > 25
+    parsed = [line.split(",") for line in lines[1:]]
+    ids = [int(tid) for tid, _, _ in parsed]
+    expected = [row for row, n in enumerate(batch.jump_counts) for _ in range(n)]
+    assert ids == expected
+    times = np.array([float(t) for _, t, _ in parsed])
+    qubits = [int(alpha) for _, _, alpha in parsed]
+    mask = np.arange(batch.jump_times.shape[1]) < batch.jump_counts[:, None]
+    assert times.tobytes() == batch.jump_times[mask].tobytes()
+    assert qubits == batch.jump_qubits[mask].tolist()
+    empty = run_trajectories(model, excited(3), 0.0, 8, range(5))
+    assert records_to_csv(empty) == "trajectory_id,t,alpha\n"
+
+
+def test_horizon_must_be_non_negative():
+    model, psi = memory_model(2, 1.0), excited(2)
+    with pytest.raises(ValueError, match="horizon must be finite and non-negative"):
+        run_trajectories(model, psi, -1.0, 0, range(3))
+    with pytest.raises(ValueError, match="horizon must be finite and non-negative"):
+        average_trajectories(model, psi, -1.0, 3, 0)
+    batch = run_trajectories(model, psi, 0.0, 0, range(3))
+    assert batch.jump_counts.tolist() == [0, 0, 0]
+    assert np.array_equal(batch.final_states, np.tile(psi.amplitudes, (3, 1)))
+    assert batch.weights.tolist() == [1.0, 1.0, 1.0]
 
 
 def random_state(n: int, seed: int) -> Ket:
@@ -477,23 +513,26 @@ class TestRunTrajectories:
         model = memory_model(n, list(np.linspace(0.4, 1.6, n)) if mixed else 1.0)
         psi = random_state(n, n)
         ids = [3, 0, 7, 1, 12, 5]
-        batch = run_trajectories(model, psi, 2.0, 41, ids).records()
-        for got, traj_id in zip(batch, ids):
+        batch = run_trajectories(model, psi, 2.0, 41, ids)
+        for row, traj_id in enumerate(ids):
             rec = run_trajectory(model, psi, 2.0, 41, trajectory_id=traj_id)
-            assert rec.jumps == got.jumps
-            assert rec.final_state.amplitudes.tobytes() == got.final_state.amplitudes.tobytes()
-            assert rec.weight == got.weight
-            assert rec.absorbed == got.absorbed
-        assert sum(len(r.jumps) for r in batch) > 0
+            n = batch.jump_counts[row]
+            assert rec.jump_times[0].tobytes() == batch.jump_times[row, :n].tobytes()
+            assert np.array_equal(rec.jump_qubits[0], batch.jump_qubits[row, :n])
+            assert rec.final_states[0].tobytes() == batch.final_states[row].tobytes()
+            assert rec.weights[0] == batch.weights[row]
+            assert rec.absorbed[0] == batch.absorbed[row]
+        assert batch.jump_counts.sum() > 0
 
     def test_driven_single_trajectory_is_its_batch_row(self):
         H = OperatorSum((LocalOperator((1,), 0.8 * SIGMA_X),))
         model = LindbladModel(2, H, ((1, 1.0), (2, 0.6)))
-        batch = run_trajectories(model, excited(2), 1.5, 5, range(6)).records()
-        for traj_id, got in enumerate(batch):
+        batch = run_trajectories(model, excited(2), 1.5, 5, range(6))
+        for traj_id, n in enumerate(batch.jump_counts):
             rec = run_trajectory(model, excited(2), 1.5, 5, trajectory_id=traj_id)
-            assert rec.jumps == got.jumps
-            assert np.array_equal(rec.final_state.amplitudes, got.final_state.amplitudes)
+            assert np.array_equal(rec.jump_times[0], batch.jump_times[traj_id, :n])
+            assert np.array_equal(rec.jump_qubits[0], batch.jump_qubits[traj_id, :n])
+            assert np.array_equal(rec.final_states[0], batch.final_states[traj_id])
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         model = memory_model(2, [1.0, 0.4])
@@ -502,7 +541,8 @@ class TestRunTrajectories:
         rho = average_trajectories(model, psi, 1.5, 1100, 33)
         monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 3)
         small = run_trajectories(model, psi, 1.5, 33, range(20))
-        assert [r.jumps for r in small.records()] == [r.jumps for r in batch.records()]
+        assert small.jump_times.tobytes() == batch.jump_times.tobytes()
+        assert np.array_equal(small.jump_qubits, batch.jump_qubits)
         assert small.final_states.tobytes() == batch.final_states.tobytes()
         assert average_trajectories(model, psi, 1.5, 1100, 33).matrix.tobytes() == (
             rho.matrix.tobytes()
@@ -595,6 +635,25 @@ def test_no_generator_is_built_per_trajectory(monkeypatch):
     config = ExperimentConfig(4, 0.0, [1.0], 3.0, 300, seed=9, p_miss=0.3)
     assert run_experiment(config)[2]["total_jumps"] > 300
     assert len(built) == 1  # the logical state's normal() draw
+
+
+def test_run_experiment_builds_no_ket_per_trajectory(monkeypatch):
+    from jumpcodes.qec import ExperimentConfig, run_experiment
+
+    built = []
+    post_init = Ket.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.n_qubits)
+        post_init(self)
+
+    monkeypatch.setattr(Ket, "__post_init__", counting_post_init)
+    counts = []
+    for trajectories in (10, 1000):
+        built.clear()
+        run_experiment(ExperimentConfig(4, 0.0, [1.0], 3.0, trajectories, seed=9))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_stream_keys_reject_negative_inputs_and_ids_past_64_bits():

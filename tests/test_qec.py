@@ -4,7 +4,7 @@ import pytest
 from jumpcodes.codes import JumpCode, codeword_ket, dfs_basis, dfs_projector, encode, jump_code, projector
 from jumpcodes.dynamics import (
     KrausSet,
-    TrajectoryRecord,
+    TrajectoryBatch,
     memory_model,
     no_jump_kraus,
     run_trajectories,
@@ -96,7 +96,7 @@ class TestDFSCheck:
     def test_no_jump_family_passes(self):
         kappa, t = 1.0, 0.8
         P = dfs_projector(dfs_basis(4, 2))
-        K0 = no_jump_kraus(memory_model(4, kappa), t).matrix
+        K0 = no_jump_kraus(memory_model(4, kappa), t)
         r = dfs_check(KrausSet((K0,)), P)
         assert r.passed
         assert abs(r.lambdas[0] - np.exp(-kappa * t)) < 1e-12
@@ -115,7 +115,7 @@ class TestDFSCheck:
     def test_factorization_when_dfs_holds(self):
         model = memory_model(4, 1.0)
         P = dfs_projector(dfs_basis(4, 2))
-        ks = KrausSet((no_jump_kraus(model, 0.3).matrix, no_jump_kraus(model, 0.9).matrix))
+        ks = KrausSet((no_jump_kraus(model, 0.3), no_jump_kraus(model, 0.9)))
         dfs = dfs_check(ks, P)
         assert dfs.passed
         predicted = np.outer(dfs.lambdas.conj(), dfs.lambdas)
@@ -279,29 +279,31 @@ class TestCorrectTrajectory:
 
     def test_zero_jump_full_fidelity(self):
         rec = run_trajectory(self.model, self.psi, 0.05, 2, trajectory_id=0)
-        if not rec.jumps:
+        if not rec.jump_counts[0]:
             _, fid = correct_trajectory(rec, self.code, self.logical)
-            assert fid > 1.0 - 1e-12
+            assert fid[0] > 1.0 - 1e-12
 
     def test_every_trajectory_recovers(self):
-        total_jumps = 0
-        for traj in range(60):
-            rec = run_trajectory(self.model, self.psi, 3.0, 5, trajectory_id=traj)
-            _, fid = correct_trajectory(rec, self.code, self.logical)
-            assert fid >= 1.0 - 1e-9, (traj, len(rec.jumps), fid)
-            total_jumps += len(rec.jumps)
-        assert total_jumps > 60  # multi-jump records exercised
+        batch = run_trajectories(self.model, self.psi, 3.0, 5, range(60))
+        _, fids = correct_trajectory(batch, self.code, self.logical)
+        for traj, fid in enumerate(fids):
+            assert fid >= 1.0 - 1e-9, (traj, batch.jump_counts[traj], fid)
+        assert batch.jump_counts.sum() > 60  # multi-jump records exercised
 
     def test_record_code_mismatch(self):
         rec = run_trajectory(memory_model(2, 1.0), encode(jump_code(2), [1.0]), 1.0, 3)
         with pytest.raises(ValueError):
             correct_trajectory(rec, self.code, self.logical)
 
-    @pytest.mark.parametrize("alpha", [0, 5])
+    # 0 pads a batch row, so the qubits below and above 1..N are -1 and N + 1.
+    @pytest.mark.parametrize("alpha", [-1, 5])
     def test_jump_qubit_out_of_range(self, alpha):
-        rec = TrajectoryRecord([(0.1, alpha)], self.psi)
-        with pytest.raises(ValueError, match="out of range"):
-            correct_trajectory(rec, self.code, self.logical)
+        batch = TrajectoryBatch(
+            4, np.array([[0.1]]), np.array([[alpha]]), self.psi.amplitudes[None, :],
+            np.ones(1), np.zeros(1, dtype=bool),
+        )
+        with pytest.raises(ValueError, match="must lie in 0..4"):
+            correct_trajectory(batch, self.code, self.logical)
 
     # At N = 8 only qubits 1 and 5 decay, so two recoveries are built, not eight.
     @pytest.mark.parametrize("n, kappas", [(4, 1.0), (8, [1.0, 0, 0, 0, 0.7, 0, 0, 0])])
@@ -323,10 +325,14 @@ class TestCorrectTrajectory:
             delay=0.0,
             horizon=T,
         )
-        for row, rec in enumerate(batch.records()):
-            state, fidelity = correct_trajectory(rec, code, logical)
-            assert state.amplitudes.tobytes() == states[row].tobytes()
-            assert fidelity == fidelities[row]
+        for row in range(40):
+            one_row = run_trajectory(memory_model(n, kappas), psi, T, 11, trajectory_id=row)
+            state, fidelity = correct_trajectory(one_row, code, logical)
+            assert state[0].tobytes() == states[row].tobytes()
+            assert fidelity[0] == fidelities[row]
+        all_states, all_fidelities = correct_trajectory(batch, code, logical)
+        assert all_states.tobytes() == states.tobytes()
+        assert all_fidelities.tobytes() == fidelities.tobytes()
 
 
 class TestBruteForceAgreement:

@@ -31,14 +31,8 @@ def _out_dir(path_arg: str | None) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(report: dict, out_file: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if out_file:
         Path(out_file).parent.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm as dense_expm, schur
 
 from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
-from .states import DENSE_QUBIT_LIMIT, Ket, LocalOperator, OperatorSum, basis_ket, sum_to_dense
+from .states import Ket, LocalOperator, OperatorSum, basis_ket, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -78,33 +78,14 @@ class GateHamiltonian:
         self.terms = tuple(cleaned)
 
     def to_sum(self) -> OperatorSum:
-        locals_ = []
-        for kind, (a, b), coeff in self.terms:
-            op = e_op(a, b) if kind == "E" else f_op(a, b)
-            locals_.append(op.scaled(coeff))
-        return OperatorSum(tuple(locals_))
+        return OperatorSum(tuple(
+            LocalOperator(pair, coeff * (_SWAP if kind == "E" else _EQUAL_BITS))
+            for kind, pair, coeff in self.terms
+        ))
 
     def matrix(self, n_qubits: int) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; equal bit for bit to ``sum_to_dense(to_sum(), n)``.
-
-        Where bits a and b of basis index x differ, E_ab maps x to x with both
-        bits flipped; where they agree, E_ab and F_ab keep x. Written from the
-        indices rather than through ``sum_to_dense``, whose kron-and-transpose
-        embedding per term makes the ``gates`` benchmark about a third slower.
-        """
-        if n_qubits > DENSE_QUBIT_LIMIT:
-            raise ValueError(f"refusing dense embedding beyond {DENSE_QUBIT_LIMIT} qubits")
-        if any(max(pair) > n_qubits for _, pair, _ in self.terms):
-            raise ValueError(f"pair support exceeds qubit count {n_qubits}")
-        x = np.arange(2**n_qubits)
-        total = np.zeros((x.size, x.size), dtype=complex)
-        for kind, (a, b), coeff in self.terms:
-            differ = ((x >> (a - 1)) ^ (x >> (b - 1))) & 1
-            if kind == "E":
-                total[x, x ^ differ * ((1 << (a - 1)) | (1 << (b - 1)))] += coeff
-            else:
-                total[x[differ == 0], x[differ == 0]] += coeff
-        return total
+        """Dense 2^n x 2^n matrix of the weighted sum."""
+        return sum_to_dense(self.to_sum(), n_qubits)
 
     def scaled(self, factor: float) -> "GateHamiltonian":
         return GateHamiltonian(
@@ -122,9 +103,7 @@ def _leakage(UC: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.linalg.svd(UC - C @ (C.conj().T @ UC), compute_uv=False)[..., 0]
 
 
-def logical_matrix(
-    hamiltonian, basis: list[Ket], tol: float = INVARIANCE_TOL
-) -> np.ndarray:
+def logical_matrix(hamiltonian, basis: list[Ket]) -> np.ndarray:
     """Matrix elements <b_i|H|b_j>; raises LeakageError if H leaks out of span(basis)."""
     n = basis[0].n_qubits
     if isinstance(hamiltonian, GateHamiltonian):
@@ -137,8 +116,8 @@ def logical_matrix(
     HC = H @ C
     M = C.conj().T @ HC
     leakage = float(_leakage(HC, C))
-    if leakage > tol:
-        raise LeakageError(f"leakage {leakage:.3e} exceeds tolerance {tol:.1e}")
+    if leakage > INVARIANCE_TOL:
+        raise LeakageError(f"leakage {leakage:.3e} exceeds tolerance {INVARIANCE_TOL:.1e}")
     return M
 
 
@@ -236,7 +215,10 @@ class LieClosure:
     basis: list[np.ndarray]
 
 
-def lie_closure(generators: list[np.ndarray], tol: float = 1e-10) -> LieClosure:
+SPAN_TOL = 1e-10  # relative residual at which a matrix is already in the span
+
+
+def lie_closure(generators: list[np.ndarray]) -> LieClosure:
     """Real span of the generators closed under M, N -> i[M, N]."""
     basis: list[np.ndarray] = []
     vecs: list[np.ndarray] = []
@@ -246,7 +228,7 @@ def lie_closure(generators: list[np.ndarray], tol: float = 1e-10) -> LieClosure:
         for u in vecs:
             v = v - np.dot(u, v) * u
         norm = np.linalg.norm(v)
-        if norm <= tol * max(1.0, np.linalg.norm(_herm_to_real_vec(M))):
+        if norm <= SPAN_TOL * max(1.0, np.linalg.norm(_herm_to_real_vec(M))):
             return False
         vecs.append(v / norm)
         basis.append(M)
@@ -261,7 +243,7 @@ def lie_closure(generators: list[np.ndarray], tol: float = 1e-10) -> LieClosure:
         for A in frontier:
             for B in basis:
                 C = 1j * (A @ B - B @ A)
-                if np.linalg.norm(C) > tol and try_add(C):
+                if np.linalg.norm(C) > SPAN_TOL and try_add(C):
                     new.append(C)
         frontier = new
     d = basis[0].shape[0] if basis else 0
@@ -272,7 +254,7 @@ def lie_closure(generators: list[np.ndarray], tol: float = 1e-10) -> LieClosure:
         v = _herm_to_real_vec(M)
         for u in tvecs:
             v = v - np.dot(u, v) * u
-        if np.linalg.norm(v) > tol:
+        if np.linalg.norm(v) > SPAN_TOL:
             tvecs.append(v / np.linalg.norm(v))
             tdim += 1
     return LieClosure(len(basis), tdim, basis)
@@ -684,9 +666,10 @@ def gate_theta_matrix(U: np.ndarray, states: list[Ket], d: int) -> ThetaMatrix:
     return ThetaMatrix(np.angle(np.diag(M)).reshape(d, d))
 
 
-def is_primitive_diagonal(
-    theta: ThetaMatrix, tol: float = 1e-8
-) -> tuple[bool, tuple[int, int, int, int] | None]:
+PHASE_TOL = 1e-8  # wrapped phase residual (radians) still counted as zero
+
+
+def is_primitive_diagonal(theta: ThetaMatrix) -> tuple[bool, tuple[int, int, int, int] | None]:
     """Check theta[j,k] + theta[p,q] = theta[j,q] + theta[p,k] (mod 2pi).
 
     Returns (True, None) when every quadruple passes, otherwise
@@ -700,17 +683,20 @@ def is_primitive_diagonal(
                 for q in range(d):
                     delta = th[j, k] + th[p, q] - th[j, q] - th[p, k]
                     wrapped = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
-                    if abs(wrapped) > tol:
+                    if abs(wrapped) > PHASE_TOL:
                         return False, (j, k, p, q)
     return True, None
 
 
-def schmidt_rank(psi: Ket, low_qubits: int, tol: float = 1e-10) -> int:
+SCHMIDT_TOL = 1e-10  # singular values at or below this are not counted
+
+
+def schmidt_rank(psi: Ket, low_qubits: int) -> int:
     """Schmidt rank across the cut qubits (1..low) | (low+1..N)."""
     high = psi.n_qubits - low_qubits
     M = psi.amplitudes.reshape(2**high, 2**low_qubits)
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > SCHMIDT_TOL))
 
 
 def verify_entangle(tol: float = 1e-12) -> dict:

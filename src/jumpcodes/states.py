@@ -8,6 +8,7 @@ Printed labels read b_N...b_1, i.e. ``int(label, 2)`` is the array index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,7 @@ def tensor(high: Ket, low: Ket) -> Ket:
 
     The printed label of a product of basis states is (high label)(low label).
     """
-    return Ket(high.n_qubits + low.n_qubits, np.kron(high.amplitudes, low.amplitudes))
+    return Ket(high.n_qubits + low.n_qubits, np.outer(high.amplitudes, low.amplitudes).ravel())
 
 
 @dataclass
@@ -103,9 +104,6 @@ class LocalOperator:
         block.setflags(write=False)
         self.block = block
 
-    def scaled(self, factor: complex) -> "LocalOperator":
-        return LocalOperator(self.support, factor * self.block)
-
 
 @dataclass
 class OperatorSum:
@@ -116,27 +114,11 @@ class OperatorSum:
     def __post_init__(self):
         self.terms = tuple(self.terms)
 
-    def scaled(self, factor: complex) -> "OperatorSum":
-        return OperatorSum(tuple(t.scaled(factor) for t in self.terms))
-
 
 def apply_local(op: LocalOperator, psi: Ket) -> Ket:
-    """Apply (op x identity) without materializing the global matrix.
-
-    The state is viewed as a rank-N tensor (axis n-a holds qubit a) and the
-    block is contracted onto the support axes.
-    """
-    n = psi.n_qubits
-    if any(q > n for q in op.support):
-        raise ValueError(f"support {op.support} exceeds qubit count {n}")
-    k = len(op.support)
-    block = op.block.reshape((2,) * (2 * k))
-    state = psi.amplitudes.reshape((2,) * n)
-    # Block axes run msb->lsb, i.e. support[k-1], ..., support[0].
-    axes = [n - q for q in reversed(op.support)]
-    out = np.tensordot(block, state, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, range(k), axes)
-    return Ket(n, out.reshape(-1))
+    """Apply (op x identity) without materializing the global matrix."""
+    rows, at = _index_map(op.support, psi.n_qubits)
+    return Ket(psi.n_qubits, (op.block[rows] * psi.amplitudes[at % psi.dim]).sum(axis=1))
 
 
 def lower_rows(psi: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -161,34 +143,46 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _axis_permutation(support: tuple[int, ...], n: int) -> list[int]:
-    # Axis order of kron(block, I_rest), msb->lsb: support reversed, then the
-    # remaining qubits in descending order. Target order: qubit n-j at axis j.
-    current = list(reversed(support)) + sorted(
-        set(range(1, n + 1)) - set(support), reverse=True
-    )
-    return [current.index(n - j) for j in range(n)]
+@functools.lru_cache(maxsize=None)
+def _index_map(support: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where (block x identity) on n qubits is nonzero, as flat matrix indices.
+
+    Row x of that 2^n x 2^n matrix is row ``rows[x]`` of the block, the block
+    index that x's support bits read (``support[b]`` is bit b of a block
+    index). Its entry j lies in column c = x with the bits of j written over
+    its support bits, at flat index ``at[x, j] = x * 2^n + c``.
+    """
+    if any(q > n for q in support):
+        raise ValueError(f"support {support} exceeds qubit count {n}")
+    placed = [
+        sum(((j >> b) & 1) << (q - 1) for b, q in enumerate(support))
+        for j in range(2 ** len(support))
+    ]
+    x = np.arange(2**n)[:, None]
+    cols = (x & ~placed[-1]) | placed  # placed[-1] sets every support bit
+    rows = (cols == x).argmax(axis=1)
+    at = (x << n) | cols
+    rows.setflags(write=False)
+    at.setflags(write=False)
+    return rows, at
 
 
 def local_to_dense(op: LocalOperator, n_qubits: int) -> np.ndarray:
     """Embed a local operator into the full 2^n x 2^n matrix."""
-    n = n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"refusing dense embedding beyond {DENSE_QUBIT_LIMIT} qubits")
-    if any(q > n for q in op.support):
-        raise ValueError(f"support {op.support} exceeds qubit count {n}")
-    k = len(op.support)
-    full = np.kron(op.block, np.eye(2 ** (n - k), dtype=complex))
-    perm = _axis_permutation(op.support, n)
-    tensor_form = full.reshape((2,) * (2 * n))
-    tensor_form = tensor_form.transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(tensor_form.reshape(2**n, 2**n))
+    return sum_to_dense(op, n_qubits)
 
 
 def sum_to_dense(ops: OperatorSum | LocalOperator, n_qubits: int) -> np.ndarray:
+    """Add every term's embedding (see ``_index_map``) into one 2^n x 2^n matrix."""
+    if n_qubits > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"refusing dense embedding beyond {DENSE_QUBIT_LIMIT} qubits")
     if isinstance(ops, LocalOperator):
         ops = OperatorSum((ops,))
-    total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    # Zeros written up front: np.zeros leaves a large matrix unmapped, and the
+    # scattered adds below would then fault each page twice (read, then write).
+    total = np.full((2**n_qubits, 2**n_qubits), 0j)
+    flat = total.reshape(-1)
     for term in ops.terms:
-        total += local_to_dense(term, n_qubits)
+        rows, at = _index_map(term.support, n_qubits)
+        flat[at] += term.block[rows]
     return total

@@ -260,6 +260,23 @@ class TestAverageTrajectories:
         b = average_trajectories(model, excited(2), 1.5, 200, 33)
         assert np.array_equal(a.matrix, b.matrix)
 
+    def test_every_trajectory_absorbed(self, monkeypatch):
+        # At a crossing the norm falls at the rate of the channel weight, so
+        # no real model reaches a zero total weight; zero weights force it.
+        monkeypatch.setattr(
+            dynamics, "_channel_weights",
+            lambda model, psi: np.zeros((len(psi), len(model.channels))),
+        )
+        model, psi0 = memory_model(4, 1.0), code_state(4, 1)
+        batch = run_trajectories(model, psi0, 40.0, 3, range(64))
+        assert batch.absorbed.all()
+        assert not batch.jump_counts.any()
+        assert np.abs(np.linalg.norm(batch.final_states, axis=1) - 1.0).max() <= 1e-15
+        rho = average_trajectories(model, psi0, 40.0, 64, 3).matrix
+        v = psi0.amplitudes
+        assert np.abs(rho - np.outer(v, v.conj())).max() <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= 1e-15
+
     def test_general_hamiltonian_path_matches_master(self):
         omega, kappa = 1.0, 0.9
         H = OperatorSum((LocalOperator((1,), omega * SIGMA_X),))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jumpcodes.gates import GateHamiltonian
 from jumpcodes.states import (
     Ket,
     LOWER,
@@ -22,7 +23,7 @@ def random_ket(rng, n):
 
 
 def dense_oracle(op: LocalOperator, n: int) -> np.ndarray:
-    """Element-wise embedding, independent of the library's kron/permute path."""
+    """Element-wise embedding, independent of the library's index map."""
     dim = 2**n
     M = np.zeros((dim, dim), dtype=complex)
     rest = [q for q in range(1, n + 1) if q not in op.support]
@@ -105,6 +106,21 @@ class TestApplyLocal:
             oracle = dense_oracle(op, n)
             assert np.linalg.norm(apply_local(op, psi).amplitudes - oracle @ psi.amplitudes) < 1e-12
             assert np.linalg.norm(local_to_dense(op, n) - oracle) < 1e-12
+        # Two-term sums whose supports overlap.
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 8):
+            shared = int(rng.integers(1, n + 1))
+            others = [int(q) for q in rng.permutation(n) + 1 if q != shared]
+            # Both supports hold ``shared``; neither lists its qubits in ascending order.
+            low, mid, high = sorted((shared, others[0], others[1]))
+            supports = (tuple(sorted((shared, others[0]), reverse=True)), (mid, high, low))
+            ops = OperatorSum(tuple(
+                LocalOperator(q, rng.normal(size=(2 ** len(q),) * 2)
+                              + 1j * rng.normal(size=(2 ** len(q),) * 2))
+                for q in supports
+            ))
+            oracle = sum(dense_oracle(op, n) for op in ops.terms)
+            assert np.linalg.norm(sum_to_dense(ops, n) - oracle) < 1e-12
 
 
 def rand_herm(rng, d):
@@ -115,6 +131,17 @@ def rand_herm(rng, d):
 def test_ket_validation():
     with pytest.raises(ValueError):
         Ket(2, np.zeros(3))
+
+
+def test_dense_embedding_refuses_beyond_qubit_limit():
+    embeddings = (
+        lambda: sum_to_dense(OperatorSum(()), 13),
+        lambda: local_to_dense(LocalOperator((1,), SIGMA_Z), 13),
+        lambda: GateHamiltonian(()).matrix(13),
+    )
+    for embed in embeddings:
+        with pytest.raises(ValueError, match="refusing dense embedding beyond 12 qubits"):
+            embed()
 
 
 def test_sum_to_dense_adds_terms():

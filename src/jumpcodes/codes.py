@@ -94,9 +94,7 @@ def jump_code(N: int, phase: float = 0.0) -> JumpCode:
         raise ValueError(f"N must be even and >= 2, got {N}")
     reps = [s for s in _weight_strings(N, N // 2) if s[0] == "0"]
     pairs = [(s, _complement(s)) for s in reps]
-    code = JumpCode(N, phase, pairs)
-    assert code.count == comb(N - 1, N // 2 - 1)
-    return code
+    return JumpCode(N, phase, pairs)
 
 
 def logical_qubits(N: int) -> float:

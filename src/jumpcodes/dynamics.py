@@ -37,14 +37,19 @@ JUMP_TIME_REL_TOL = 1e-10
 
 @dataclass
 class LindbladModel:
-    """Coherent Hamiltonian plus per-qubit decay channels (alpha, kappa_alpha)."""
+    """Coherent Hamiltonian plus per-qubit decay channels (alpha, kappa_alpha).
+
+    No drive is the empty OperatorSum; None is accepted for it.
+    """
 
     n_qubits: int
     hamiltonian: OperatorSum | LocalOperator | None
     channels: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if isinstance(self.hamiltonian, LocalOperator):
+        if self.hamiltonian is None:
+            self.hamiltonian = OperatorSum(())
+        elif isinstance(self.hamiltonian, LocalOperator):
             self.hamiltonian = OperatorSum((self.hamiltonian,))
         self.channels = tuple((int(a), float(k)) for a, k in self.channels)
         qubits = [a for a, _ in self.channels]
@@ -117,7 +122,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def effective_hamiltonian(model: LindbladModel) -> OperatorSum:
     """No-jump generator H - (i/2) sum_a kappa_a |1_a><1_a|."""
-    terms = list(model.hamiltonian.terms) if model.hamiltonian is not None else []
+    terms = list(model.hamiltonian.terms)
     for alpha, kappa in model.channels:
         if kappa > 0.0:
             terms.append(LocalOperator((alpha,), -0.5j * kappa * NUMBER))
@@ -126,7 +131,7 @@ def effective_hamiltonian(model: LindbladModel) -> OperatorSum:
 
 def no_jump_kraus(model: LindbladModel, t: float) -> np.ndarray:
     """exp(-sum_a kappa_a n_a t / 2): the zero-count Kraus family of the memory case."""
-    if model.hamiltonian is not None and model.hamiltonian.terms:
+    if model.hamiltonian.terms:
         raise ValueError("no-jump Kraus family is defined for the H = 0 memory case")
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("time must be finite and non-negative")
@@ -308,7 +313,7 @@ class _NoJumpRows:
     """
 
     def __init__(self, model: LindbladModel):
-        self.diagonal = model.hamiltonian is None or not model.hamiltonian.terms
+        self.diagonal = not model.hamiltonian.terms
         if self.diagonal:
             self.rates = model.decay_rates()
             return

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm as dense_expm, schur
 
 from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
-from .states import Ket, LocalOperator, OperatorSum, basis_ket, sum_to_dense
+from .states import Ket, LocalOperator, OperatorSum, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -178,15 +178,11 @@ def su3_generators() -> list[LogicalGenerator]:
     code = jump_code(4, 0.0)
     basis = [codeword_ket(code, i) for i in range(code.count)]
 
-    def combo(e_name: str, f_name: str) -> GateHamiltonian:
-        pair = (int(e_name[1]), int(e_name[2]))
+    def combo(pair: tuple[int, int]) -> GateHamiltonian:
+        """E_ab - F_ab on the pair (a, b)."""
         return GateHamiltonian((("E", pair, 1.0), ("F", pair, -1.0)))
 
-    plus = {
-        "C12+": combo("E23", "F23"),
-        "C13+": combo("E13", "F13"),
-        "C23+": combo("E12", "F12"),
-    }
+    plus = {"C12+": combo((2, 3)), "C13+": combo((1, 3)), "C23+": combo((1, 2))}
     gens = []
     for name, gh in plus.items():
         gens.append(LogicalGenerator(name, logical_matrix(gh, basis), hamiltonian=gh))
@@ -215,48 +211,41 @@ class LieClosure:
     basis: list[np.ndarray]
 
 
-SPAN_TOL = 1e-10  # relative residual at which a matrix is already in the span
+SPAN_TOL = 1e-10  # residual, relative to max(1, norm), at which a matrix is in the span
+
+
+def _extend_span(vecs: list[np.ndarray], M: np.ndarray) -> bool:
+    """Append M's unit component orthogonal to ``vecs`` unless its norm is at
+    most SPAN_TOL * max(1, ||M||); return whether it was appended."""
+    w = _herm_to_real_vec(M)
+    v = w
+    for u in vecs:
+        v = v - np.dot(u, v) * u
+    norm = np.linalg.norm(v)
+    if norm <= SPAN_TOL * max(1.0, np.linalg.norm(w)):
+        return False
+    vecs.append(v / norm)
+    return True
 
 
 def lie_closure(generators: list[np.ndarray]) -> LieClosure:
     """Real span of the generators closed under M, N -> i[M, N]."""
-    basis: list[np.ndarray] = []
     vecs: list[np.ndarray] = []
-
-    def try_add(M: np.ndarray) -> bool:
-        v = _herm_to_real_vec(M)
-        for u in vecs:
-            v = v - np.dot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm <= SPAN_TOL * max(1.0, np.linalg.norm(_herm_to_real_vec(M))):
-            return False
-        vecs.append(v / norm)
-        basis.append(M)
-        return True
-
-    queue = [np.asarray(g, dtype=complex) for g in generators]
-    for g in queue:
-        try_add(g)
+    matrices = [np.asarray(g, dtype=complex) for g in generators]
+    basis = [M for M in matrices if _extend_span(vecs, M)]
     frontier = list(basis)
     while frontier:
         new = []
         for A in frontier:
             for B in basis:
                 C = 1j * (A @ B - B @ A)
-                if np.linalg.norm(C) > SPAN_TOL and try_add(C):
+                if _extend_span(vecs, C):
+                    basis.append(C)
                     new.append(C)
         frontier = new
     d = basis[0].shape[0] if basis else 0
-    traceless = [M - np.trace(M) / d * np.eye(d) for M in basis]
     tvecs: list[np.ndarray] = []
-    tdim = 0
-    for M in traceless:
-        v = _herm_to_real_vec(M)
-        for u in tvecs:
-            v = v - np.dot(u, v) * u
-        if np.linalg.norm(v) > SPAN_TOL:
-            tvecs.append(v / np.linalg.norm(v))
-            tdim += 1
+    tdim = sum(_extend_span(tvecs, M - np.trace(M) / d * np.eye(d)) for M in basis)
     return LieClosure(len(basis), tdim, basis)
 
 
@@ -579,8 +568,13 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> Hamilton
 # --- the two-register entanglement gate -------------------------------------
 
 def h_ent() -> GateHamiltonian:
-    """Coupling 1/2 (F26 + F36 + F27 + F37) between two 4-qubit registers."""
-    gh = GateHamiltonian(
+    """Coupling 1/2 (F26 + F36 + F27 + F37) between two 4-qubit registers.
+
+    It is diagonal in the computational basis and acts blockwise on the
+    product code space: eigenvalue 1 on the eight states other than |22>_L,
+    2 on |22+> and 0 on |22->.
+    """
+    return GateHamiltonian(
         (
             ("F", (2, 6), 0.5),
             ("F", (3, 6), 0.5),
@@ -588,42 +582,12 @@ def h_ent() -> GateHamiltonian:
             ("F", (3, 7), 0.5),
         )
     )
-    _verify_block_form(gh)
-    return gh
-
-
-def _ent_states() -> tuple[list[Ket], Ket, Ket]:
-    code = jump_code(4, 0.0)
-    states = product_code_basis(code, code)
-    plus = _string_pair_ket("01100110", "10011001")
-    minus = _string_pair_ket("01101001", "10010110")
-    return states, plus, minus
-
-
-def _string_pair_ket(s1: str, s2: str) -> Ket:
-    amps = (basis_ket(s1).amplitudes + basis_ket(s2).amplitudes) / np.sqrt(2.0)
-    return Ket(len(s1), amps)
-
-
-def _verify_block_form(gh: GateHamiltonian) -> None:
-    # block action: eigenvalue 1 on the eight A-states, 2 on |22+>, 0 on |22->
-    H = gh.matrix(8)
-    states, plus, minus = _ent_states()
-    for idx, psi in enumerate(states[:8]):
-        if np.linalg.norm(H @ psi.amplitudes - psi.amplitudes) > 1e-12:
-            raise AssertionError(f"A-state {idx} is not an eigenvector of eigenvalue 1")
-    if np.linalg.norm(H @ plus.amplitudes - 2.0 * plus.amplitudes) > 1e-12:
-        raise AssertionError("|22+> is not an eigenvector of eigenvalue 2")
-    if np.linalg.norm(H @ minus.amplitudes) > 1e-12:
-        raise AssertionError("|22-> is not annihilated")
 
 
 @functools.cache
 def _h_ent_diagonal() -> np.ndarray:
-    """Read-only diagonal of H_ent, built (and its block form checked) once."""
-    H = h_ent().matrix(8)
-    diag = np.diag(H).copy()
-    assert np.linalg.norm(H - np.diag(diag)) < 1e-14
+    """Read-only diagonal of H_ent, built once."""
+    diag = np.diag(h_ent().matrix(8)).copy()
     diag.setflags(write=False)
     return diag
 

@@ -135,6 +135,11 @@ class TestSU3Generators:
             assert np.linalg.norm(g.logical - g.logical.conj().T) < 1e-12
             assert (g.hamiltonian is not None) != (g.commutator_of is not None)
 
+    def test_plus_realizations_are_e_minus_f_on_one_pair(self):
+        gens = {g.name: g for g in su3_generators()}
+        for name, pair in (("C12+", (2, 3)), ("C13+", (1, 3)), ("C23+", (1, 2))):
+            assert gens[name].hamiltonian.terms == (("E", pair, 1.0), ("F", pair, -1.0))
+
     def test_commutator_realizations_consistent(self):
         gens = {g.name: g for g in su3_generators()}
         for name in ("C12-", "C13-", "C23-"):
@@ -155,6 +160,14 @@ class TestLieClosure:
     def test_gell_mann_closure(self):
         closure = lie_closure(gell_mann_matrices())
         assert (closure.dimension, closure.traceless_dimension) == (8, 8)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_dimensions_do_not_depend_on_scale(self, scale):
+        # Both spans are rank-tested relative to each matrix's norm; with an
+        # absolute tolerance the identity direction's round-off counted as a
+        # ninth traceless dimension.
+        closure = lie_closure([scale * g.logical for g in su3_generators()])
+        assert (closure.dimension, closure.traceless_dimension) == (9, 8)
 
     def test_traceless_part_contains_gell_mann(self):
         closure = lie_closure([g.logical for g in su3_generators()])
@@ -334,6 +347,12 @@ class TestEntanglementGate:
         minus = (basis_ket("01101001").amplitudes + basis_ket("10010110").amplitudes) / np.sqrt(2)
         assert np.allclose(H @ plus, 2.0 * plus)
         assert np.linalg.norm(H @ minus) < 1e-14
+        # Block form on the product code space: eigenvalue 1 on the eight
+        # states other than |22>_L (the last), 2 on |22+>, 0 on |22->.
+        for psi in self.states[:8]:
+            assert np.linalg.norm(H @ psi.amplitudes - psi.amplitudes) <= 1e-12
+        assert np.linalg.norm(H @ plus - 2.0 * plus) <= 1e-12
+        assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
 
     def test_h_ent_hermitian_and_number_conserving(self):
         H = h_ent().matrix(8)

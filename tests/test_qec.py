@@ -164,19 +164,30 @@ class TestRecoveryUnitary:
 
 
 def gram_schmidt_completion(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal list to a full basis, sweeping e_0, e_1, ... in order."""
+    """Extend an orthonormal list to a full basis, sweeping e_0, e_1, ... in order.
+
+    A basis vector whose support is disjoint from the candidate's is skipped:
+    its projection is exactly zero. The candidate's support is tracked as the
+    union of the supports subtracted from it, a superset of its nonzeros.
+    """
     basis = [v.copy() for v in vectors]
+    supports = [set(np.flatnonzero(v).tolist()) for v in basis]
     for j in range(dim):
         if len(basis) == dim:
             break
         cand = np.zeros(dim, dtype=complex)
         cand[j] = 1.0
+        support = {j}
         for _ in range(2):  # re-orthogonalize for stability
-            for b in basis:
+            for b, b_support in zip(basis, supports):
+                if support.isdisjoint(b_support):
+                    continue
                 cand = cand - np.vdot(b, cand) * b
+                support |= b_support
         norm = np.linalg.norm(cand)
         if norm > 1e-8:
             basis.append(cand / norm)
+            supports.append(set(np.flatnonzero(basis[-1]).tolist()))
     if len(basis) != dim:
         raise ValueError("failed to complete orthonormal basis")
     return basis

@@ -122,7 +122,7 @@ def _read_target(path: str) -> np.ndarray:
     rows = json.loads(Path(path).read_text())
     if not (
         isinstance(rows, list)
-        and all(isinstance(row, list) for row in rows)
+        and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
         and all(
             isinstance(pair, list)
             and len(pair) == 2

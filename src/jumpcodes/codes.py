@@ -92,6 +92,8 @@ def jump_code(N: int, phase: float = 0.0) -> JumpCode:
     """Pair each weight-N/2 string with its complement; one code word per pair."""
     if N % 2 != 0 or N < 2:
         raise ValueError(f"N must be even and >= 2, got {N}")
+    if not isfinite(phase):
+        raise ValueError(f"phase {phase} is not finite")
     reps = [s for s in _weight_strings(N, N // 2) if s[0] == "0"]
     pairs = [(s, _complement(s)) for s in reps]
     return JumpCode(N, phase, pairs)

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as dense_expm
 
 from .states import (
     Ket,
@@ -24,6 +23,7 @@ from .states import (
     NUMBER,
     OperatorSum,
     apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
+    dense_expm,
     lower_rows,
     row_norms,
     sum_to_dense,

@@ -18,10 +18,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as dense_expm, schur
 
 from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
-from .states import Ket, LocalOperator, OperatorSum, sum_to_dense
+from .states import Ket, LocalOperator, OperatorSum, dense_expm, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -39,24 +38,11 @@ class SynthesisError(Exception):
         self.achieved_error = achieved_error
 
 
+# Unit pair blocks: E = 1/2 (1 + XX + YY + ZZ) = SWAP, F = 1/2 (1 + ZZ).
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 _EQUAL_BITS = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-
-
-def e_op(alpha: int, beta: int) -> LocalOperator:
-    """Heisenberg-type pair Hamiltonian 1/2 (1 + XX + YY + ZZ): the SWAP of the two qubits."""
-    if alpha == beta:
-        raise ValueError("pair indices must differ")
-    return LocalOperator((alpha, beta), _SWAP)
-
-
-def f_op(alpha: int, beta: int) -> LocalOperator:
-    """Ising-type pair Hamiltonian 1/2 (1 + ZZ): the projector onto equal bits."""
-    if alpha == beta:
-        raise ValueError("pair indices must differ")
-    return LocalOperator((alpha, beta), _EQUAL_BITS)
 
 
 @dataclass
@@ -458,6 +444,8 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
 
 def principal_log_hamiltonian(U: np.ndarray) -> np.ndarray:
     """Hermitian H with U = exp(-i H), eigenphases in (-pi, pi]."""
+    from scipy.linalg import schur
+
     T, Z = schur(np.asarray(U, dtype=complex), output="complex")
     phases = np.angle(np.diag(T))
     return Z @ np.diag(-phases) @ Z.conj().T
@@ -541,7 +529,11 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> Hamilton
     if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     U = np.asarray(U, dtype=complex)
-    if U.shape != (3, 3) or np.linalg.norm(U.conj().T @ U - np.eye(3)) > 1e-10:
+    if U.shape != (3, 3) or not (
+        np.isfinite(U).all()  # entries first: |u_ij| <= 1 keeps U^dagger U finite
+        and np.abs(U).max() <= 1 + 1e-10
+        and np.linalg.norm(U.conj().T @ U - np.eye(3)) <= 1e-10
+    ):
         raise ValueError("target must be a 3x3 unitary")
     if code.N != 4:
         raise ValueError("synthesis targets the 4-qubit code register")

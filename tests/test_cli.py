@@ -1,4 +1,5 @@
 import json
+import warnings
 from math import comb
 from pathlib import Path
 
@@ -102,6 +103,16 @@ class TestCodeCommand:
         assert status == 2
         assert captured.out == ""
         assert word in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("action", ["generate", "inspect"])
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_non_finite_phase_is_rejected(self, capsys, action, phase):
+        # json.dumps would print NaN or Infinity, which is not JSON
+        status = main(["code", action, "--n", "4", "--phase", phase])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "is not finite" in captured.err and "Traceback" not in captured.err
 
     def test_inspect_reports_the_file_code(self, capsys, tmp_path):
         f = tmp_path / "code.json"
@@ -364,6 +375,30 @@ class TestGatesCommand:
         assert "[re, im] number pairs" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("entry", [[1e308, 0.0], [float("nan"), 0.0]], ids=["huge", "nan"])
+    def test_non_finite_or_overflowing_target_is_rejected(self, capsys, tmp_path, entry):
+        # 1e308 entries overflow U^dagger U to NaN; json reads NaN as a number
+        f = tmp_path / "target.json"
+        f.write_text(json.dumps([[entry] * 3 for _ in range(3)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["gates", "synthesize", "--target", str(f)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "target must be a 3x3 unitary" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_ragged_target_is_rejected(self, capsys, tmp_path):
+        f = tmp_path / "target.json"
+        f.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0]]]))
+        status = main(["gates", "synthesize", "--target", str(f)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "[re, im] number pairs" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestReportText:
     """Emitted JSON is byte-identical to ``json.dumps(indent=2, sort_keys=True)``."""
@@ -472,6 +507,50 @@ class TestSimBatching:
         assert sim_outputs(tmp_path / "1") == sim_outputs(tmp_path / "2")
 
 
+COLD_START = """
+import contextlib, io, json, sys
+from jumpcodes.cli import main
+
+out, target = sys.argv[1], sys.argv[2]
+commands = [
+    ["sim", "run", "--n", "4", "--trajectories", "5", "--seed", "1", "--out", out],
+    *(["verify", check] for check in ("table1", "kl", "dfs", "closure", "entangle")),
+    ["code", "generate", "--n", "4"],
+    ["code", "inspect", "--n", "4"],
+    ["gates", "synthesize", "--target", target],
+]
+report = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    report.append([argv[:2], status, any(m.split(".")[0] == "scipy" for m in sys.modules)])
+print(json.dumps(report))
+"""
+
+
+def test_only_gates_synthesize_loads_scipy(tmp_path):
+    # scipy takes most of a cold start; only expm and schur need it
+    import os
+    import subprocess
+    import sys
+
+    import jumpcodes
+
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps([[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]],
+                                  [[0, 0], [0, 0], [1, 0]]]))
+    src = str(Path(jumpcodes.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path / "sim"), str(target)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    *others, gates_run = json.loads(done.stdout)
+    assert [[status, scipy] for _, status, scipy in others] == [[0, False]] * 8, others
+    assert gates_run == [["gates", "synthesize"], 0, True]
+
+
 class TestSimEdgeCases:
     def run_sim(self, capsys, tmp_path, *extra):
         status, summary = run_cli(
@@ -525,7 +604,7 @@ class TestSimEdgeCases:
     @pytest.mark.parametrize("flag, value, word", [
         ("--seed", "-1", "seed"), ("--t-final", "inf", "finite"),
         ("--kappa", "nan", "finite"), ("--kappa", "inf", "finite"),
-        ("--delay", "nan", "delay"), ("--n", "14", "n"),
+        ("--delay", "nan", "delay"), ("--n", "14", "n"), ("--phase", "nan", "phase"),
     ])
     def test_bad_input_is_rejected(self, capsys, flag, value, word):
         argv = ["sim", "run", "--n", "4", "--trajectories", "4", "--seed", "1"]

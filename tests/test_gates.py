@@ -12,9 +12,7 @@ from jumpcodes.gates import (
     SynthesisError,
     ThetaMatrix,
     commutator_formula_target,
-    e_op,
     ent_unitary,
-    f_op,
     gate_theta_matrix,
     gell_mann_matrices,
     h_ent,
@@ -66,29 +64,36 @@ def rand_herm3(rng):
     return 0.5 * (M + M.conj().T)
 
 
+def pair_term(kind: str, alpha: int, beta: int) -> LocalOperator:
+    """The one local operator of the unit-weight E or F term on (alpha, beta)."""
+    (term,) = GateHamiltonian(((kind, (alpha, beta), 1.0),)).to_sum().terms
+    return term
+
+
 class TestPairOperators:
     def test_swap_fixes_equal_bits(self):
-        out = apply_local(e_op(1, 2), basis_ket("0011"))
+        out = apply_local(pair_term("E", 1, 2), basis_ket("0011"))
         assert np.allclose(out.amplitudes, basis_ket("0011").amplitudes)
 
     def test_swap_exchanges_bits(self):
-        out = apply_local(e_op(1, 2), basis_ket("0101"))
+        out = apply_local(pair_term("E", 1, 2), basis_ket("0101"))
         assert np.allclose(out.amplitudes, basis_ket("0110").amplitudes)
 
     def test_projector_kills_unequal_bits(self):
-        out = apply_local(f_op(1, 2), basis_ket("0110"))
+        out = apply_local(pair_term("F", 1, 2), basis_ket("0110"))
         assert np.all(out.amplitudes == 0)
-        kept = apply_local(f_op(1, 2), basis_ket("0011"))
+        kept = apply_local(pair_term("F", 1, 2), basis_ket("0011"))
         assert np.allclose(kept.amplitudes, basis_ket("0011").amplitudes)
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
-            e_op(2, 2)
+            pair_term("E", 2, 2)
 
     def test_blocks_are_the_pauli_forms(self):
         XX, YY, ZZ = (np.kron(P, P) for P in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-        assert e_op(1, 2).block.tobytes() == (0.5 * (np.eye(4) + XX + YY + ZZ)).tobytes()
-        assert f_op(1, 2).block.tobytes() == (0.5 * (np.eye(4) + ZZ)).tobytes()
+        E, F = pair_term("E", 1, 2), pair_term("F", 1, 2)
+        assert E.block.tobytes() == (0.5 * (np.eye(4) + XX + YY + ZZ)).tobytes()
+        assert F.block.tobytes() == (0.5 * (np.eye(4) + ZZ)).tobytes()
 
 
 class TestLogicalMatrix:
@@ -513,7 +518,7 @@ class TestPairMatrixCache:
         first[:] = 7.0
         assert gh.matrix(4).tobytes() == want.tobytes()
         assert GateHamiltonian((("E", (1, 2), 1.0),)).matrix(4).tobytes() == (
-            sum_to_dense(e_op(1, 2), 4).tobytes()
+            sum_to_dense(pair_term("E", 1, 2), 4).tobytes()
         )
 
 

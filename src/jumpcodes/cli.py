@@ -25,19 +25,12 @@ from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it 
 OUT_DIR_ENV = "JUMPCODES_OUT"
 
 
-def _out_dir(path_arg: str | None) -> Path:
-    if path_arg:
-        return Path(path_arg)
-    return Path(os.environ.get(OUT_DIR_ENV, "."))
-
-
-def _emit(report: dict, out_file: str | None) -> None:
+def _emit(report: dict, out_file: str | Path | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if out_file:
+    if out_file:  # written before printing, so a failed write leaves stdout empty
         Path(out_file).parent.mkdir(parents=True, exist_ok=True)
-        with open(out_file, "w") as fh:
-            print(text, file=fh)
+        Path(out_file).write_text(text + "\n")
+    print(text)
 
 
 # --- code subcommand ---------------------------------------------------------
@@ -105,13 +98,10 @@ def cmd_sim(args) -> int:
         p_miss=args.p_miss,
     )
     batch, _, summary = run_experiment(config)
-    out_dir = _out_dir(args.out)
+    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "jumps.csv").write_text(dynamics.records_to_csv(batch))
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(summary, out_dir / "summary.json")
     return 0
 
 
@@ -126,7 +116,7 @@ def _read_target(path: str) -> np.ndarray:
         and all(
             isinstance(pair, list)
             and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair)
+            and all(type(x) in (int, float) for x in pair)  # bool is an int subclass
             for row in rows
             for pair in row
         )
@@ -214,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,11 +73,6 @@ class GateHamiltonian:
         """Dense 2^n x 2^n matrix of the weighted sum."""
         return sum_to_dense(self.to_sum(), n_qubits)
 
-    def scaled(self, factor: float) -> "GateHamiltonian":
-        return GateHamiltonian(
-            tuple((kind, pair, coeff * factor) for kind, pair, coeff in self.terms)
-        )
-
 
 def _leakage(UC: np.ndarray, C: np.ndarray) -> np.ndarray:
     """||UC - C (C^dagger UC)||_2 for one matrix UC or each of a stack.
@@ -91,13 +86,9 @@ def _leakage(UC: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def logical_matrix(hamiltonian, basis: list[Ket]) -> np.ndarray:
     """Matrix elements <b_i|H|b_j>; raises LeakageError if H leaks out of span(basis)."""
-    n = basis[0].n_qubits
     if isinstance(hamiltonian, GateHamiltonian):
-        H = hamiltonian.matrix(n)
-    elif isinstance(hamiltonian, (LocalOperator, OperatorSum)):
-        H = sum_to_dense(hamiltonian, n)
-    else:
-        H = np.asarray(hamiltonian, dtype=complex)
+        hamiltonian = hamiltonian.to_sum()
+    H = sum_to_dense(hamiltonian, basis[0].n_qubits)
     C = np.column_stack([b.amplitudes for b in basis])
     HC = H @ C
     M = C.conj().T @ HC
@@ -117,28 +108,21 @@ class LogicalGenerator:
     commutator_of: tuple[str, str] | None = None
 
 
-def _pair_hamiltonians() -> dict[str, GateHamiltonian]:
-    out = {}
-    for a, b in [(1, 2), (2, 3), (1, 3)]:
-        out[f"E{a}{b}"] = GateHamiltonian((("E", (a, b), 1.0),))
-        out[f"F{a}{b}"] = GateHamiltonian((("F", (a, b), 1.0),))
-    return out
-
-
 def table1_matrices(phase: float = 0.0) -> dict[str, np.ndarray]:
     """Logical 3x3 matrices of the six pair Hamiltonians on the 4-qubit code."""
     code = jump_code(4, phase)
     basis = [codeword_ket(code, i) for i in range(code.count)]
     out = {}
-    for name, gh in _pair_hamiltonians().items():
-        out[name] = logical_matrix(gh, basis)
+    for a, b in [(1, 2), (2, 3), (1, 3)]:
+        for kind in "EF":
+            out[f"{kind}{a}{b}"] = logical_matrix(GateHamiltonian(((kind, (a, b), 1.0),)), basis)
     return out
 
 
 def verify_table1(tol: float = 1e-12) -> dict:
     """The ``verify table1`` report: each pair Hamiltonian's logical matrix."""
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     expected = {
         "E12": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
         "E23": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -260,8 +244,8 @@ def verify_closure(tol: float = 1e-10) -> dict:
     """The ``verify closure`` report: the eight logical generators close to
     u(3), whose traceless part spans every Gell-Mann matrix to within ``tol``.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     closure = lie_closure([g.logical for g in su3_generators()])
     traceless = [M - np.trace(M) / 3.0 * np.eye(3) for M in closure.basis]
     worst = max(span_residual(traceless, gm) for gm in gell_mann_matrices())
@@ -299,17 +283,15 @@ class HamiltonianProgram:
     trotter_steps: int | None = None
 
 
-def _scaled(h: Hamiltonian, factor: float) -> Hamiltonian:
-    if isinstance(h, GateHamiltonian):
-        return h.scaled(factor)
-    return factor * np.asarray(h, dtype=complex)
-
-
 def _signed_segment(h: Hamiltonian, signed_time: float) -> ProgramSegment:
-    # exp(+i * tau * H) == exp(-i * |tau| * (-sign(tau) H))
-    if signed_time >= 0:
-        return ProgramSegment(_scaled(h, -1.0), signed_time)
-    return ProgramSegment(h, -signed_time)
+    # exp(+i * tau * H) == exp(-i * |tau| * (-sign(tau) H)), negated as a product
+    # with -1.0: unary minus would also flip the sign of zero imaginary parts
+    if signed_time < 0:
+        return ProgramSegment(h, -signed_time)
+    if isinstance(h, GateHamiltonian):
+        negated = tuple((kind, pair, coeff * -1.0) for kind, pair, coeff in h.terms)
+        return ProgramSegment(GateHamiltonian(negated), signed_time)
+    return ProgramSegment(-1.0 * np.asarray(h, dtype=complex), signed_time)
 
 
 def trotter_sum(
@@ -339,18 +321,10 @@ def trotter_commutator(
     b = t2 / np.sqrt(n)
     segments = []
     for _ in range(n):
-        segments.extend(_commutator_cycle(h1, h2, a, b))
+        # product e^{iaH1} e^{ibH2} e^{-iaH1} e^{-ibH2}, listed in temporal order
+        for h, signed_time in ((h2, -b), (h1, -a), (h2, b), (h1, a)):
+            segments.append(_signed_segment(h, signed_time))
     return HamiltonianProgram(segments, trotter_steps=n)
-
-
-def _commutator_cycle(h1, h2, a: float, b: float) -> list[ProgramSegment]:
-    # product e^{iaH1} e^{ibH2} e^{-iaH1} e^{-ibH2}, listed in temporal order
-    return [
-        _signed_segment(h2, -b),
-        _signed_segment(h1, -a),
-        _signed_segment(h2, b),
-        _signed_segment(h1, a),
-    ]
 
 
 def sum_formula_target(h1: np.ndarray, h2: np.ndarray, t1: float, t2: float) -> np.ndarray:
@@ -526,8 +500,8 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> Hamilton
     evaluated through ``logical_matrix``, which raises ``LeakageError`` if it
     leaks from the code space.
     """
-    if not epsilon > 0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     U = np.asarray(U, dtype=complex)
     if U.shape != (3, 3) or not (
         np.isfinite(U).all()  # entries first: |u_ij| <= 1 keeps U^dagger U finite
@@ -661,8 +635,8 @@ def verify_entangle(tol: float = 1e-12) -> dict:
     is diag(1, ..., 1, -1) on |ij>_L, not primitive, and of Schmidt rank 2 on
     the uniform logical state.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     code8 = jump_code(8, 0.0)
     C35 = np.column_stack([codeword_ket(code8, i).amplitudes for i in range(code8.count)])
     code4 = jump_code(4, 0.0)

@@ -104,8 +104,8 @@ def verify_kl(which: str = "both", kappa: float = 1.0, tol: float = DEFAULT_TOL)
         raise ValueError(f"unknown KL check {which!r}")
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be finite and positive")
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     P = projector(jump_code(4, 0.0))
     model = memory_model(4, kappa)
     L = {a: local_to_dense(model.jump_operator(a), 4) for a in range(1, 5)}
@@ -141,8 +141,8 @@ def verify_dfs(kappa: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
     """
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be finite and positive")
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     P = dfs_projector(dfs_basis(4, 2))
     model = memory_model(4, kappa)
     checks = {}
@@ -382,6 +382,9 @@ class ExperimentConfig:
             raise ValueError("t-final must be non-negative")
         if self.trajectories < 1:
             raise ValueError("trajectories must be >= 1")
+        largest = 2**26 >> self.n_qubits  # one (rows, 2^n) complex array stays within 1 GiB
+        if self.trajectories > largest:
+            raise ValueError(f"trajectories must be at most {largest} at n = {self.n_qubits}")
         if not self.delay >= 0:  # NaN fails too; inf means recover at the horizon
             raise ValueError("delay must be non-negative")
         if not (0.0 <= self.p_miss <= 1.0):

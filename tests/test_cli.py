@@ -177,6 +177,11 @@ class TestVerifyCommand:
             ("table1 --tol nan", "tol must be positive"),
             ("closure --tol -1", "tol must be positive"),
             ("entangle --tol 0", "tol must be positive"),
+            ("table1 --tol inf", "tol must be positive"),
+            ("kl --tol inf", "tol must be positive"),
+            ("dfs --tol inf", "tol must be positive"),
+            ("closure --tol inf", "tol must be positive"),
+            ("entangle --tol inf", "tol must be positive"),
             ("table1 --kappa 5 --known-position", "--kappa is valid only with kl and dfs"),
             ("closure --kappa 1", "--kappa is valid only with kl and dfs"),
             ("dfs --unknown-position", "are valid only with kl"),
@@ -297,6 +302,28 @@ class TestSimCommand:
         with pytest.raises(ValueError):
             ExperimentConfig(3, 0.0, [1.0], 1.0, 10, 1)
 
+    @pytest.mark.parametrize("n, largest", [(12, 16_384), (4, 4_194_304)])
+    def test_trajectories_are_bounded_by_the_state_array(self, n, largest):
+        # one (trajectories, 2^n) complex array may take at most 1 GiB
+        ExperimentConfig(n, 0.0, [1.0], 1.0, largest, 1)
+        with pytest.raises(ValueError, match=f"trajectories must be at most {largest}"):
+            ExperimentConfig(n, 0.0, [1.0], 1.0, largest + 1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    "code inspect --in {dir}",
+    "gates synthesize --target {dir}",
+    "verify table1 --out {dir}",
+    "sim run --trajectories 4 --seed 1 --out {file}",
+])
+def test_unusable_path_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    status = main(argv.format(dir=tmp_path, file=tmp_path / "file").split())
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestGatesCommand:
     def _write_target(self, tmp_path, U):
@@ -352,7 +379,7 @@ class TestGatesCommand:
         assert report["pass"] is False
         assert report["achieved_error"] > 1e-17
 
-    @pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("epsilon", ["nan", "0", "-1", "inf"])
     def test_bad_epsilon_is_rejected(self, capsys, tmp_path, epsilon):
         f = self._write_target(tmp_path, np.eye(3).astype(complex))
         status = main(["gates", "synthesize", "--target", f, "--epsilon", epsilon])
@@ -362,7 +389,7 @@ class TestGatesCommand:
         assert "epsilon must be positive" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("entry", [["a", 0], 1])
+    @pytest.mark.parametrize("entry", [["a", 0], 1, [True, False]])
     def test_malformed_target_is_rejected(self, capsys, tmp_path, entry):
         rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]] for _ in range(3)]
         rows[1][2] = entry
@@ -605,6 +632,7 @@ class TestSimEdgeCases:
         ("--seed", "-1", "seed"), ("--t-final", "inf", "finite"),
         ("--kappa", "nan", "finite"), ("--kappa", "inf", "finite"),
         ("--delay", "nan", "delay"), ("--n", "14", "n"), ("--phase", "nan", "phase"),
+        ("--trajectories", "4194305", "trajectories"),
     ])
     def test_bad_input_is_rejected(self, capsys, flag, value, word):
         argv = ["sim", "run", "--n", "4", "--trajectories", "4", "--seed", "1"]

@@ -215,8 +215,22 @@ class TestTrotterFormulas:
             assert np.sqrt(2.0) * 0.8 <= ratio <= np.sqrt(2.0) * 1.2, ratio
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            trotter_sum(np.eye(3), np.eye(3), 1.0, 1.0, 0)
+        for formula in (trotter_sum, trotter_commutator):
+            with pytest.raises(ValueError):
+                formula(np.eye(3), np.eye(3), 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("t1, t2", [(1.3, -0.8), (-0.4, 0.9)])
+    def test_commuting_gate_hamiltonians_match_the_exact_target(self, t1, t2):
+        # Physical E/F programs against the logical oracle, on both signs of time.
+        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
+        h1 = GateHamiltonian((("F", (1, 2), 1.0),))
+        h2 = GateHamiltonian((("F", (1, 3), 0.7),))
+        target = sum_formula_target(
+            logical_matrix(h1, basis), logical_matrix(h2, basis), t1, t2
+        )
+        for n in (1, 3):
+            got = program_logical_unitary(trotter_sum(h1, h2, t1, t2, n), basis)
+            assert np.linalg.norm(got - target) < 1e-12
 
 
 class TestSynthesis:
@@ -315,7 +329,7 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_qutrit(np.ones((3, 3)), self.code, 1e-2)
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0, float("inf")])
     def test_rejects_non_positive_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             synthesize_qutrit(unitary_group.rvs(3, random_state=42), self.code, epsilon)

@@ -23,7 +23,6 @@ from .states import (
     NUMBER,
     OperatorSum,
     apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
-    dense_expm,
     lower_rows,
     row_norms,
     sum_to_dense,
@@ -302,6 +301,13 @@ _ENSEMBLE_BLOCK = 1024
 EIGENBASIS_COND_LIMIT = 1e3
 
 
+def _dense_expm(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use: only this fallback loads scipy."""
+    from scipy.linalg import expm
+
+    return expm(A)
+
+
 class _NoJumpRows:
     """Unnormalized no-jump propagation of start rows, each to its own time.
 
@@ -339,7 +345,7 @@ class _NoJumpRows:
         if self.eigenbasis:
             phased = self.coeffs[rows] * np.exp(self.neg_i_lam * t[:, None])
             return (phased[:, None, :] @ self.from_eigen)[:, 0]
-        propagators = dense_expm((-1j * t)[:, None, None] * self.h_eff)
+        propagators = _dense_expm((-1j * t)[:, None, None] * self.h_eff)
         return (propagators @ self.psi[rows][:, :, None])[:, :, 0]
 
     def norm_sq(self, rows: np.ndarray):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
-from .states import Ket, LocalOperator, OperatorSum, dense_expm, sum_to_dense
+from .states import Ket, LocalOperator, OperatorSum, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -327,16 +327,27 @@ def trotter_commutator(
     return HamiltonianProgram(segments, trotter_steps=n)
 
 
+def _hermitian_expm(M: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t M) for hermitian M: V diag(exp(-i t lam)) V^dagger from one
+    eigh, so the result is unitary to rounding at any t ||M||."""
+    if np.linalg.norm(M - M.conj().T) > 1e-12 * max(1.0, np.linalg.norm(M)):
+        raise ValueError("Hamiltonian must be hermitian")
+    lam, V = np.linalg.eigh(M)
+    return (V * np.exp(-1j * t * lam)) @ V.conj().T
+
+
 def sum_formula_target(h1: np.ndarray, h2: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    """exp(i (t1 H1 + t2 H2))."""
     M1, M2 = np.asarray(h1, dtype=complex), np.asarray(h2, dtype=complex)
-    return dense_expm(1j * (t1 * M1 + t2 * M2))
+    return _hermitian_expm(t1 * M1 + t2 * M2, -1.0)
 
 
 def commutator_formula_target(
     h1: np.ndarray, h2: np.ndarray, t1: float, t2: float
 ) -> np.ndarray:
-    M1, M2 = np.asarray(h1, dtype=complex), np.asarray(h2, dtype=complex)
-    return dense_expm(-(t1 * M1 @ (t2 * M2) - t2 * M2 @ (t1 * M1)))
+    """exp(i * i[t1 H1, t2 H2]) = exp(-i C) with C = -i[t1 H1, t2 H2] hermitian."""
+    A, B = t1 * np.asarray(h1, dtype=complex), t2 * np.asarray(h2, dtype=complex)
+    return _hermitian_expm(-1j * (A @ B - B @ A), 1.0)
 
 
 def _running_products(
@@ -370,7 +381,7 @@ def _running_products(
                 raise ValueError("n_qubits required to evaluate physical segments")
             else:
                 M = h.matrix(n_qubits)
-            cache[key] = dense_expm(-1j * seg.duration * M)
+            cache[key] = _hermitian_expm(M, seg.duration)
         U = cache[key] if U is None else cache[key] @ U
         yield U
 
@@ -416,13 +427,38 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
 
 # --- logical qutrit synthesis ----------------------------------------------
 
-def principal_log_hamiltonian(U: np.ndarray) -> np.ndarray:
-    """Hermitian H with U = exp(-i H), eigenphases in (-pi, pi]."""
-    from scipy.linalg import schur
+# Directions (cos a, sin a) of the hermitian combinations of a unitary W's
+# commuting hermitian parts (W + W^dagger)/2 and (W - W^dagger)/2i whose
+# eigenvectors are tried as W's eigenbasis. Eigenphases phi project onto a
+# direction as cos(phi - a), so one direction fails when two of them project
+# equally, and for any W some global phase puts them there. Of four
+# directions pi/4 apart, one keeps each of the three pairs' projected gaps
+# above sin(pi/8) of their true gaps.
+_CARTAN_ANGLES = 1.0 + np.pi / 4.0 * np.arange(4)
 
-    T, Z = schur(np.asarray(U, dtype=complex), output="complex")
-    phases = np.angle(np.diag(T))
-    return Z @ np.diag(-phases) @ Z.conj().T
+
+def _unitary_eigenbasis(
+    W: np.ndarray, re: np.ndarray, im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal V and d with W ~ V diag(d) V^dagger, for W unitary with
+    hermitian parts ``re`` and ``im`` (see ``_CARTAN_ANGLES``): of the
+    eigenbases of cos(a) re + sin(a) im, the one leaving V^dagger W V most
+    nearly diagonal. Real parts give a real orthogonal V."""
+    best = np.inf
+    for a in _CARTAN_ANGLES:
+        _, V = np.linalg.eigh(np.cos(a) * re + np.sin(a) * im)
+        M = V.conj().T @ W @ V
+        off = np.linalg.norm(M - np.diag(np.diag(M)))
+        if off < best:
+            best, basis, d = off, V, np.diag(M)
+    return basis, d
+
+
+def principal_log_hamiltonian(U: np.ndarray) -> np.ndarray:
+    """Hermitian H with U = exp(-i H), eigenvalues in [-pi, pi]."""
+    U = np.asarray(U, dtype=complex)
+    V, d = _unitary_eigenbasis(U, 0.5 * (U + U.conj().T), -0.5j * (U - U.conj().T))
+    return (V * -np.angle(d)) @ V.conj().T
 
 
 def symmetric_to_gate_hamiltonian(S: np.ndarray) -> GateHamiltonian:
@@ -447,33 +483,19 @@ def symmetric_to_gate_hamiltonian(S: np.ndarray) -> GateHamiltonian:
     return GateHamiltonian(tuple(t for t in terms if abs(t[2]) > 1e-15))
 
 
-# Directions (cos a, sin a) of the real symmetric combinations of Re W and
-# Im W whose eigenvectors are tried as the common eigenbasis of W = U U^T.
-# One direction fails when two eigenvalues of W project onto it equally, and
-# for any target some global phase puts them there. Of four directions pi/4
-# apart, one keeps each of the three pairs' projected gaps above sin(pi/8)
-# of their true gaps.
-_CARTAN_ANGLES = 1.0 + np.pi / 4.0 * np.arange(4)
-
-
 def _cartan_factors(U: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """Real symmetric (S_k, t_k) in time order; U = prod exp(-i t_k S_k) up to phase.
 
     AI-type Cartan decomposition U = O1 D O2: W = U U^T is a symmetric
-    unitary, so its real and imaginary parts commute and share a real
-    orthogonal eigenbasis O1 (see ``_CARTAN_ANGLES``). With D^2 = O1^T W O1,
-    O2 = D* O1^T U is real orthogonal, and U = exp(-i S) O with
+    unitary, so its real and imaginary parts are its hermitian parts and
+    share a real orthogonal eigenbasis O1 (``_unitary_eigenbasis``). With
+    D^2 = O1^T W O1, O2 = D* O1^T U is real orthogonal, and U = exp(-i S) O with
     S = O1 diag(-arg D) O1^T and O = O1 O2. Up to the global phase -1, O is a
     rotation R, the product of two reflections I - 2 v v^T = exp(-i pi v v^T).
     """
     W = U @ U.T
-    best = np.inf
-    for a in _CARTAN_ANGLES:
-        _, V = np.linalg.eigh(np.cos(a) * W.real + np.sin(a) * W.imag)
-        M = V.T @ W @ V
-        off = np.linalg.norm(M - np.diag(np.diag(M)))
-        if off < best:  # keep the basis that leaves W most nearly diagonal
-            best, O1, d = off, V, np.sqrt(np.diag(M))
+    O1, d2 = _unitary_eigenbasis(W, W.real, W.imag)
+    d = np.sqrt(d2)
     O = O1 @ (d.conj()[:, None] * (O1.T @ U)).real
     R = O if np.linalg.det(O) > 0 else -O
     S = O1 @ np.diag(-np.angle(d)) @ O1.T

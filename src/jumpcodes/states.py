@@ -167,13 +167,6 @@ def _index_map(support: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray
     return rows, at
 
 
-def dense_expm(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first use: most commands never load scipy."""
-    from scipy.linalg import expm
-
-    return expm(A)
-
-
 def local_to_dense(op: LocalOperator, n_qubits: int) -> np.ndarray:
     """Embed a local operator into the full 2^n x 2^n matrix."""
     return sum_to_dense(op, n_qubits)

@@ -538,44 +538,56 @@ COLD_START = """
 import contextlib, io, json, sys
 from jumpcodes.cli import main
 
-out, target = sys.argv[1], sys.argv[2]
+out, *targets = sys.argv[1:]
 commands = [
     ["sim", "run", "--n", "4", "--trajectories", "5", "--seed", "1", "--out", out],
     *(["verify", check] for check in ("table1", "kl", "dfs", "closure", "entangle")),
     ["code", "generate", "--n", "4"],
     ["code", "inspect", "--n", "4"],
-    ["gates", "synthesize", "--target", target],
+    *(["gates", "synthesize", "--target", target] for target in targets),
 ]
 report = []
 for argv in commands:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
         status = main(argv)
-    report.append([argv[:2], status, any(m.split(".")[0] == "scipy" for m in sys.modules)])
+    segments = json.loads(text.getvalue())["segment_count"] if argv[0] == "gates" else None
+    scipy = any(m.split(".")[0] == "scipy" for m in sys.modules)
+    report.append([argv[:2], status, scipy, segments])
 print(json.dumps(report))
 """
 
 
-def test_only_gates_synthesize_loads_scipy(tmp_path):
-    # scipy takes most of a cold start; only expm and schur need it
+def test_no_command_loads_scipy(tmp_path):
+    # scipy takes most of a cold start; only the exceptional-point fallback
+    # of the no-jump flow needs it. The permutation target is one segment,
+    # the Haar target takes the three-segment Cartan branch.
     import os
     import subprocess
     import sys
 
+    from scipy.stats import unitary_group
+
     import jumpcodes
 
-    target = tmp_path / "target.json"
-    target.write_text(json.dumps([[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]],
-                                  [[0, 0], [0, 0], [1, 0]]]))
+    targets = {
+        "permutation": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        "haar": unitary_group.rvs(3, random_state=3).tolist(),
+    }
+    for name, U in targets.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps([[[complex(z).real, complex(z).imag] for z in row] for row in U])
+        )
     src = str(Path(jumpcodes.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(tmp_path / "sim"), str(target)],
+        [sys.executable, "-c", COLD_START, str(tmp_path / "sim"),
+         *(str(tmp_path / f"{name}.json") for name in targets)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    *others, gates_run = json.loads(done.stdout)
-    assert [[status, scipy] for _, status, scipy in others] == [[0, False]] * 8, others
-    assert gates_run == [["gates", "synthesize"], 0, True]
+    report = json.loads(done.stdout)
+    assert [[status, scipy] for _, status, scipy, _ in report] == [[0, False]] * 10, report
+    assert [segments for *_, segments in report[-2:]] == [1, 3]
 
 
 class TestSimEdgeCases:

@@ -59,8 +59,8 @@ TABLE1 = {
 }
 
 
-def rand_herm3(rng):
-    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+def rand_herm(rng, d):
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (M + M.conj().T)
 
 
@@ -193,7 +193,7 @@ class TestTrotterFormulas:
     def test_sum_formula_error_halves(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
-            H1, H2 = rand_herm3(rng), rand_herm3(rng)
+            H1, H2 = rand_herm(rng, 3), rand_herm(rng, 3)
             target = sum_formula_target(H1, H2, 1.0, 1.0)
             errs = []
             for n in (64, 128):
@@ -205,7 +205,7 @@ class TestTrotterFormulas:
     def test_commutator_formula_sqrt_scaling(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
-            H1, H2 = rand_herm3(rng), rand_herm3(rng)
+            H1, H2 = rand_herm(rng, 3), rand_herm(rng, 3)
             target = commutator_formula_target(H1, H2, 1.0, 1.0)
             errs = []
             for n in (256, 512):
@@ -231,6 +231,63 @@ class TestTrotterFormulas:
         for n in (1, 3):
             got = program_logical_unitary(trotter_sum(h1, h2, t1, t2, n), basis)
             assert np.linalg.norm(got - target) < 1e-12
+
+    def test_non_hermitian_segment_is_rejected(self):
+        with pytest.raises(ValueError, match="hermitian"):
+            program_unitary(trotter_sum(np.triu(np.ones((3, 3))), np.eye(3), 1.0, 1.0, 1))
+
+
+def eigenphase_target(phases, seed):
+    """Q diag(exp(i phases)) Q^dagger for a Haar Q."""
+    Q = unitary_group.rvs(3, random_state=seed)
+    return (Q * np.exp(1j * np.asarray(phases))) @ Q.conj().T
+
+
+class TestEighExponentials:
+    """The eigh-based exponential and principal log against scipy."""
+
+    HERMITIAN = {
+        "E logical": TABLE1["E12"],  # spectrum {+-1}
+        "F logical": TABLE1["F12"],  # spectrum {0, 1}
+        "E physical": GateHamiltonian((("E", (1, 2), 1.0),)).matrix(4),
+        "F physical": GateHamiltonian((("F", (2, 3), 1.0),)).matrix(4),
+        "random 3x3": rand_herm(np.random.default_rng(40), 3),
+        "random 16x16": rand_herm(np.random.default_rng(41), 16),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HERMITIAN))
+    @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, -4.0, 10.0])
+    def test_hermitian_expm_matches_scipy(self, name, scale):
+        # scale is t ||M||_2
+        M = np.asarray(self.HERMITIAN[name], dtype=complex)
+        t = scale / np.linalg.norm(M, 2)
+        got = gates_module._hermitian_expm(M, t)
+        assert np.abs(got - expm(-1j * t * M)).max() <= 1e-13
+
+    LOG_TARGETS = {
+        **{f"haar {seed}": unitary_group.rvs(3, random_state=seed) for seed in range(1, 21)},
+        "identity": np.eye(3),
+        "minus identity": -np.eye(3),
+        "diag(1, 1, -1)": np.diag([1.0, 1.0, -1.0]),
+        "diag(-1, -1, i)": np.diag([-1.0, -1.0, 1j]),
+        "transposition": TABLE1["E12"],
+        "3-cycle": TABLE1["E12"] @ TABLE1["E23"],
+        "phases 1e-9 apart": eigenphase_target([0.4, 0.4 + 1e-9, -2.0], 7),
+        # a pair whose mean phase is the first tried direction, where that
+        # direction's combination cannot separate it
+        "pair degenerate at a direction": eigenphase_target(
+            [gates_module._CARTAN_ANGLES[0] + 0.8, gates_module._CARTAN_ANGLES[0] - 0.8, -2.5], 8
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOG_TARGETS))
+    def test_principal_log(self, name):
+        U = np.asarray(self.LOG_TARGETS[name], dtype=complex)
+        H = gates_module.principal_log_hamiltonian(U)
+        assert np.abs(H - H.conj().T).max() <= 1e-14
+        # eigvalsh of an eigenvalue at exactly +-pi may round past it
+        assert np.abs(np.linalg.eigvalsh(H)).max() <= np.pi + 1e-14
+        assert np.abs(expm(-1j * H) - U).max() <= 1e-13
 
 
 class TestSynthesis:
@@ -566,11 +623,13 @@ class TestProgramSerialization:
         U, leak = program_unitary(prog, 4), leakage_certificate(prog, code)
         calls = []
 
-        def counting_expm(M):
-            calls.append(M)
-            return expm(M)
+        exponential = gates_module._hermitian_expm
 
-        monkeypatch.setattr(gates_module, "dense_expm", counting_expm)
+        def counting_exponential(M, t):
+            calls.append(M)
+            return exponential(M, t)
+
+        monkeypatch.setattr(gates_module, "_hermitian_expm", counting_exponential)
         assert program_unitary(again, 4).tobytes() == U.tobytes()
         assert len(calls) == len(distinct)
         calls.clear()

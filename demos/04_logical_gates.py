@@ -76,7 +76,7 @@ code = jump_code(4, 0.0)
 basis = [codeword_ket(code, i) for i in range(3)]
 for k in range(3):
     U = unitary_group.rvs(3, random_state=100 + k)
-    program = synthesize_qutrit(U, code, 1e-2)
+    program = synthesize_qutrit(U, code)
     err = phase_aligned_distance(program_logical_unitary(program, basis), U)
     leak = leakage_certificate(program, code)
     durations = ", ".join(f"{seg.duration:.4f}" for seg in program.segments)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -41,24 +40,18 @@ CODE_QUBIT_LIMIT = 20
 
 
 def cmd_code(args) -> int:
-    if args.action == "inspect" and args.infile:
-        code = codes.code_from_json(json.loads(Path(args.infile).read_text()))
-    elif args.n > CODE_QUBIT_LIMIT:
-        raise ValueError(f"n must be at most {CODE_QUBIT_LIMIT}")
+    if args.infile is None:
+        n = 4 if args.n is None else args.n
+        if n > CODE_QUBIT_LIMIT:
+            raise ValueError(f"n must be at most {CODE_QUBIT_LIMIT}")
+        code = codes.jump_code(n, 0.0 if args.phase is None else args.phase)
+    elif args.action != "inspect":
+        raise ValueError("--in is valid only with inspect")
+    elif args.n is not None or args.phase is not None:
+        raise ValueError("--n and --phase are not valid with --in")
     else:
-        code = codes.jump_code(args.n, args.phase)
-    if args.action == "generate":
-        _emit(codes.code_to_json(code), args.out)
-        return 0
-    report = {
-        "N": code.N,
-        "k": code.k,
-        "phase": code.phase,
-        "codewords": code.count,
-        "logical_qubits": math.log2(code.count),
-        "redundancy": code.redundancy,
-        "dfs_dimension": math.comb(code.N, code.k),
-    }
+        code = codes.code_from_json(json.loads(Path(args.infile).read_text()))
+    report = codes.code_to_json(code) if args.action == "generate" else codes.code_report(code)
     _emit(report, args.out)
     return 0
 
@@ -126,20 +119,7 @@ def _read_target(path: str) -> np.ndarray:
 
 
 def cmd_gates(args) -> int:
-    target = _read_target(args.target)
-    code = codes.jump_code(4, 0.0)
-    try:
-        program = gates.synthesize_qutrit(target, code, args.epsilon)
-        failed = False
-    except gates.SynthesisError as exc:
-        program = exc.program
-        failed = True
-    leakage = gates.leakage_certificate(program, code)
-    report = gates.program_to_json(program)
-    report["leakage"] = leakage
-    report["epsilon"] = args.epsilon
-    report["segment_count"] = len(program.segments)
-    report["pass"] = bool(not failed and leakage <= 1e-12)
+    report = gates.synthesis_report(_read_target(args.target), args.epsilon)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -155,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_code = sub.add_parser("code", help="generate or inspect code descriptions")
     p_code.add_argument("action", choices=["generate", "inspect"])
-    p_code.add_argument("--n", type=int, default=4)
-    p_code.add_argument("--phase", type=float, default=0.0)
-    p_code.add_argument("--in", dest="infile", help="code JSON to inspect")
+    p_code.add_argument("--n", type=int, help="qubits (default 4; not with --in)")
+    p_code.add_argument("--phase", type=float, help="code phase (default 0; not with --in)")
+    p_code.add_argument("--in", dest="infile", help="code JSON to inspect (inspect only)")
     p_code.add_argument("--out")
     p_code.set_defaults(func=cmd_code)
 

@@ -216,6 +216,19 @@ def code_to_json(code: JumpCode) -> dict:
     }
 
 
+def code_report(code: JumpCode) -> dict:
+    """The ``code inspect`` report: size, rate, redundancy and DFS dimension."""
+    return {
+        "N": code.N,
+        "k": code.k,
+        "phase": code.phase,
+        "codewords": code.count,
+        "logical_qubits": log2(code.count),
+        "redundancy": code.redundancy,
+        "dfs_dimension": comb(code.N, code.k),
+    }
+
+
 def code_from_json(data: dict) -> JumpCode:
     """The code of a ``code_to_json`` document; ValueError names what is malformed."""
     if not isinstance(data, dict):

@@ -94,12 +94,14 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
-            raise ValueError(f"trace {np.trace(mat)} is not 1")
-        if np.linalg.norm(mat - mat.conj().T) > HERM_TOL:
+        # Guards are written as `not ok`, so a NaN residual fails them too.
+        tr = np.trace(mat)
+        if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):
+            raise ValueError(f"trace {tr} is not 1")
+        if not np.linalg.norm(mat - mat.conj().T) <= HERM_TOL:
             raise ValueError("density matrix is not hermitian")
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        if eigs.min() < -self.eig_tol:
+        if not eigs.min() >= -self.eig_tol:
             raise ValueError(f"negative eigenvalue {eigs.min()}")
         mat.setflags(write=False)
         self.matrix = mat
@@ -147,10 +149,10 @@ def integrate_master(
     x, y with bit b = 2**(a-1) clear. Those are one scatter-add of flat index
     gathers, built once per call.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < 0:
-        raise ValueError("T must be non-negative")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError("T must be finite and non-negative")
     if model.n_qubits > 8:
         raise ValueError("dense master integration limited to 8 qubits")
     dim = 2**model.n_qubits

@@ -29,15 +29,6 @@ class LeakageError(Exception):
     """A Hamiltonian or unitary maps code-space states outside the code space."""
 
 
-class SynthesisError(Exception):
-    """The synthesized program's measured error exceeds the requested bound."""
-
-    def __init__(self, message: str, program: "HamiltonianProgram", achieved_error: float):
-        super().__init__(message)
-        self.program = program
-        self.achieved_error = achieved_error
-
-
 # Unit pair blocks: E = 1/2 (1 + XX + YY + ZZ) = SWAP, F = 1/2 (1 + ZZ).
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -60,6 +51,8 @@ class GateHamiltonian:
                 raise ValueError("pair indices must differ")
             if min(a, b) < 1:
                 raise ValueError(f"pair indices must be >= 1, got {(a, b)}")
+            if not np.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff} is not finite")
             cleaned.append((kind, (int(a), int(b)), float(coeff)))
         self.terms = tuple(cleaned)
 
@@ -270,8 +263,8 @@ class ProgramSegment:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment durations must be non-negative")
+        if not (np.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError("segment durations must be finite and non-negative")
 
 
 @dataclass
@@ -330,7 +323,7 @@ def trotter_commutator(
 def _hermitian_expm(M: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t M) for hermitian M: V diag(exp(-i t lam)) V^dagger from one
     eigh, so the result is unitary to rounding at any t ||M||."""
-    if np.linalg.norm(M - M.conj().T) > 1e-12 * max(1.0, np.linalg.norm(M)):
+    if not np.linalg.norm(M - M.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(M)):
         raise ValueError("Hamiltonian must be hermitian")
     lam, V = np.linalg.eigh(M)
     return (V * np.exp(-1j * t * lam)) @ V.conj().T
@@ -468,7 +461,7 @@ def symmetric_to_gate_hamiltonian(S: np.ndarray) -> GateHamiltonian:
     three transpositions), diagonals are then completed with F terms.
     """
     S = np.asarray(S)
-    if np.linalg.norm(S - S.T) > 1e-12 or np.linalg.norm(S.imag) > 1e-12:
+    if not (np.linalg.norm(S - S.T) <= 1e-12 and np.linalg.norm(S.imag) <= 1e-12):
         raise ValueError("matrix must be real symmetric")
     S = S.real
     x_e12, x_e23, x_e13 = S[1, 2], S[0, 1], S[0, 2]
@@ -511,19 +504,16 @@ def _cartan_factors(U: np.ndarray) -> list[tuple[np.ndarray, float]]:
     return [(np.outer(u, u), np.pi), (np.outer(w, w), np.pi), (S, 1.0)]
 
 
-def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> HamiltonianProgram:
+def synthesize_qutrit(U: np.ndarray, code: JumpCode) -> HamiltonianProgram:
     """Emit a physical E/F program of at most three segments realizing U up to phase.
 
     The identity is the empty program, and a target whose principal log is
     real symmetric is one segment. Any other target is a real-symmetric
     segment after two reflections (``_cartan_factors``), so the program is
-    exact and ``epsilon`` only bounds the measured phase-aligned error: above
-    it, ``SynthesisError`` carries the program. Every segment Hamiltonian is
-    evaluated through ``logical_matrix``, which raises ``LeakageError`` if it
-    leaks from the code space.
+    exact; its measured phase-aligned error is ``achieved_error``. Every
+    segment Hamiltonian is evaluated through ``logical_matrix``, which raises
+    ``LeakageError`` if it leaks from the code space.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
     U = np.asarray(U, dtype=complex)
     if U.shape != (3, 3) or not (
         np.isfinite(U).all()  # entries first: |u_ij| <= 1 keeps U^dagger U finite
@@ -546,11 +536,24 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode, epsilon: float) -> Hamilton
         [ProgramSegment(symmetric_to_gate_hamiltonian(S), t) for S, t in factors],
         trotter_steps=0,
     )
-    err = phase_aligned_distance(program_logical_unitary(program, basis), U)
-    program.achieved_error = err
-    if not err <= epsilon:
-        raise SynthesisError(f"error {err:.3e} above target {epsilon:.1e}", program, err)
+    program.achieved_error = phase_aligned_distance(program_logical_unitary(program, basis), U)
     return program
+
+
+def synthesis_report(U: np.ndarray, epsilon: float) -> dict:
+    """The ``gates synthesize`` report: U's program on the 4-qubit code, its leakage
+    certificate, and whether error <= ``epsilon`` and leakage <= INVARIANCE_TOL."""
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
+    code = jump_code(4, 0.0)
+    program = synthesize_qutrit(U, code)
+    leakage = leakage_certificate(program, code)
+    report = program_to_json(program)
+    report["leakage"] = leakage
+    report["epsilon"] = epsilon
+    report["segment_count"] = len(program.segments)
+    report["pass"] = bool(program.achieved_error <= epsilon and leakage <= INVARIANCE_TOL)
+    return report
 
 
 # --- the two-register entanglement gate -------------------------------------
@@ -600,8 +603,8 @@ class ThetaMatrix:
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
-        if th.ndim != 2 or th.shape[0] != th.shape[1]:
-            raise ValueError("theta must be a square real matrix")
+        if th.ndim != 2 or th.shape[0] != th.shape[1] or not np.isfinite(th).all():
+            raise ValueError("theta must be a square matrix of finite reals")
         self.theta = np.mod(th, 2.0 * np.pi)
 
 
@@ -610,10 +613,10 @@ def gate_theta_matrix(U: np.ndarray, states: list[Ket], d: int) -> ThetaMatrix:
     C = np.column_stack([s.amplitudes for s in states])
     M = C.conj().T @ U @ C
     off = M - np.diag(np.diag(M))
-    if np.linalg.norm(off) > 1e-10:
+    if not np.linalg.norm(off) <= 1e-10:
         raise ValueError("gate is not diagonal in the provided basis")
     mags = np.abs(np.diag(M))
-    if np.any(np.abs(mags - 1.0) > 1e-10):
+    if not np.all(np.abs(mags - 1.0) <= 1e-10):
         raise ValueError("gate does not act unitarily within the provided basis")
     return ThetaMatrix(np.angle(np.diag(M)).reshape(d, d))
 

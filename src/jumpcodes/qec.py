@@ -56,7 +56,7 @@ class DFSReport:
 
 
 def _check_projector(P: np.ndarray) -> int:
-    if np.linalg.norm(P @ P - P) > 1e-9 or np.linalg.norm(P - P.conj().T) > 1e-9:
+    if not (np.linalg.norm(P @ P - P) <= 1e-9 and np.linalg.norm(P - P.conj().T) <= 1e-9):
         raise ValueError("P must be an orthogonal projector")
     rank = int(round(np.trace(P).real))
     if rank == 0:

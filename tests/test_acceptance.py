@@ -289,7 +289,7 @@ def test_criterion_9_qutrit_synthesis():
     worst_leak = 0.0
     for k in range(20):
         U = unitary_group.rvs(3, random_state=9000 + k)
-        program = synthesize_qutrit(U, code, 1e-12)
+        program = synthesize_qutrit(U, code)
         err = phase_aligned_distance(program_logical_unitary(program, basis), U)
         leak = leakage_certificate(program, code)
         worst_err = max(worst_err, err)

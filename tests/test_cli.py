@@ -128,11 +128,31 @@ class TestCodeCommand:
         assert status == 0 and report["dfs_dimension"] == comb(14, 7)
 
     def test_limit_does_not_apply_to_inspect_from_file(self, capsys, tmp_path):
-        status, data = run_cli(capsys, "code", "generate", "--n", "4")
         f = tmp_path / "code.json"
-        f.write_text(json.dumps(data))
-        status, report = run_cli(capsys, "code", "inspect", "--in", str(f), "--n", "30")
-        assert status == 0 and report["N"] == 4
+        word = "1" * 11 + "0" * 11
+        f.write_text(json.dumps({"N": 22, "phase": 0.0, "pairs": [[word, word[::-1]]]}))
+        status, report = run_cli(capsys, "code", "inspect", "--in", str(f))
+        assert status == 0 and report["N"] == 22
+
+    def test_defaults_without_a_file(self, capsys):
+        assert run_cli(capsys, "code", "generate") == run_cli(
+            capsys, "code", "generate", "--n", "4", "--phase", "0"
+        )
+
+    @pytest.mark.parametrize("argv, word", [
+        (["generate"], "--in is valid only with inspect"),
+        (["inspect", "--n", "30", "--phase", "0.3"], "--n and --phase are not valid with --in"),
+        (["inspect", "--n", "4"], "--n and --phase are not valid with --in"),
+        (["inspect", "--phase", "0"], "--n and --phase are not valid with --in"),
+    ], ids=["generate", "inspect-n-phase", "inspect-n", "inspect-phase"])
+    def test_flags_the_action_does_not_read_are_rejected(self, capsys, tmp_path, argv, word):
+        f = tmp_path / "code.json"
+        f.write_text(json.dumps({"N": 4, "phase": 0.0, "pairs": [["0011", "1100"]]}))
+        status = main(["code", argv[0], "--in", str(f), *argv[1:]])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {word}"]
 
 
 class TestVerifyCommand:
@@ -378,6 +398,32 @@ class TestGatesCommand:
         assert status == 1
         assert report["pass"] is False
         assert report["achieved_error"] > 1e-17
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-17])
+    def test_stdout_is_the_library_report(self, capsys, tmp_path, epsilon):
+        from scipy.stats import unitary_group
+
+        U = unitary_group.rvs(3, random_state=7)
+        f = self._write_target(tmp_path, U)
+        status = main(["gates", "synthesize", "--target", f, "--epsilon", str(epsilon)])
+        report = gates.synthesis_report(U, epsilon)
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert status == (0 if report["pass"] else 1)
+
+    def test_leakage_above_tolerance_fails(self, capsys, tmp_path, monkeypatch):
+        from scipy.stats import unitary_group
+
+        monkeypatch.setattr(gates, "leakage_certificate", lambda program, code: 2e-12)
+        U = unitary_group.rvs(3, random_state=7)
+        report = gates.synthesis_report(U, 1e-2)
+        assert report["achieved_error"] <= 1e-2
+        assert report["leakage"] == 2e-12
+        assert report["pass"] is False
+        status, printed = run_cli(
+            capsys, "gates", "synthesize", "--target", self._write_target(tmp_path, U)
+        )
+        assert status == 1
+        assert printed == report and len(printed["segments"]) == 3
 
     @pytest.mark.parametrize("epsilon", ["nan", "0", "-1", "inf"])
     def test_bad_epsilon_is_rejected(self, capsys, tmp_path, epsilon):

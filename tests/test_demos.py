@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in ``src/``."""
+"""Every demo script runs to completion against the library in ``src/``, with a
+RuntimeWarning raised as an error, as pyproject makes it for the rest of tier-1."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ def test_demos_run(tmp_path):
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
     runs = {
         demo.name: subprocess.Popen(
-            [sys.executable, str(demo)], cwd=tmp_path, env=env,
+            [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for demo in DEMOS

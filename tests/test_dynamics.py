@@ -179,6 +179,18 @@ class TestIntegrateMaster:
         with pytest.raises(ValueError):
             integrate_master(memory_model(1, 1.0), pure_density(basis_ket("1")), 1.0, 0.0)
 
+    @pytest.mark.parametrize("T, dt, word", [
+        (float("inf"), 1e-3, "T must be finite and non-negative"),
+        (float("nan"), 1e-3, "T must be finite and non-negative"),
+        (1.0, float("nan"), "dt must be positive and finite"),
+        (1.0, float("inf"), "dt must be positive and finite"),
+    ], ids=["T-inf", "T-nan", "dt-nan", "dt-inf"])
+    def test_rejects_non_finite_times(self, T, dt, word):
+        # Before this check, T = inf looped forever, T = nan returned rho0
+        # and dt = nan an all-NaN state.
+        with pytest.raises(ValueError, match=word):
+            integrate_master(memory_model(1, 1.0), pure_density(basis_ket("1")), T, dt)
+
 
 class TestRunTrajectory:
     def test_dark_state_never_jumps(self):
@@ -402,6 +414,13 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("matrix", [
+        np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 0.0]]),
+    ], ids=["all-nan", "nan-coherence"])
+    def test_rejects_nan(self, matrix):
+        with pytest.raises(ValueError):
+            DensityMatrix(matrix)
 
 
 def test_dfs_no_jump_flow_is_scalar():

@@ -9,7 +9,6 @@ from jumpcodes.codes import JumpCode, codeword_ket, jump_code, product_code_basi
 from jumpcodes.gates import (
     GateHamiltonian,
     LeakageError,
-    SynthesisError,
     ThetaMatrix,
     commutator_formula_target,
     ent_unitary,
@@ -30,6 +29,7 @@ from jumpcodes.gates import (
     su3_generators,
     sum_formula_target,
     symmetric_to_gate_hamiltonian,
+    synthesis_report,
     synthesize_qutrit,
     table1_matrices,
     trotter_commutator,
@@ -88,6 +88,18 @@ class TestPairOperators:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             pair_term("E", 2, 2)
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="not finite"):
+            GateHamiltonian((("E", (1, 2), coeff),))
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_duration_rejected(self, duration):
+        from jumpcodes.gates import ProgramSegment
+
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ProgramSegment(GateHamiltonian((("E", (1, 2), 1.0),)), duration)
 
     def test_blocks_are_the_pauli_forms(self):
         XX, YY, ZZ = (np.kron(P, P) for P in (SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -236,6 +248,10 @@ class TestTrotterFormulas:
         with pytest.raises(ValueError, match="hermitian"):
             program_unitary(trotter_sum(np.triu(np.ones((3, 3))), np.eye(3), 1.0, 1.0, 1))
 
+    def test_nan_hamiltonian_is_rejected(self):
+        with pytest.raises(ValueError, match="hermitian"):
+            sum_formula_target(np.full((3, 3), np.nan), np.eye(3), 1.0, 1.0)
+
 
 def eigenphase_target(phases, seed):
     """Q diag(exp(i phases)) Q^dagger for a Haar Q."""
@@ -296,14 +312,14 @@ class TestSynthesis:
         self.basis = [codeword_ket(self.code, i) for i in range(3)]
 
     def test_identity_target_empty_program(self):
-        prog = synthesize_qutrit(np.eye(3), self.code, 1e-2)
+        prog = synthesize_qutrit(np.eye(3), self.code)
         assert prog.segments == []
         assert prog.achieved_error == 0.0
 
     def test_real_symmetric_target_single_segment(self):
         tau = np.pi / 3.0
         target = expm(-1j * tau * TABLE1["E12"])
-        prog = synthesize_qutrit(target, self.code, 1e-2)
+        prog = synthesize_qutrit(target, self.code)
         assert len(prog.segments) == 1
         assert prog.achieved_error < 1e-10
         U = program_logical_unitary(prog, self.basis)
@@ -312,7 +328,7 @@ class TestSynthesis:
     def test_random_targets_reach_tolerance(self):
         for k in range(4):
             U = unitary_group.rvs(3, random_state=300 + k)
-            prog = synthesize_qutrit(U, self.code, 1e-2)
+            prog = synthesize_qutrit(U, self.code)
             assert prog.achieved_error <= 1e-2
             got = program_logical_unitary(prog, self.basis)
             assert phase_aligned_distance(got, U) <= 1e-2
@@ -320,7 +336,8 @@ class TestSynthesis:
 
     def test_soundness_against_physical_product(self):
         U = unitary_group.rvs(3, random_state=77)
-        prog = synthesize_qutrit(U, self.code, 1e-2)
+        prog = synthesize_qutrit(U, self.code)
+        assert prog.achieved_error <= 1e-2
         full = program_unitary(prog, n_qubits=4)
         C = np.column_stack([b.amplitudes for b in self.basis])
         restricted = C.conj().T @ full @ C
@@ -328,14 +345,13 @@ class TestSynthesis:
 
     def test_unreachable_epsilon_raises_with_partial_program(self):
         # Synthesis is exact, so only a bound below rounding is unreachable.
-        U = unitary_group.rvs(3, random_state=42)
-        with pytest.raises(SynthesisError) as exc:
-            synthesize_qutrit(U, self.code, 1e-17)
-        assert exc.value.program.segments
-        assert exc.value.achieved_error > 1e-17
+        report = synthesis_report(unitary_group.rvs(3, random_state=42), 1e-17)
+        assert report["pass"] is False
+        assert report["segments"]
+        assert report["achieved_error"] > 1e-17
 
     def check_exact(self, U):
-        prog = synthesize_qutrit(U, self.code, 1e-12)
+        prog = synthesize_qutrit(U, self.code)
         assert len(prog.segments) <= 3
         assert prog.trotter_steps == 0
         got = program_logical_unitary(prog, self.basis)
@@ -384,12 +400,12 @@ class TestSynthesis:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            synthesize_qutrit(np.ones((3, 3)), self.code, 1e-2)
+            synthesize_qutrit(np.ones((3, 3)), self.code)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0, float("inf")])
     def test_rejects_non_positive_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            synthesize_qutrit(unitary_group.rvs(3, random_state=42), self.code, epsilon)
+            synthesis_report(unitary_group.rvs(3, random_state=42), epsilon)
 
     def test_leaking_segment_hamiltonian_raises(self):
         # With a nonzero phase, swapping the first pair's representatives
@@ -397,7 +413,7 @@ class TestSynthesis:
         # (about 0.24).
         code = JumpCode(4, 0.3, [("1100", "0011"), ("0101", "1010"), ("0110", "1001")])
         with pytest.raises(LeakageError):
-            synthesize_qutrit(unitary_group.rvs(3, random_state=3), code, 1e-2)
+            synthesize_qutrit(unitary_group.rvs(3, random_state=3), code)
 
     def test_symmetric_expansion_unique_and_exact(self):
         rng = np.random.default_rng(31)
@@ -406,6 +422,10 @@ class TestSynthesis:
         gh = symmetric_to_gate_hamiltonian(S)
         got = logical_matrix(gh, self.basis)
         assert np.abs(got - S).max() < 1e-12
+
+    def test_nan_matrix_is_not_expanded(self):
+        with pytest.raises(ValueError, match="real symmetric"):
+            symmetric_to_gate_hamiltonian(np.full((3, 3), np.nan))
 
 
 class TestEntanglementGate:
@@ -496,6 +516,15 @@ class TestPrimitivity:
     def test_zero_phases_primitive(self):
         assert is_primitive_diagonal(ThetaMatrix(np.zeros((3, 3))))[0]
 
+    def test_nan_phases_are_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ThetaMatrix(np.full((3, 3), np.nan))
+
+    def test_nan_gate_is_rejected(self):
+        states = product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0))
+        with pytest.raises(ValueError, match="not diagonal"):
+            gate_theta_matrix(np.full((256, 256), np.nan), states, 3)
+
 
 def dense_leakage(program, code):
     """Oracle: max over boundaries of ||(1-P) U_k P||_2, one dense SVD per boundary."""
@@ -531,13 +560,15 @@ class TestLeakageCertificate:
 
     @pytest.mark.parametrize("seed", [5, 77, 123])
     def test_matches_dense_oracle_on_synthesized_programs(self, seed):
-        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=seed), self.code, 1e-2)
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=seed), self.code)
+        assert prog.achieved_error <= 1e-2
         assert abs(leakage_certificate(prog, self.code) - dense_leakage(prog, self.code)) <= 1e-15
 
     def test_catches_a_leaking_array_segment(self):
         from jumpcodes.gates import HamiltonianProgram, ProgramSegment
 
-        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), self.code, 1e-2)
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), self.code)
+        assert prog.achieved_error <= 1e-2
         middle = len(prog.segments) // 2
         prog.segments.insert(middle, ProgramSegment(self.flip, 0.3))
         got, want = leakage_certificate(prog, self.code), dense_leakage(prog, self.code)
@@ -595,9 +626,8 @@ class TestPairMatrixCache:
 
 class TestProgramSerialization:
     def test_round_trip(self):
-        prog = synthesize_qutrit(
-            unitary_group.rvs(3, random_state=5), jump_code(4, 0.0), 1e-2
-        )
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), jump_code(4, 0.0))
+        assert prog.achieved_error <= 1e-2
         data = program_to_json(prog)
         again = program_from_json(data)
         basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]

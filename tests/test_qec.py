@@ -91,6 +91,10 @@ class TestKLCheck:
         with pytest.raises(ValueError):
             kl_check(KrausSet((np.eye(4),)), np.zeros((4, 4)))
 
+    def test_nan_projector_rejected(self):
+        with pytest.raises(ValueError, match="orthogonal projector"):
+            kl_check(KrausSet((np.eye(4),)), np.full((4, 4), np.nan))
+
 
 class TestDFSCheck:
     def test_no_jump_family_passes(self):

@@ -357,6 +357,20 @@ class _NoJumpRows:
             return lambda t: np.add.reduce(weights * np.exp(neg_rates * t[:, None]), axis=1)
         return lambda t: row_norms(self.state(rows, t)) ** 2
 
+    def bracket(self, rows: np.ndarray, horizon: np.ndarray, u: np.ndarray):
+        """Each row's crossing of u lies in [ln(S/u)/r_max, ln(S/u)/r_min] under H = 0,
+        S its weight and [r_min, r_max] its support's decay rates; else in (0, horizon)."""
+        lo, hi = np.zeros_like(horizon), horizon.copy()
+        if self.diagonal:
+            w = self.weights[rows]
+            rates, support = np.broadcast_to(self.rates, w.shape), w > 0
+            r_min = rates.min(axis=1, initial=np.inf, where=support)
+            r_max = rates.max(axis=1, initial=0.0, where=support)
+            ln_ratio = np.log(np.divide(w.sum(1), u, out=np.ones_like(lo), where=u > 0))
+            np.divide(ln_ratio, r_max, out=lo, where=(ln_ratio > 0) & (r_max > 0))
+            np.divide(ln_ratio, r_min, out=hi, where=(ln_ratio > 0) & (ln_ratio < r_min * horizon))
+        return np.minimum(lo, hi), hi
+
 
 def _bisect_jump_times(
     flow: _NoJumpRows, rows: np.ndarray, horizon: np.ndarray, threshold: np.ndarray
@@ -364,20 +378,21 @@ def _bisect_jump_times(
     """For each of the flow's ``rows``, the time where its squared norm
     crosses its threshold.
 
-    The norm is monotone in time. Each row stops once its bracket is within
-    the relative tolerance, so its result does not depend on the other rows.
+    The norm is monotone in time, and bisection starts from ``flow.bracket``.
+    Each row stops once its bracket is within the relative tolerance (a
+    single-rate row at once), so its result does not depend on the other rows.
     """
     out = np.empty_like(horizon)
     if not out.size:
         return out
     pos = np.arange(len(horizon))
-    lo, hi = np.zeros_like(horizon), horizon.copy()
-    norm_sq = flow.norm_sq(rows)
+    lo, hi = flow.bracket(rows, horizon, threshold)
+    norm_sq = None
     # Each step halves a bracket (to within rounding), so with the factor 2
     # margin in ``limit`` no row can meet its tolerance in the first
     # ``unchecked`` steps: they skip the test.
-    limit = 2.0 * JUMP_TIME_REL_TOL * np.maximum(horizon, 1.0)
-    unchecked = int(np.log2(horizon / limit).min())
+    limit = 2.0 * JUMP_TIME_REL_TOL * np.maximum(hi, 1.0)
+    unchecked = int(np.log2(np.maximum(hi - lo, limit) / limit).min())
     for step in itertools.count():
         if step >= unchecked:
             done = hi - lo <= JUMP_TIME_REL_TOL * np.maximum(hi, 1.0)
@@ -387,7 +402,8 @@ def _bisect_jump_times(
                 pos, lo, hi, rows, threshold = pos[go], lo[go], hi[go], rows[go], threshold[go]
                 if not pos.size:
                     return out
-                norm_sq = flow.norm_sq(rows)
+                norm_sq = None
+        norm_sq = norm_sq or flow.norm_sq(rows)
         mid = 0.5 * (lo + hi)
         above = norm_sq(mid) > threshold
         lo = np.where(above, mid, lo)
@@ -437,16 +453,17 @@ def run_trajectories(
     """Simulate the trajectories ``ids`` up to horizon T, batched over rows.
 
     Between jumps each row follows exp(-i H_eff t); a jump fires when the
-    row's squared norm crosses a uniform threshold (bisection to relative
-    time tolerance 1e-10), the channel is drawn with probability proportional
-    to ||L_alpha psi||^2, and the row is replaced by the normalized
-    L_alpha psi. Trajectory i draws from ``trajectory_rng(seed, i)``: one
-    threshold, then (if it jumps) one channel draw, per round, so round k
-    reads draws 2k and 2k + 1. Those bits are computed for all rows at once
-    (``_stream_keys``, then one Philox block per two rounds), not through a
-    Generator per row. Each row's arithmetic is independent of the other
-    rows, so a trajectory comes out bit for bit the same in any batch. Rows
-    advance TRAJECTORY_CHUNK at a time.
+    row's squared norm crosses a uniform threshold u (bisection to relative
+    time tolerance 1e-10 within ``_NoJumpRows.bracket``: ln(S/u)/r for weight
+    S at one decay rate r, Dalibard, Castin & Molmer, PRL 68, 580 (1992)), the
+    channel is drawn with probability proportional to ||L_alpha psi||^2, and
+    the row is replaced by the normalized L_alpha psi. Trajectory i draws from
+    ``trajectory_rng(seed, i)``: one threshold, then (if it jumps) one channel
+    draw, per round, so round k reads draws 2k and 2k + 1. Those bits are
+    computed for all rows at once (``_stream_keys``, then one Philox block per
+    two rounds), not through a Generator per row. Each row's arithmetic is
+    independent of the other rows, so a trajectory comes out bit for bit the
+    same in any batch. Rows advance TRAJECTORY_CHUNK at a time.
     """
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
@@ -506,7 +523,8 @@ def run_trajectories(
             cdf = np.cumsum(channel_w / total[:, None], axis=1)
             cdf /= cdf[:, -1:]
             j = np.count_nonzero(cdf <= pick[:, None], axis=1)
-            jumped = lower_rows(pre, qubits[j]) * sqrt_kappas[j][:, None]
+            jumped = lower_rows(pre, qubits[j])
+            jumped *= sqrt_kappas[j][:, None]  # in place: one (rows, 2^N) array fewer
             jump_sq = row_norms(jumped) ** 2
             weight_c[rows] *= jump_sq
             psi[rows] = jumped / np.sqrt(jump_sq)[:, None]

@@ -82,6 +82,8 @@ def logical_matrix(hamiltonian, basis: list[Ket]) -> np.ndarray:
     if isinstance(hamiltonian, GateHamiltonian):
         hamiltonian = hamiltonian.to_sum()
     H = sum_to_dense(hamiltonian, basis[0].n_qubits)
+    if not np.isfinite(H).all():  # before _leakage's SVD, which fails to converge on NaN
+        raise ValueError("Hamiltonian entries must be finite")
     C = np.column_stack([b.amplitudes for b in basis])
     HC = H @ C
     M = C.conj().T @ HC

@@ -385,8 +385,8 @@ class ExperimentConfig:
         largest = 2**26 >> self.n_qubits  # one (rows, 2^n) complex array stays within 1 GiB
         if self.trajectories > largest:
             raise ValueError(f"trajectories must be at most {largest} at n = {self.n_qubits}")
-        if not self.delay >= 0:  # NaN fails too; inf means recover at the horizon
-            raise ValueError("delay must be non-negative")
+        if not (np.isfinite(self.delay) and self.delay >= 0):  # >= t-final recovers at T
+            raise ValueError("delay must be finite and non-negative")
         if not (0.0 <= self.p_miss <= 1.0):
             raise ValueError("p-miss must be within [0, 1]")
         if self.seed is None:

@@ -689,7 +689,7 @@ class TestSimEdgeCases:
     @pytest.mark.parametrize("flag, value, word", [
         ("--seed", "-1", "seed"), ("--t-final", "inf", "finite"),
         ("--kappa", "nan", "finite"), ("--kappa", "inf", "finite"),
-        ("--delay", "nan", "delay"), ("--n", "14", "n"), ("--phase", "nan", "phase"),
+        ("--delay", "nan", "delay"), ("--delay", "inf", "finite"), ("--n", "14", "n"), ("--phase", "nan", "phase"),
         ("--trajectories", "4194305", "trajectories"),
     ])
     def test_bad_input_is_rejected(self, capsys, flag, value, word):

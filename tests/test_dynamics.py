@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -616,6 +618,132 @@ class TestNoJumpFlow:
         # H_eff = 0.25 sigma_x - (i/2) n has one eigenvector at kappa = 1.
         H = OperatorSum((LocalOperator((1,), 0.25 * SIGMA_X),))
         self.assert_matches_expm(LindbladModel(1, H, ((1, 1.0),)), eigenbasis=False)
+
+
+class TestJumpTimeBracket:
+    """Jump times bisected from each row's decay-rate bracket."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_equal_rate_code_rows_take_the_closed_form(self, n, monkeypatch):
+        kappa = 0.7
+        evals = {"end": 0, "bisection": 0}
+        in_bisection = []
+        rounds = []
+        norm_sq, bisect = dynamics._NoJumpRows.norm_sq, dynamics._bisect_jump_times
+
+        def counting_norm_sq(flow, rows):
+            f = norm_sq(flow, rows)
+
+            def evaluate(t):
+                evals["bisection" if in_bisection else "end"] += 1
+                return f(t)
+
+            return evaluate
+
+        def recording_bisect(flow, rows, horizon, threshold):
+            in_bisection.append(True)
+            s = bisect(flow, rows, horizon, threshold)
+            in_bisection.pop()
+            rounds.append((flow.weights[rows], horizon, threshold, s))
+            return s
+
+        monkeypatch.setattr(dynamics._NoJumpRows, "norm_sq", counting_norm_sq)
+        monkeypatch.setattr(dynamics, "_bisect_jump_times", recording_bisect)
+        batch = run_trajectories(memory_model(n, kappa), code_state(n, 2), 3.0, 17, range(300))
+        assert len(rounds) >= 2 and batch.jump_counts.max() == len(rounds)
+        # The norm is evaluated once per round for the end test, never inside.
+        assert evals["bisection"] == 0
+        assert evals["end"] in (len(rounds), len(rounds) + 1)
+        rates = memory_model(n, kappa).decay_rates()
+        for k, (weights, horizon, u, s) in enumerate(rounds):
+            # After k jumps every row sits in the weight n/2 - k sector.
+            support_rates = np.where(weights > 0, rates, np.nan)
+            assert np.array_equal(np.nanmin(support_rates, 1), np.nanmax(support_rates, 1))
+            r = np.nanmax(support_rates, 1)
+            assert np.allclose(r, kappa * (n // 2 - k), rtol=1e-15, atol=0)
+            closed_form = np.log(weights.sum(axis=1) / u) / r
+            assert np.abs(s - closed_form).max() <= 1e-13 * closed_form.min()
+            assert ((s > 0) & (s <= horizon)).all()
+
+    def test_mixed_rate_rows_land_within_tolerance_of_the_crossing(self):
+        from scipy.optimize import brentq
+
+        model = memory_model(4, [1.3, 0.7, 1.0, 0.4])
+        rates = model.decay_rates()
+        psi = np.array([random_state(4, seed).amplitudes for seed in range(24)])
+        psi[::2, 0] = 0.0  # half the rows without the zero-rate ground state
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        flow = dynamics._NoJumpRows(model)
+        flow.start(psi)
+        rows, horizon = np.arange(len(psi)), np.full(len(psi), 3.0)
+        end = flow.norm_sq(rows)(horizon)
+        u = end + (1.0 - end) * np.random.default_rng(5).uniform(0.05, 0.95, len(psi))
+        s = dynamics._bisect_jump_times(flow, rows, horizon, u)
+        weights = np.abs(psi) ** 2
+        crossing = np.array([
+            brentq(lambda t: weights[r] @ np.exp(-rates * t) - u[r], 0.0, 3.0,
+                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for r in rows
+        ])
+        tol = dynamics.JUMP_TIME_REL_TOL * np.maximum(crossing, 1.0)
+        assert (np.abs(s - crossing) <= tol).all()
+        # Each bracket holds the crossing and is narrower than (0, horizon).
+        lo, hi = flow.bracket(rows, horizon, u)
+        assert (lo > 0).all() and (hi < horizon).any()
+        assert ((lo <= crossing + tol) & (crossing - tol <= hi)).all()
+
+    @pytest.mark.parametrize("case", ["zero rate in support", "u above weight",
+                                      "u above weight, dark"])
+    def test_edge_rows_give_times_in_horizon_without_warnings(self, case, monkeypatch):
+        # Every round draws the same (threshold u, channel) pair.
+        u = 0.6 if case == "zero rate in support" else 1 - 2**-40
+        monkeypatch.setattr(
+            dynamics, "_philox_uniforms",
+            lambda keys, blocks: np.tile([u, 0.5, u, 0.5], (len(keys), len(blocks))),
+        )
+        if case == "zero rate in support":
+            ket = (basis_ket("0000").amplitudes + basis_ket("0011").amplitudes) / np.sqrt(2)
+        else:  # squared norm 1 - 1e-10, below u
+            start = basis_ket("0000") if case.endswith("dark") else code_state(4, 1)
+            ket = start.amplitudes * np.sqrt(1 - 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_trajectories(memory_model(4, 1.0), Ket(4, ket), 3.0, 3, range(4))
+        times = batch.jump_times
+        assert (((times > 0) & (times <= 3.0)) | np.isnan(times)).all()
+        assert (np.diff(times, axis=1) > 0)[~np.isnan(times[:, 1:])].all()
+        if case == "zero rate in support":
+            # 0.5 + 0.5 exp(-2t) crosses 0.6 at ln(5)/2; then rate 1 alone.
+            expected = [np.log(5) / 2, np.log(5) / 2 + np.log(1 / 0.6)]
+            assert np.allclose(times, expected, rtol=1e-10, atol=0)
+        elif case == "u above weight":
+            assert (batch.jump_counts == 2).all()
+        else:  # the ground state has no channel weight
+            assert batch.absorbed.all() and not batch.jump_counts.any()
+
+    def test_threshold_at_the_end_norm_stays_within_horizon(self):
+        # u equal to the squared norm at the horizon jumps; ln(S/u)/r may
+        # round past the horizon, and the time must not.
+        flow = dynamics._NoJumpRows(memory_model(4, 1.0))
+        horizon = np.linspace(0.05, 3.0, 400)
+        flow.start(np.tile(code_state(4, 1).amplitudes, (len(horizon), 1)))
+        rows = np.arange(len(horizon))
+        u = flow.norm_sq(rows)(horizon)
+        assert (np.log(np.add.reduce(flow.weights, axis=1) / u) / 2.0 > horizon).any()
+        s = dynamics._bisect_jump_times(flow, rows, horizon, u)
+        assert ((s > 0) & (s <= horizon)).all()
+
+    def test_zero_threshold_bisects_from_zero_to_horizon(self):
+        # u = 0 is crossed only where the norm underflows to 0. The bisection
+        # alone: the state there is 0, which run_trajectories cannot normalize.
+        flow = dynamics._NoJumpRows(memory_model(4, 1000.0))
+        flow.start(code_state(4, 1).amplitudes[None, :])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = flow.bracket(np.arange(1), np.ones(1), np.zeros(1))
+            s = dynamics._bisect_jump_times(flow, np.arange(1), np.ones(1), np.zeros(1))
+        assert (lo, hi) == (0.0, 1.0)
+        assert 0 < s[0] <= 1.0 and flow.norm_sq(np.arange(1))(s)[0] < 1e-300
 
 
 def test_trajectory_stream_is_philox_keyed_by_seed_sequence():

@@ -120,6 +120,14 @@ class TestLogicalMatrix:
         with pytest.raises(LeakageError):
             logical_matrix(flip, basis)
 
+    @pytest.mark.parametrize("form", ["sum", "local"])
+    def test_non_finite_hamiltonian_raises_value_error(self, form):
+        # A NaN block used to reach _leakage's SVD and raise LinAlgError.
+        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
+        term = LocalOperator((1, 2), np.full((4, 4), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            logical_matrix(OperatorSum((term,)) if form == "sum" else term, basis)
+
     def test_all_pair_hamiltonians_leave_code_invariant(self):
         code = jump_code(4, 0.0)
         P = projector(code)

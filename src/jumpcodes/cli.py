@@ -9,6 +9,7 @@ are bitwise reproducible for a fixed flag set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,7 +127,10 @@ def cmd_gates(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    unchanged, so every ``main`` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="jumpcodes",
         description="Detected-jump code laboratory: codes, checks, decay simulation, gates.",
@@ -139,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--phase", type=float, help="code phase (default 0; not with --in)")
     p_code.add_argument("--in", dest="infile", help="code JSON to inspect (inspect only)")
     p_code.add_argument("--out")
-    p_code.set_defaults(func=cmd_code)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
@@ -155,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("sim", help="decay-and-recovery simulation")
     p_sim.add_argument("action", choices=["run"])
@@ -169,21 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mismatch", type=float, nargs="+", default=None)
     p_sim.add_argument("--p-miss", type=float, default=0.0)
     p_sim.add_argument("--out")
-    p_sim.set_defaults(func=cmd_sim)
 
     p_gates = sub.add_parser("gates", help="synthesize logical gates")
     p_gates.add_argument("action", choices=["synthesize"])
     p_gates.add_argument("--target", required=True, help="3x3 unitary as JSON [re,im] pairs")
     p_gates.add_argument("--epsilon", type=float, default=1e-2)
     p_gates.add_argument("--out")
-    p_gates.set_defaults(func=cmd_gates)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so a wrapped or patched handler is the one that runs.
+    handler = {"code": cmd_code, "verify": cmd_verify, "sim": cmd_sim, "gates": cmd_gates}
     try:
-        return args.func(args)
+        return handler[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,8 +56,8 @@ class LindbladModel:
             raise ValueError("channel qubits must be distinct")
         if any(a < 1 or a > self.n_qubits for a in qubits):
             raise ValueError("channel qubit out of range")
-        if not all(np.isfinite(k) for _, k in self.channels):
-            raise ValueError("decay rates must be finite")
+        if not np.isfinite(sum(k for _, k in self.channels)):  # also each rate
+            raise ValueError("decay rates and their sum must be finite")
         if any(k < 0 for _, k in self.channels):
             raise ValueError("decay rates must be non-negative")
 
@@ -327,10 +327,10 @@ class _NoJumpRows:
             return
         self.h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
         lam, V = np.linalg.eig(self.h_eff)
+        self.neg_i_lam = -1j * lam
         self.eigenbasis = np.linalg.cond(V) <= EIGENBASIS_COND_LIMIT
         if self.eigenbasis:
             # Row forms: c^T = psi^T V^-T and state^T = (c * phase)^T V^T.
-            self.neg_i_lam = -1j * lam
             self.to_eigen = np.linalg.inv(V).T
             self.from_eigen = V.T
 
@@ -341,14 +341,41 @@ class _NoJumpRows:
         elif self.eigenbasis:
             self.coeffs = (psi[:, None, :] @ self.to_eigen)[:, 0]
 
-    def state(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def state(self, rows: np.ndarray, t: np.ndarray, rescale: bool = False) -> np.ndarray:
+        """Start rows ``rows`` at times ``t``. With ``rescale``, each row is
+        multiplied by exp(g t), g its slowest amplitude decay rate, so that its
+        norm cannot underflow."""
         if self.diagonal:
-            return self.psi[rows] * np.exp(-0.5 * self.rates * t[:, None])
-        if self.eigenbasis:
-            phased = self.coeffs[rows] * np.exp(self.neg_i_lam * t[:, None])
-            return (phased[:, None, :] @ self.from_eigen)[:, 0]
-        propagators = _dense_expm((-1j * t)[:, None, None] * self.h_eff)
-        return (propagators @ self.psi[rows][:, :, None])[:, :, 0]
+            coeffs, exponent = self.psi[rows], -0.5 * self.rates * t[:, None]
+        elif self.eigenbasis:
+            coeffs, exponent = self.coeffs[rows], self.neg_i_lam * t[:, None]
+        else:
+            generator = (-1j * t)[:, None, None] * self.h_eff
+            if rescale:
+                slowest = self.neg_i_lam.real.max()
+                generator -= (slowest * t)[:, None, None] * np.eye(len(self.h_eff))
+            propagators = _dense_expm(generator)
+            return (propagators @ self.psi[rows][:, :, None])[:, :, 0]
+        if rescale:  # off the support the exponent may overflow; the coefficient is 0 there
+            support = coeffs != 0
+            slowest = exponent.real.max(axis=1, initial=-np.inf, where=support)
+            exponent = exponent - slowest[:, None]
+            phased = coeffs * np.exp(exponent, out=np.zeros_like(exponent), where=support)
+        else:
+            phased = coeffs * np.exp(exponent)
+        return phased if self.diagonal else (phased[:, None, :] @ self.from_eigen)[:, 0]
+
+    def unit_state(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Start rows ``rows`` at times ``t``, normalized. A row whose norm
+        has fallen below 1e-150, where its squares lose precision (only a zero
+        threshold lets a row flow that far), is rescaled first."""
+        end = self.state(rows, t)
+        norms = row_norms(end)
+        faded = norms < 1e-150
+        if faded.any():
+            end[faded] = self.state(rows[faded], t[faded], rescale=True)
+            norms[faded] = row_norms(end[faded])
+        return end / norms[:, None]
 
     def norm_sq(self, rows: np.ndarray):
         """The squared norm of start rows ``rows`` as a function of their times."""
@@ -453,7 +480,7 @@ def run_trajectories(
     """Simulate the trajectories ``ids`` up to horizon T, batched over rows.
 
     Between jumps each row follows exp(-i H_eff t); a jump fires when the
-    row's squared norm crosses a uniform threshold u (bisection to relative
+    row's squared norm crosses a uniform threshold u > 0 (bisection to relative
     time tolerance 1e-10 within ``_NoJumpRows.bracket``: ln(S/u)/r for weight
     S at one decay rate r, Dalibard, Castin & Molmer, PRL 68, 580 (1992)), the
     channel is drawn with probability proportional to ||L_alpha psi||^2, and
@@ -463,7 +490,8 @@ def run_trajectories(
     computed for all rows at once (``_stream_keys``, then one Philox block per
     two rounds), not through a Generator per row. Each row's arithmetic is
     independent of the other rows, so a trajectory comes out bit for bit the
-    same in any batch. Rows advance TRAJECTORY_CHUNK at a time.
+    same in any batch. Rows advance TRAJECTORY_CHUNK at a time. A row whose
+    squared norm is not finite raises ValueError.
     """
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
@@ -495,20 +523,21 @@ def run_trajectories(
             flow.start(psi[live])
             remaining = T - t[live]
             end_sq = flow.norm_sq(np.arange(live.size))(remaining)
-            stays = end_sq > draws[:, 0]
+            if not np.isfinite(end_sq).all():  # a NaN state would creep on forever
+                raise ValueError("trajectory norms must be finite")
+            # Threshold 0 is never crossed: its waiting time is infinite.
+            stays = (end_sq > draws[:, 0]) | (draws[:, 0] == 0)
             if stays.any():
-                end = flow.state(np.flatnonzero(stays), remaining[stays])
                 weight_c[live[stays]] *= end_sq[stays]
-                final_c[live[stays]] = end / row_norms(end)[:, None]
+                final_c[live[stays]] = flow.unit_state(np.flatnonzero(stays), remaining[stays])
                 if stays.all():
                     break
 
             jumping = np.flatnonzero(~stays)
             rows, (threshold, pick) = live[jumping], draws[jumping].T
             s = _bisect_jump_times(flow, jumping, remaining[jumping], threshold)
-            pre = flow.state(jumping, s)
+            pre = flow.unit_state(jumping, s)
             weight_c[rows] *= threshold  # squared norm at the crossing
-            pre = pre / row_norms(pre)[:, None]
             channel_w = _channel_weights(model, pre)
             total = channel_w.sum(axis=1)
             dark = total <= 0.0

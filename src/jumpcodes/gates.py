@@ -165,10 +165,6 @@ def su3_generators() -> list[LogicalGenerator]:
     return gens
 
 
-def _herm_to_real_vec(M: np.ndarray) -> np.ndarray:
-    return np.concatenate([M.real.reshape(-1), M.imag.reshape(-1)])
-
-
 @dataclass
 class LieClosure:
     dimension: int
@@ -177,47 +173,75 @@ class LieClosure:
 
 
 SPAN_TOL = 1e-10  # residual, relative to max(1, norm), at which a matrix is in the span
+BRACKET_BLOCK = 2**20  # complex entries of the bracket candidates projected at once (16 MiB)
 
 
-def _extend_span(vecs: list[np.ndarray], M: np.ndarray) -> bool:
-    """Append M's unit component orthogonal to ``vecs`` unless its norm is at
-    most SPAN_TOL * max(1, ||M||); return whether it was appended."""
-    w = _herm_to_real_vec(M)
-    v = w
-    for u in vecs:
-        v = v - np.dot(u, v) * u
-    norm = np.linalg.norm(v)
-    if norm <= SPAN_TOL * max(1.0, np.linalg.norm(w)):
-        return False
-    vecs.append(v / norm)
-    return True
+def _real_rows(Ms: np.ndarray) -> np.ndarray:
+    """Each of a stack of matrices as one real row: real parts, then imaginary."""
+    flat = Ms.reshape(len(Ms), np.prod(Ms.shape[1:], dtype=int))
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def _extend_span(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the orthonormal rows ``Q`` by the rows ``W``, greedily in order.
+
+    All rows are projected off span(Q) twice, as matrix products; each one
+    that is left is projected twice off the rows kept before it in ``W`` and
+    kept, as a unit row, if its residual exceeds SPAN_TOL * max(1, ||w||).
+    Returns the extended Q and the mask of kept rows.
+    """
+    R = W - (W @ Q.T) @ Q
+    R -= (R @ Q.T) @ Q
+    limit = SPAN_TOL * np.maximum(1.0, np.linalg.norm(W, axis=1))
+    new = np.empty_like(W)
+    kept = np.zeros(len(W), dtype=bool)
+    k = 0
+    for i in np.flatnonzero(np.linalg.norm(R, axis=1) > limit):
+        v = R[i]
+        for _ in range(2):
+            v = v - (new[:k] @ v) @ new[:k]
+        norm = np.linalg.norm(v)
+        if norm > limit[i]:
+            new[k] = v / norm
+            kept[i] = True
+            k += 1
+    return np.concatenate([Q, new[:k]]), kept
 
 
 def lie_closure(generators: list[np.ndarray]) -> LieClosure:
-    """Real span of the generators closed under M, N -> i[M, N]."""
-    vecs: list[np.ndarray] = []
-    matrices = [np.asarray(g, dtype=complex) for g in generators]
-    basis = [M for M in matrices if _extend_span(vecs, M)]
-    frontier = list(basis)
-    while frontier:
+    """Real span of the generators closed under M, N -> i[M, N].
+
+    Nested brackets i[g, i[g', ...]] of the generators span the closure, so
+    each round brackets only the previous round's new elements with the
+    generators, as one stacked product, and keeps the brackets that extend
+    the span. ``basis`` holds the generators and brackets kept.
+    """
+    if not len(generators):
+        return LieClosure(0, 0, [])
+    gens = np.array(generators, dtype=complex)
+    d = gens.shape[-1]
+    Q, kept = _extend_span(np.empty((0, 2 * d * d)), _real_rows(gens))
+    gens = frontier = basis = gens[kept]
+    while len(frontier):
+        block = max(1, BRACKET_BLOCK // gens.size)  # frontier elements per product
         new = []
-        for A in frontier:
-            for B in basis:
-                C = 1j * (A @ B - B @ A)
-                if _extend_span(vecs, C):
-                    basis.append(C)
-                    new.append(C)
-        frontier = new
-    d = basis[0].shape[0] if basis else 0
-    tvecs: list[np.ndarray] = []
-    tdim = sum(_extend_span(tvecs, M - np.trace(M) / d * np.eye(d)) for M in basis)
-    return LieClosure(len(basis), tdim, basis)
+        for start in range(0, len(frontier), block):
+            F = frontier[start : start + block, None]
+            C = (1j * (F @ gens - gens @ F)).reshape(-1, d, d)
+            Q, kept = _extend_span(Q, _real_rows(C))
+            new.append(C[kept])
+        frontier = np.concatenate(new)
+        basis = np.concatenate([basis, frontier])
+    traceless = basis - np.trace(basis, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+    _, kept = _extend_span(np.empty((0, 2 * d * d)), _real_rows(traceless))
+    return LieClosure(len(basis), int(kept.sum()), list(basis))
 
 
 def span_residual(basis: list[np.ndarray], target: np.ndarray) -> float:
     """Distance from ``target`` to the real span of ``basis`` (hermitian matrices)."""
-    A = np.column_stack([_herm_to_real_vec(M) for M in basis])
-    b = _herm_to_real_vec(np.asarray(target, dtype=complex))
+    # One column per matrix, in C order: lstsq's last bits depend on the layout.
+    A = np.ascontiguousarray(_real_rows(np.array(basis, dtype=complex)).T)
+    b = _real_rows(np.array([target], dtype=complex))[0]
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     return float(np.linalg.norm(A @ coeffs - b))
 

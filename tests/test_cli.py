@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from math import comb
 from pathlib import Path
@@ -7,8 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from jumpcodes import gates, qec
-from jumpcodes.cli import ExperimentConfig, main
+from jumpcodes import cli, gates, qec
+from jumpcodes.cli import ExperimentConfig, build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -597,16 +598,17 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()) as text:
         status = main(argv)
     segments = json.loads(text.getvalue())["segment_count"] if argv[0] == "gates" else None
-    scipy = any(m.split(".")[0] == "scipy" for m in sys.modules)
-    report.append([argv[:2], status, scipy, segments])
+    loaded = [m for m in ("scipy", "numpy.ma")
+              if any(k == m or k.startswith(m + ".") for k in sys.modules)]
+    report.append([argv[:2], status, loaded, segments])
 print(json.dumps(report))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # scipy takes most of a cold start; only the exceptional-point fallback
-    # of the no-jump flow needs it. The permutation target is one segment,
-    # the Haar target takes the three-segment Cartan branch.
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    """Every command once, in order, in one fresh interpreter: each command's
+    exit status and the probed modules loaded after it."""
     import os
     import subprocess
     import sys
@@ -615,6 +617,9 @@ def test_no_command_loads_scipy(tmp_path):
 
     import jumpcodes
 
+    # The permutation target is one segment, the Haar target takes the
+    # three-segment Cartan branch.
+    tmp_path = tmp_path_factory.mktemp("cold_start")
     targets = {
         "permutation": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
         "haar": unitary_group.rvs(3, random_state=3).tolist(),
@@ -632,8 +637,21 @@ def test_no_command_loads_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert [[status, scipy] for _, status, scipy, _ in report] == [[0, False]] * 10, report
     assert [segments for *_, segments in report[-2:]] == [1, 3]
+    return report
+
+
+def test_no_command_loads_scipy(cold_start):
+    # scipy takes most of a cold start; only the exceptional-point fallback
+    # of the no-jump flow needs it.
+    report = [[status, "scipy" in loaded] for _, status, loaded, _ in cold_start]
+    assert report == [[0, False]] * 10, cold_start
+
+
+def test_no_command_loads_numpy_ma(cold_start):
+    # np.unique without index flags and np.setdiff1d import numpy.ma (17 ms).
+    report = [[status, "numpy.ma" in loaded] for _, status, loaded, _ in cold_start]
+    assert report == [[0, False]] * 10, cold_start
 
 
 class TestSimEdgeCases:
@@ -698,3 +716,40 @@ class TestSimEdgeCases:
         err = capsys.readouterr().err
         assert status == 2
         assert word in err and "Traceback" not in err
+
+    def test_overflowing_decay_rate_sum_exits_2_at_once(self, capsys, tmp_path):
+        # Each kappa is finite, but their sum overflows; the trajectory loop
+        # used to run on NaN states without end.
+        start = time.perf_counter()
+        status = main(["sim", "run", "--n", "4", "--kappa", "1e308", "--seed", "1",
+                       "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert elapsed <= 1.0
+
+
+class TestParser:
+    def test_parser_is_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over_between_calls(self, capsys, tmp_path):
+        _, report = run_cli(capsys, "verify", "kl", "--kappa", "2")
+        assert report["checks"]["L1"]["lambda"] == pytest.approx(1.0, abs=1e-12)
+        _, report = run_cli(capsys, "verify", "kl")
+        assert report["checks"]["L1"]["lambda"] == pytest.approx(0.5, abs=1e-12)
+        sim = ["sim", "run", "--trajectories", "3", "--seed", "1", "--out", str(tmp_path)]
+        _, summary = run_cli(capsys, *sim, "--mismatch", "1.3", "0.7", "1", "1", "--kappa", "2")
+        assert summary["config"]["mismatch"] == [1.3, 0.7, 1.0, 1.0]
+        _, summary = run_cli(capsys, *sim)
+        assert summary["config"]["mismatch"] == [1.0] * 4
+        assert summary["config"]["kappa"] == [1.0] * 4
+
+    def test_handlers_are_looked_up_per_call(self, capsys, monkeypatch):
+        # A wrapped handler (as a tracer installs) runs even after the parser
+        # was built.
+        build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.check) or 0)
+        assert main(["verify", "dfs"]) == 0 and calls == ["dfs"]

@@ -31,6 +31,7 @@ from jumpcodes.states import (
     SIGMA_X,
     basis_ket,
     local_to_dense,
+    row_norms,
     sum_to_dense,
 )
 
@@ -48,6 +49,21 @@ class TestModelValidation:
     def test_rejects_non_finite_rate(self, rate):
         with pytest.raises(ValueError, match="finite"):
             LindbladModel(2, None, ((1, rate),))
+
+    def test_rejects_overflowing_rate_sum(self):
+        # Each rate is finite, but their sum overflows to inf.
+        with pytest.raises(ValueError, match="sum must be finite"):
+            memory_model(4, 1e308)
+
+    def test_non_finite_norms_stop_the_trajectory_loop(self):
+        # Past validation, infinite rates make the states NaN; the loop used
+        # to step forward by about 3e-11 per round, never reaching T.
+        model = memory_model(4, 1.0)
+        model.channels = tuple((a, 1e308) for a, _ in model.channels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="norms must be finite"):
+                run_trajectories(model, code_state(4, 1), 1.0, 1, range(4))
 
     def test_rejects_duplicate_channel(self):
         with pytest.raises(ValueError):
@@ -607,6 +623,38 @@ class TestNoJumpFlow:
         ]
         assert np.abs(flow.norm_sq(rows)(times) - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("case", ["diagonal", "eigenbasis", "expm"])
+    def test_underflowing_rows_are_rescaled(self, case):
+        # Norms near e^-1000 at T: the normalized state must match the flow
+        # renormalized after each of ten steps, none of which underflows.
+        rates = ((1, 1300.0), (2, 700.0), (3, 1000.0), (4, 1000.0))
+        if case == "diagonal":
+            model, T = LindbladModel(4, None, rates), 1.0
+        elif case == "eigenbasis":
+            from jumpcodes.gates import GateHamiltonian
+
+            drive = GateHamiltonian((("E", (2, 3), 300.0), ("F", (2, 3), -300.0))).to_sum()
+            model, T = LindbladModel(4, drive, rates), 1.0
+        else:  # the exceptional point, scaled up: H_eff = 250 sigma_x - 500 i n
+            H = OperatorSum((LocalOperator((1,), 250.0 * SIGMA_X),))
+            model, T = LindbladModel(1, H, ((1, 1000.0),)), 8.0
+        state = random_state if case == "expm" else code_state  # no zero-rate string
+        psi = np.array([state(model.n_qubits, seed).amplitudes for seed in range(3)])
+        rows = np.arange(len(psi))
+        flow = dynamics._NoJumpRows(model)
+        assert flow.diagonal == (case == "diagonal")
+        assert flow.diagonal or flow.eigenbasis == (case == "eigenbasis")
+        flow.start(psi)
+        assert (row_norms(flow.state(rows, np.full(3, T))) < 1e-150).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = flow.unit_state(rows, np.full(3, T))
+            stepped = psi
+            for _ in range(10):
+                flow.start(stepped)
+                stepped = flow.unit_state(rows, np.full(3, T / 10))
+        assert np.abs(got - stepped).max() < 1e-9
+
     def test_code_preserving_drive_uses_the_eigenbasis(self):
         from jumpcodes.gates import GateHamiltonian
 
@@ -733,9 +781,29 @@ class TestJumpTimeBracket:
         s = dynamics._bisect_jump_times(flow, rows, horizon, u)
         assert ((s > 0) & (s <= horizon)).all()
 
+    @pytest.mark.parametrize("kappas", [1000.0, [1000.0, 900.0, 1100.0, 1000.0]])
+    def test_zero_threshold_never_jumps(self, kappas, monkeypatch):
+        # Every draw is 0, so every threshold is 0: its waiting time is
+        # infinite. The norm at T underflows (e^-2000 at equal rates), and
+        # the final state is the start state on its slowest strings.
+        monkeypatch.setattr(
+            dynamics, "_philox_uniforms",
+            lambda keys, blocks: np.zeros((len(keys), 4 * len(blocks))),
+        )
+        model, psi = memory_model(4, kappas), code_state(4, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_trajectories(model, psi, 1.0, 3, range(5))
+        assert not batch.jump_counts.any() and not batch.absorbed.any()
+        assert np.isfinite(batch.final_states).all() and np.isfinite(batch.weights).all()
+        rates = model.decay_rates()
+        slowest = rates == rates[psi.amplitudes != 0].min()
+        expected = psi.amplitudes * slowest / np.linalg.norm(psi.amplitudes * slowest)
+        assert np.abs(batch.final_states - expected).max() < 1e-12
+
     def test_zero_threshold_bisects_from_zero_to_horizon(self):
         # u = 0 is crossed only where the norm underflows to 0. The bisection
-        # alone: the state there is 0, which run_trajectories cannot normalize.
+        # alone: run_trajectories never bisects a zero threshold.
         flow = dynamics._NoJumpRows(memory_model(4, 1000.0))
         flow.start(code_state(4, 1).amplitudes[None, :])
         with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -182,6 +184,11 @@ class TestLieClosure:
         closure = lie_closure([np.diag([1.0, -1.0, 0.0])])
         assert (closure.dimension, closure.traceless_dimension) == (1, 1)
 
+    @pytest.mark.parametrize("generators", [[], [np.zeros((3, 3))]])
+    def test_no_generators_close_to_nothing(self, generators):
+        closure = lie_closure(generators)
+        assert (closure.dimension, closure.traceless_dimension, closure.basis) == (0, 0, [])
+
     def test_gell_mann_closure(self):
         closure = lie_closure(gell_mann_matrices())
         assert (closure.dimension, closure.traceless_dimension) == (8, 8)
@@ -199,6 +206,79 @@ class TestLieClosure:
         traceless = [M - np.trace(M) / 3.0 * np.eye(3) for M in closure.basis]
         for gm in gell_mann_matrices():
             assert span_residual(traceless, gm) < 1e-10
+
+    def test_six_qubit_pair_terms_close_to_u10_within_a_second(self):
+        code = jump_code(6, 0.0)
+        basis = [codeword_ket(code, i) for i in range(code.count)]
+        terms = [
+            logical_matrix(GateHamiltonian(((kind, (a, b), 1.0),)), basis)
+            for a in range(1, 7) for b in range(a + 1, 7) for kind in "EF"
+        ]
+        start = time.perf_counter()
+        closure = lie_closure(terms)
+        elapsed = time.perf_counter() - start
+        assert len(terms) == 30
+        assert (closure.dimension, closure.traceless_dimension) == (100, 99)
+        assert elapsed <= 1.0
+
+    @pytest.mark.parametrize("d, kind, count, seed", [
+        (3, "hermitian", 2, 1),
+        (3, "hermitian", 3, 2),
+        (4, "hermitian", 2, 3),
+        (3, "real antisymmetric", 2, 4),  # i A with A real antisymmetric: so(3)
+        (4, "real antisymmetric", 2, 5),  # so(4)
+        (4, "two blocks", 2, 6),  # u(2) + u(2)
+        (4, "diagonal", 3, 7),  # abelian
+    ])
+    def test_dimensions_match_rank_oracle(self, d, kind, count, seed):
+        rng = np.random.default_rng(seed)
+        gens = []
+        for _ in range(count):
+            A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            if kind == "real antisymmetric":
+                A = 1j * A.real
+            elif kind == "two blocks":
+                A[:2, 2:] = A[2:, :2] = 0
+            elif kind == "diagonal":
+                A = np.diag(np.diag(A))
+            gens.append(A + A.conj().T)
+        oracle = closure_oracle(gens)
+        dimension = np.linalg.matrix_rank(real_rows(oracle), rtol=1e-9)
+        traceless = [M - np.trace(M) / d * np.eye(d) for M in oracle]
+        closure = lie_closure(gens)
+        assert (closure.dimension, closure.traceless_dimension) == (
+            dimension, np.linalg.matrix_rank(real_rows(traceless), rtol=1e-9)
+        )
+        assert (dimension == d * d) == (kind == "hermitian")  # else a proper subalgebra
+        # The basis spans the oracle's span: together they add no rank.
+        unit_basis = [M / np.linalg.norm(M) for M in closure.basis]  # nested brackets grow
+        assert np.linalg.matrix_rank(real_rows(oracle + unit_basis), rtol=1e-9) == dimension
+
+
+def real_rows(matrices: list[np.ndarray]) -> np.ndarray:
+    return np.array([np.concatenate([M.real.ravel(), M.imag.ravel()]) for M in matrices])
+
+
+def closure_oracle(generators: list[np.ndarray]) -> list[np.ndarray]:
+    """Matrices spanning every nested commutator of the generators up to depth
+    d^2, each depth reduced to a spanning set by matrix_rank and an SVD.
+
+    The span grows at each depth until it is closed, so the loop stops at the
+    first depth that adds no rank. Brackets amplify round-off outside the
+    closure about tenfold per depth, hence matrix_rank's relative tolerance
+    of 1e-9 rather than its default (about 1e-14 here).
+    """
+    d = generators[0].shape[0]
+    mats, rank = list(generators), 0
+    for _ in range(d * d):
+        span = real_rows(mats)
+        rank, previous = np.linalg.matrix_rank(span, rtol=1e-9), rank
+        if rank == previous:
+            break
+        spanning = np.linalg.svd(span)[2][:rank]
+        mats = [(v[: d * d] + 1j * v[d * d :]).reshape(d, d) for v in spanning]
+        mats += [1j * (g @ M - M @ g) for g in generators for M in mats]
+    return mats
 
 
 class TestTrotterFormulas:

@@ -26,7 +26,7 @@ OUT_DIR_ENV = "JUMPCODES_OUT"
 
 
 def _emit(report: dict, out_file: str | Path | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)  # NaN is not JSON
     if out_file:  # written before printing, so a failed write leaves stdout empty
         Path(out_file).parent.mkdir(parents=True, exist_ok=True)
         Path(out_file).write_text(text + "\n")
@@ -116,7 +116,10 @@ def _read_target(path: str) -> np.ndarray:
         )
     ):
         raise ValueError("target must be a list of rows of [re, im] number pairs")
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except OverflowError:  # an integer beyond float range
+        raise ValueError("target must hold [re, im] number pairs within float range") from None
 
 
 def cmd_gates(args) -> int:

@@ -246,8 +246,12 @@ def code_from_json(data: dict) -> JumpCode:
         for p in raw
     ):
         raise ValueError("pairs must be a list of [string, string] pairs")
+    try:
+        phase = float(data["phase"])
+    except OverflowError:  # an integer beyond float range
+        raise ValueError("phase must lie within float range") from None
     pairs = [(s, sbar) for s, sbar in raw]
-    code = JumpCode(data["N"], float(data["phase"]), pairs)
+    code = JumpCode(data["N"], phase, pairs)
     if not pairs:
         raise ValueError("code has no pairs")
     if "k" in data and data["k"] != code.k:

@@ -11,6 +11,7 @@ exp(-kappa t) and the no-jump generator is H - (i/2) sum_a kappa_a n_a.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -301,6 +302,8 @@ _ENSEMBLE_BLOCK = 1024
 # exceptional point H_eff is not diagonalizable, cond(V) diverges, and each
 # state is a stacked expm of H_eff instead.
 EIGENBASIS_COND_LIMIT = 1e3
+# Below this norm a row's squared amplitudes lose precision in ``row_norms``.
+FADE_NORM = 1e-150
 
 
 def _dense_expm(A: np.ndarray) -> np.ndarray:
@@ -337,9 +340,13 @@ class _NoJumpRows:
     def start(self, psi: np.ndarray) -> None:
         self.psi = psi
         if self.diagonal:
-            self.weights = np.abs(psi) ** 2
+            self.__dict__.pop("weights", None)  # the old rows' cached |psi|^2
         elif self.eigenbasis:
             self.coeffs = (psi[:, None, :] @ self.to_eigen)[:, 0]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:  # under H = 0 only, and only once read
+        return np.abs(self.psi) ** 2
 
     def state(self, rows: np.ndarray, t: np.ndarray, rescale: bool = False) -> np.ndarray:
         """Start rows ``rows`` at times ``t``. With ``rescale``, each row is
@@ -367,11 +374,10 @@ class _NoJumpRows:
 
     def unit_state(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Start rows ``rows`` at times ``t``, normalized. A row whose norm
-        has fallen below 1e-150, where its squares lose precision (only a zero
-        threshold lets a row flow that far), is rescaled first."""
+        has fallen below FADE_NORM is rescaled first."""
         end = self.state(rows, t)
         norms = row_norms(end)
-        faded = norms < 1e-150
+        faded = norms < FADE_NORM
         if faded.any():
             end[faded] = self.state(rows[faded], t[faded], rescale=True)
             norms[faded] = row_norms(end[faded])

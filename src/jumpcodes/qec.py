@@ -15,8 +15,11 @@ import numpy as np
 
 from .codes import JumpCode, dfs_basis, dfs_projector, encode, jump_code, projector
 from .dynamics import (
+    FADE_NORM,
     KrausSet,
+    LindbladModel,
     TrajectoryBatch,
+    _NoJumpRows,
     _philox_uniforms,
     _stream_keys,
     memory_model,
@@ -249,10 +252,10 @@ def correct_trajectory(
 
     Between jumps the no-jump flow is a scalar on any equal-excitation sector,
     so renormalized replay only needs the jump/recovery operators: this is
-    ``replay_records`` with zero flow rates, every jump detected and no delay.
-    A zero-rate flow is exp(0) = 1 over any time, so the horizon is the
-    batch's latest jump. Returns each row's corrected final state and its
-    overlap fidelity with the encoded input.
+    ``replay_records`` under the zero-rate model ``memory_model(N, 0)`` (whose
+    flow is 1 over any time, so the horizon is the batch's latest jump), every
+    jump detected and no delay. Returns each row's corrected final state and
+    its overlap fidelity with the encoded input.
     """
     psi_enc = encode(code, np.asarray(logical, dtype=complex)).normalized()
     if batch.n_qubits != code.N:
@@ -263,14 +266,10 @@ def correct_trajectory(
         batch.jump_times,
         batch.jump_qubits,
         np.ones(batch.jump_qubits.shape, dtype=bool),
-        np.zeros(psi_enc.dim),
+        memory_model(code.N, 0.0),
         delay=0.0,
         horizon=batch.jump_times[batch.jump_qubits > 0].max(initial=0.0),
     )
-
-
-# Replayed states whose norm falls below this count as lost (fidelity 0).
-_UNDERFLOW_NORM = 1e-150
 
 
 def replay_records(
@@ -279,7 +278,7 @@ def replay_records(
     jump_times: np.ndarray,
     jump_qubits: np.ndarray,
     detected: np.ndarray,
-    rates: np.ndarray,
+    model: LindbladModel,
     delay: float,
     horizon: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,66 +286,54 @@ def replay_records(
 
     Row r of ``jump_times``/``jump_qubits`` holds one record, padded with
     qubit 0; ``detected`` marks the jumps that get a recovery. Between events
-    each basis state's amplitude decays at half its entry of ``rates``. A
-    detected jump's recovery is scheduled ``delay`` after it, but never past
-    the next jump or the horizon: a pending recovery is applied before the
-    following jump is processed. With equal decay rates the no-jump flow is a
-    scalar on each excitation sector, so the delay knob alone keeps fidelity
-    1; degradation appears with rate mismatch (flow no longer scalar in the
-    window) or with missed detections. Rows advance one jump index per step.
-    A recovery is two gathers per row (``apply_recovery``), so a row's result
-    depends neither on the other rows nor on the BLAS thread count.
+    each row follows ``model``'s normalized no-jump flow, as the sampler's
+    rows do (``_NoJumpRows.unit_state``). A detected jump at t is recovered
+    at min(t + delay, the record's next jump, horizon). With equal decay rates
+    the flow is a scalar on each excitation sector, so the delay alone keeps
+    fidelity 1; rate mismatch or missed detections degrade it. A recovery is
+    two gathers per row (``apply_recovery``), so a row's result depends
+    neither on the other rows nor on the BLAS thread count.
 
-    Returns each row's final state and its fidelity with ``psi_enc``; a row
-    whose norm underflows is lost, with fidelity 0.
+    Returns each row's final state and its fidelity with ``psi_enc``. A row
+    that a jump leaves with norm below FADE_NORM is lost, with fidelity 0:
+    its record has no weight under the replayed state.
     """
     if ((jump_qubits < 0) | (jump_qubits > code.N)).any():
         raise ValueError(f"jump qubits must lie in 0..{code.N} (0 pads a record)")
-    rows = len(jump_qubits)
+    rows, width = jump_qubits.shape
     psi = np.tile(psi_enc, (rows, 1))
     now = np.zeros(rows)
     alive = np.ones(rows, dtype=bool)
-    pending = np.zeros(rows, dtype=int)  # qubit awaiting recovery, 0 if none
-    due = np.zeros(rows)
+    flow = _NoJumpRows(model)
 
     def flow_to(sel: np.ndarray, t: np.ndarray) -> None:
-        psi[sel] *= np.exp(-0.5 * rates * (t - now[sel])[:, None])
+        moving = t > now[sel]  # a zero-length window computes no flow
+        sel, t = sel[moving], t[moving]
+        flow.start(psi[sel])
+        psi[sel] = flow.unit_state(np.arange(sel.size), t - now[sel])
         now[sel] = t
 
-    def normalize(sel: np.ndarray) -> None:
-        norms = row_norms(psi[sel])
-        lost = norms < _UNDERFLOW_NORM
-        alive[sel[lost]] = False
-        psi[sel[~lost]] /= norms[~lost, None]
-
-    def recover(sel: np.ndarray, until: np.ndarray) -> None:
-        sel = sel[pending[sel] > 0]
-        flow_to(sel, np.minimum(due[sel], until[sel]))
-        for alpha in np.flatnonzero(np.bincount(pending[sel])):  # sel has pending > 0
-            group = sel[pending[sel] == alpha]
-            psi[group] = apply_recovery(psi[group], _cached_recovery(code, alpha))
-        normalize(sel)
-        pending[sel] = 0
-
-    for k in range(jump_qubits.shape[1]):
-        t, alpha = jump_times[:, k], jump_qubits[:, k]
+    # A recovery fires by its record's next jump and by the horizon.
+    following = np.where(jump_qubits[:, 1:] > 0, jump_times[:, 1:], np.inf)
+    latest = np.minimum(np.column_stack([following, np.full(rows, np.inf)]), horizon)
+    for k in range(width):
+        alpha = jump_qubits[:, k]
         sel = np.flatnonzero(alive & (alpha > 0))
-        recover(sel, t)
-        sel = sel[alive[sel]]
-        flow_to(sel, t[sel])
+        flow_to(sel, jump_times[sel, k])
         psi[sel] = lower_rows(psi[sel], alpha[sel])
-        normalize(sel)
-        seen = sel[alive[sel] & detected[sel, k]]
-        pending[seen] = alpha[seen]
-        due[seen] = np.minimum(t[seen] + delay, horizon)
-    end = np.full(rows, horizon)
-    recover(np.flatnonzero(alive), end)
+        norms = row_norms(psi[sel])
+        alive[sel[norms < FADE_NORM]] = False
+        psi[sel[alive[sel]]] /= norms[alive[sel], None]
+        sel = sel[alive[sel] & detected[sel, k]]
+        flow_to(sel, np.minimum(jump_times[sel, k] + delay, latest[sel, k]))
+        for a in np.flatnonzero(np.bincount(alpha[sel])):  # every alpha[sel] > 0
+            group = sel[alpha[sel] == a]
+            psi[group] = apply_recovery(psi[group], _cached_recovery(code, a))
     sel = np.flatnonzero(alive)
-    flow_to(sel, end[sel])
-    psi[sel] /= row_norms(psi[sel])[:, None]
-    fidelities = np.zeros(rows)
-    fidelities[sel] = np.abs(np.einsum("rj,j->r", psi[sel], psi_enc.conj())) ** 2
-    return psi, fidelities
+    flow.start(psi[sel])  # every row, even at zero length: this normalizes each recovery
+    psi[sel] = flow.unit_state(np.arange(sel.size), horizon - now[sel])
+    overlaps = np.abs(np.einsum("rj,j->r", psi, psi_enc.conj())) ** 2
+    return psi, np.where(alive, overlaps, 0.0)
 
 
 @dataclass
@@ -434,7 +421,7 @@ def run_experiment(config: ExperimentConfig):
         batch.jump_times,
         batch.jump_qubits,
         detected,
-        model.decay_rates(),
+        model,
         config.delay,
         config.t_final,
     )

@@ -152,7 +152,7 @@ def test_criterion_4_recovery_exactness():
         batch.jump_times,
         batch.jump_qubits,
         np.ones(batch.jump_qubits.shape, dtype=bool),
-        np.zeros(psi.dim),
+        memory_model(4, 0.0),
         delay=0.0,
         horizon=T,
     )

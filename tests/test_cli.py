@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from jumpcodes import cli, gates, qec
+from jumpcodes import cli, codes, gates, qec
 from jumpcodes.cli import ExperimentConfig, build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -78,7 +78,9 @@ class TestCodeCommand:
         ({"pairs": []}, "no pairs"),
         ({"k": 3}, "k must be N/2"),
         ({"phase": float("nan")}, "not finite"),
-    ], ids=["repeated-pair", "wrong-length", "wrong-weight", "empty", "wrong-k", "nan-phase"])
+        ({"phase": 10**400}, "float range"),  # json writes it as 401 digits
+    ], ids=["repeated-pair", "wrong-length", "wrong-weight", "empty", "wrong-k", "nan-phase",
+            "huge-phase"])
     def test_bad_code_file_is_rejected(self, capsys, tmp_path, fields, word):
         f = tmp_path / "code.json"
         data = {"N": 4, "k": 2, "phase": 0.0, "pairs": [["0011", "1100"]], **fields}
@@ -436,7 +438,7 @@ class TestGatesCommand:
         assert "epsilon must be positive" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("entry", [["a", 0], 1, [True, False]])
+    @pytest.mark.parametrize("entry", [["a", 0], 1, [True, False], [10**400, 0]])
     def test_malformed_target_is_rejected(self, capsys, tmp_path, entry):
         rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]] for _ in range(3)]
         rows[1][2] = entry
@@ -728,6 +730,92 @@ class TestSimEdgeCases:
         assert status == 2 and captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert elapsed <= 1.0
+
+
+def _strict_json(text: str) -> dict:
+    """``json.loads`` that refuses NaN and Infinity, as strict JSON does."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# Physical scales from far below to far above 1/kappa: 1e-6 to 1e6 in kappa
+# and T, so kappa T spans 1e-12 to 1e12.
+SCALES = ["1e-6", "1", "1e3", "1e6"]
+SETTINGS = {
+    "plain": {4: [], 6: []},
+    "mismatch": {4: ["--mismatch", "1.3", "0.7", "1", "1"],
+                 6: ["--mismatch", "1.3", "0.7", "0", "1", "1.2", "0.9"]},
+    "miss-delay": {4: ["--p-miss", "0.3", "--delay", "0.2"],
+                   6: ["--p-miss", "0.3", "--delay", "0.2"]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestSimScaleGrid:
+    """Every ``sim run`` on the grid either prints strict JSON with a
+    fidelity in [0, 1] or exits 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("t_final", SCALES)
+    @pytest.mark.parametrize("kappa", SCALES)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_runs_or_exits_2(self, capsys, tmp_path, n, kappa, t_final, setting):
+        status = main([
+            "sim", "run", "--n", str(n), "--kappa", kappa, "--t-final", t_final,
+            "--trajectories", "20", "--seed", "3", "--out", str(tmp_path),
+            *SETTINGS[setting][n],
+        ])
+        captured = capsys.readouterr()
+        if status == 0:
+            summary = _strict_json(captured.out)
+            assert 0.0 <= summary["mean_fidelity"] <= 1.0 + 1e-12
+        else:
+            assert status == 2 and captured.out == ""
+            assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4", "--t-final", "1000"], ["--n", "8", "--t-final", "1000"],
+        ["--n", "4", "--kappa", "1e6"],
+    ], ids=["n4-T1000", "n8-T1000", "kappa1e6"])
+    def test_equal_rates_recover_exactly_at_any_kappa_t(self, capsys, tmp_path, argv):
+        # The squared norm over the last window, e^(-kappa (N/2) (T - t)),
+        # underflows long before kappa T = 1000; the flow must not.
+        status = main(["sim", "run", *argv, "--trajectories", "20", "--seed", "3",
+                       "--out", str(tmp_path)])
+        summary = _strict_json(capsys.readouterr().out)
+        assert status == 0 and summary["total_jumps"] > 0
+        assert abs(summary["mean_fidelity"] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (qec, "verify_kl", "verify kl"),
+    (codes, "code_report", "code inspect"),
+    (gates, "synthesis_report", "gates synthesize --target {target}"),
+    (cli, "run_experiment", "sim run --trajectories 4 --seed 1 --out {out}"),
+], ids=["verify", "code", "gates", "sim"])
+def test_non_finite_report_exits_2_with_empty_stdout(capsys, tmp_path, monkeypatch, module, name,
+                                                     argv):
+    # The library call a handler prints returns a NaN, which json would
+    # print as NaN: not JSON.
+    real = getattr(module, name)
+
+    def with_nan(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if isinstance(result, tuple):  # run_experiment: the summary comes last
+            return (*result[:-1], {**result[-1], "mean_fidelity": np.nan})
+        return {**result, "extra": np.nan}
+
+    monkeypatch.setattr(module, name, with_nan)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps([[[float(i == j), 0.0] for j in range(3)] for i in range(3)]))
+    status = main(argv.format(target=target, out=tmp_path / "out").split())
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestParser:

@@ -9,8 +9,10 @@ from jumpcodes.dynamics import (
     no_jump_kraus,
     run_trajectories,
     run_trajectory,
+    trajectory_rng,
 )
 from jumpcodes.qec import (
+    ExperimentConfig,
     apply_recovery,
     correct_trajectory,
     dfs_check,
@@ -18,6 +20,7 @@ from jumpcodes.qec import (
     recovery_map,
     recovery_unitary,
     replay_records,
+    run_experiment,
     verify_dfs,
     verify_kl,
 )
@@ -336,7 +339,7 @@ class TestCorrectTrajectory:
             batch.jump_times,
             batch.jump_qubits,
             np.ones(batch.jump_qubits.shape, dtype=bool),
-            np.zeros(psi.dim),
+            memory_model(n, 0.0),
             delay=0.0,
             horizon=T,
         )
@@ -348,6 +351,59 @@ class TestCorrectTrajectory:
         all_states, all_fidelities = correct_trajectory(batch, code, logical)
         assert all_states.tobytes() == states.tobytes()
         assert all_fidelities.tobytes() == fidelities.tobytes()
+
+
+class TestReplayAgainstEventLoop:
+    """``run_experiment``'s replay against a one-row reference written from
+    ``replay_records``' docstring: a loop over each record's time-ordered jumps
+    and recoveries, with dense operators and the diagonal no-jump flow, that
+    normalizes after every event."""
+
+    MISMATCH = {4: [1.3, 0.7, 1.0, 1.0], 6: [1.3, 0.7, 0.0, 1.0, 1.2, 0.9]}
+
+    @staticmethod
+    def reference(code, psi_enc, rates, times, qubits, detected, delay, T):
+        lower = {a: jump_matrix(a, code.N) for a in range(1, code.N + 1)}
+
+        def unit(v):
+            return v / np.linalg.norm(v)
+
+        psi, now = psi_enc, 0.0
+        for k, (t, alpha) in enumerate(zip(times, qubits)):
+            psi = unit(np.exp(-0.5 * rates * (t - now)) * psi)
+            psi = lower[alpha] @ psi
+            if np.linalg.norm(psi) < 1e-150:
+                return 0.0  # the record has no weight under the replayed state
+            psi, now = unit(psi), t
+            if detected[k]:
+                fire = min(t + delay, times[k + 1] if k + 1 < len(times) else np.inf, T)
+                psi = unit(np.exp(-0.5 * rates * (fire - now)) * psi)
+                psi, now = unit(recovery_unitary(code, alpha) @ psi), fire
+        psi = unit(np.exp(-0.5 * rates * (T - now)) * psi)
+        return abs(np.vdot(psi_enc, psi)) ** 2
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2, 5.0], ids=["no-delay", "delay", "past-T"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_each_row_matches_the_event_loop(self, n, delay):
+        T, seed, p_miss = 3.0, 3, 0.3
+        config = ExperimentConfig(n, 0.3, [1.0], T, 150, seed, delay, self.MISMATCH[n], p_miss)
+        batch, fidelities, _ = run_experiment(config)
+        code = jump_code(n, 0.3)
+        rng = trajectory_rng(seed, 0)  # the logical state's stream
+        logical = rng.normal(size=code.count) + 1j * rng.normal(size=code.count)
+        psi_enc = encode(code, logical / np.linalg.norm(logical)).normalized().amplitudes
+        index = np.arange(2**n)
+        rates = sum(m * ((index >> a) & 1) for a, m in enumerate(self.MISMATCH[n]))
+        inside = 0  # detected jumps whose next jump falls inside the recovery window
+        for row in range(len(fidelities)):
+            count = batch.jump_counts[row]
+            times, qubits = batch.jump_times[row, :count], batch.jump_qubits[row, :count]
+            # Row r's detection coins are the first draws of stream (seed, r + 1, 1).
+            detected = trajectory_rng(seed, row + 1, 1).random(count) >= p_miss
+            inside += np.count_nonzero(detected[:-1] & (times[1:] < times[:-1] + delay))
+            expected = self.reference(code, psi_enc, rates, times, qubits, detected, delay, T)
+            assert abs(fidelities[row] - expected) <= 1e-12, (row, times, qubits, detected)
+        assert (inside > 0) == (delay > 0)
 
 
 class TestBruteForceAgreement:

@@ -24,7 +24,6 @@ from .states import (
     NUMBER,
     OperatorSum,
     apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
-    lower_rows,
     row_norms,
     sum_to_dense,
 )
@@ -316,7 +315,8 @@ def _dense_expm(A: np.ndarray) -> np.ndarray:
 class _NoJumpRows:
     """Unnormalized no-jump propagation of start rows, each to its own time.
 
-    With H = 0 the flow is diagonal. Otherwise H_eff = V diag(lam) V^-1 is
+    With H = 0 the flow is diagonal, and ``start`` may pass rows that hold
+    only some strings' amplitudes. Otherwise H_eff = V diag(lam) V^-1 is
     diagonalized once, ``start`` stores c = V^-1 psi per row, and a row at
     time t is V (c * exp(-i lam t)); past EIGENBASIS_COND_LIMIT it is
     exp(-i H_eff t) psi. Every product is a per-row stacked matmul, so a row's
@@ -326,7 +326,7 @@ class _NoJumpRows:
     def __init__(self, model: LindbladModel):
         self.diagonal = not model.hamiltonian.terms
         if self.diagonal:
-            self.rates = model.decay_rates()
+            self.string_rates = model.decay_rates()
             return
         self.h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
         lam, V = np.linalg.eig(self.h_eff)
@@ -337,9 +337,12 @@ class _NoJumpRows:
             self.to_eigen = np.linalg.inv(V).T
             self.from_eigen = V.T
 
-    def start(self, psi: np.ndarray) -> None:
+    def start(self, psi: np.ndarray, columns=slice(None)) -> None:
+        """Start from rows ``psi``. Under H = 0 their columns hold the
+        strings ``columns`` (default: every string); otherwise every string."""
         self.psi = psi
         if self.diagonal:
+            self.rates = self.string_rates[columns]
             self.__dict__.pop("weights", None)  # the old rows' cached |psi|^2
         elif self.eigenbasis:
             self.coeffs = (psi[:, None, :] @ self.to_eigen)[:, 0]
@@ -353,9 +356,9 @@ class _NoJumpRows:
         multiplied by exp(g t), g its slowest amplitude decay rate, so that its
         norm cannot underflow."""
         if self.diagonal:
-            coeffs, exponent = self.psi[rows], -0.5 * self.rates * t[:, None]
+            coeffs, rates = self.psi[rows], -0.5 * self.rates
         elif self.eigenbasis:
-            coeffs, exponent = self.coeffs[rows], self.neg_i_lam * t[:, None]
+            coeffs, rates = self.coeffs[rows], self.neg_i_lam
         else:
             generator = (-1j * t)[:, None, None] * self.h_eff
             if rescale:
@@ -363,13 +366,18 @@ class _NoJumpRows:
                 generator -= (slowest * t)[:, None, None] * np.eye(len(self.h_eff))
             propagators = _dense_expm(generator)
             return (propagators @ self.psi[rows][:, :, None])[:, :, 0]
-        if rescale:  # off the support the exponent may overflow; the coefficient is 0 there
-            support = coeffs != 0
-            slowest = exponent.real.max(axis=1, initial=-np.inf, where=support)
-            exponent = exponent - slowest[:, None]
-            phased = coeffs * np.exp(exponent, out=np.zeros_like(exponent), where=support)
-        else:
-            phased = coeffs * np.exp(exponent)
+        # No decay exponent has a positive real part, so one that overflows
+        # reaches its exact limit, -inf, whose exp is 0.
+        with np.errstate(over="ignore"):
+            if rescale:  # rates relative to the slowest on the support: 0 there at equal rates
+                support = coeffs != 0
+                slowest = np.broadcast_to(rates.real, support.shape).max(
+                    axis=1, initial=-np.inf, where=support)
+                exponent = np.multiply(rates - slowest[:, None], t[:, None],
+                                       out=np.zeros(coeffs.shape, rates.dtype), where=support)
+                phased = coeffs * np.exp(exponent, out=np.zeros_like(exponent), where=support)
+            else:
+                phased = coeffs * np.exp(rates * t[:, None])
         return phased if self.diagonal else (phased[:, None, :] @ self.from_eigen)[:, 0]
 
     def unit_state(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -385,10 +393,16 @@ class _NoJumpRows:
 
     def norm_sq(self, rows: np.ndarray):
         """The squared norm of start rows ``rows`` as a function of their times."""
-        if self.diagonal:
-            weights, neg_rates = self.weights[rows], -self.rates
-            return lambda t: np.add.reduce(weights * np.exp(neg_rates * t[:, None]), axis=1)
-        return lambda t: row_norms(self.state(rows, t)) ** 2
+        if not self.diagonal:
+            return lambda t: row_norms(self.state(rows, t)) ** 2
+        weights, neg_rates = self.weights[rows], -self.rates
+
+        def norm_sq(t: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore"):  # to -inf, as in ``state``
+                exponent = neg_rates * t[:, None]
+            return np.add.reduce(weights * np.exp(exponent), axis=1)
+
+        return norm_sq
 
     def bracket(self, rows: np.ndarray, horizon: np.ndarray, u: np.ndarray):
         """Each row's crossing of u lies in [ln(S/u)/r_max, ln(S/u)/r_min] under H = 0,
@@ -401,7 +415,9 @@ class _NoJumpRows:
             r_max = rates.max(axis=1, initial=0.0, where=support)
             ln_ratio = np.log(np.divide(w.sum(1), u, out=np.ones_like(lo), where=u > 0))
             np.divide(ln_ratio, r_max, out=lo, where=(ln_ratio > 0) & (r_max > 0))
-            np.divide(ln_ratio, r_min, out=hi, where=(ln_ratio > 0) & (ln_ratio < r_min * horizon))
+            with np.errstate(over="ignore"):  # an infinite r_min * horizon bounds nothing
+                inside = (ln_ratio > 0) & (ln_ratio < r_min * horizon)
+            np.divide(ln_ratio, r_min, out=hi, where=inside)
         return np.minimum(lo, hi), hi
 
 
@@ -443,21 +459,40 @@ def _bisect_jump_times(
         hi = np.where(above, hi, mid)
 
 
-def _channel_weights(model: LindbladModel, psi: np.ndarray) -> np.ndarray:
-    """||L_alpha psi_r||^2 for each row r of ``psi`` and each channel."""
+def _channel_weights(model: LindbladModel, psi: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """||L_alpha psi_r||^2 for each row r of ``psi`` and each channel; the
+    columns of ``psi`` hold the amplitudes of the strings ``columns``."""
     probs = np.abs(psi) ** 2
-    idx = np.arange(psi.shape[1])
     out = np.zeros((psi.shape[0], len(model.channels)))
     for j, (alpha, kappa) in enumerate(model.channels):
         # Contiguous rows, so each row is summed pairwise like a 1-D array.
-        excited = np.ascontiguousarray(probs[:, ((idx >> (alpha - 1)) & 1) == 1])
+        excited = np.ascontiguousarray(probs[:, ((columns >> (alpha - 1)) & 1) == 1])
         out[:, j] = kappa * excited.sum(axis=1)
     return out
 
 
 def jump_channel_weights(model: LindbladModel, psi: Ket) -> np.ndarray:
     """||L_alpha psi||^2 for each channel: unnormalized jump-channel weights."""
-    return _channel_weights(model, psi.amplitudes[None, :])[0]
+    return _channel_weights(model, psi.amplitudes[None, :], np.arange(psi.dim))[0]
+
+
+def _lowered_columns(columns: np.ndarray, bits: np.ndarray, dim: int, every: bool):
+    """The strings that one lowering of a channel bit in ``bits`` reaches
+    from the strings ``columns`` (all ``dim`` strings if ``every``), and
+    ``source``: for each channel and reached string, the position in
+    ``columns`` of the string it is lowered from, or len(columns) if none.
+    """
+    if every:
+        reached = np.arange(dim)
+    else:
+        mark = np.zeros(dim, dtype=bool)
+        for bit in bits:
+            mark[columns[columns & bit != 0] ^ bit] = True
+        reached = np.flatnonzero(mark)
+    position = np.full(dim, len(columns))
+    position[columns] = np.arange(len(columns))
+    source = np.where(reached & bits[:, None], len(columns), position[reached | bits[:, None]])
+    return reached, source
 
 
 @dataclass
@@ -494,10 +529,18 @@ def run_trajectories(
     ``trajectory_rng(seed, i)``: one threshold, then (if it jumps) one channel
     draw, per round, so round k reads draws 2k and 2k + 1. Those bits are
     computed for all rows at once (``_stream_keys``, then one Philox block per
-    two rounds), not through a Generator per row. Each row's arithmetic is
-    independent of the other rows, so a trajectory comes out bit for bit the
-    same in any batch. Rows advance TRAJECTORY_CHUNK at a time. A row whose
-    squared norm is not finite raises ValueError.
+    two rounds), not through a Generator per row.
+
+    Every row in round k has jumped k times. Under H = 0 a jump maps each
+    string to one string and the flow keeps every string, so round k works
+    on C_k alone: the strings that k lowerings reach from psi0's support
+    (C_0). A code state's C_k is its weight N/2 - k sector (Alber et al.,
+    PRL 86, 4402 (2001)). With a drive, C_k is all 2^N strings. C_k depends
+    on psi0 and k only, and each row's arithmetic is independent of the
+    other rows, so a trajectory comes out bit for bit the same in any batch.
+    A row's final state is scattered from C_k into its full 2^N row. Rows
+    advance TRAJECTORY_CHUNK at a time. A row whose squared norm is not
+    finite raises ValueError.
     """
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
@@ -507,26 +550,35 @@ def run_trajectories(
     count = len(keys)
     flow = _NoJumpRows(model)
     qubits = np.array([a for a, _ in model.channels], dtype=int)
+    bits = 1 << (qubits - 1)
     sqrt_kappas = np.sqrt([k for _, k in model.channels])
-    final = np.tile(psi0.amplitudes, (count, 1))
+    # Round k's strings and the gather that lowers them into round k + 1's,
+    # built once for all chunks as the rounds are first reached.
+    columns = [np.flatnonzero(psi0.amplitudes) if flow.diagonal else np.arange(psi0.dim)]
+    sources: list[np.ndarray] = []
+    final = np.zeros((count, psi0.dim), dtype=complex)
+    if T == 0:  # no round runs
+        final[:] = psi0.amplitudes
     weight = np.ones(count)
     absorbed = np.zeros(count, dtype=bool)
     jump_times: list[np.ndarray] = []  # per round of jumps, one entry per row
     jump_qubits: list[np.ndarray] = []
     for start in range(0, count if T > 0 else 0, TRAJECTORY_CHUNK):
-        # Views of this chunk's rows; ``live`` indexes within the chunk.
+        # Views of this chunk's rows; ``live`` indexes within the chunk, and
+        # row i of ``psi`` holds live row i's amplitudes on round k's strings.
         chunk = slice(start, start + TRAJECTORY_CHUNK)
         final_c, weight_c, absorbed_c = final[chunk], weight[chunk], absorbed[chunk]
         keys_c = keys[chunk]
         block = np.empty((len(keys_c), 4))  # the Philox block of rounds k and k + 1
-        psi = final_c.copy()
-        t = np.zeros(len(psi))
-        live = np.arange(len(psi))
+        t = np.zeros(len(keys_c))
+        live = np.arange(len(keys_c))
+        psi = np.tile(psi0.amplitudes[columns[0]], (live.size, 1))
         for k in itertools.count():
+            cols = columns[k]
             if k % 2 == 0:
                 block[live] = _philox_uniforms(keys_c[live], [k // 2 + 1])
             draws = block[live, 2 * (k % 2) : 2 * (k % 2) + 2]
-            flow.start(psi[live])
+            flow.start(psi, cols)
             remaining = T - t[live]
             end_sq = flow.norm_sq(np.arange(live.size))(remaining)
             if not np.isfinite(end_sq).all():  # a NaN state would creep on forever
@@ -535,7 +587,8 @@ def run_trajectories(
             stays = (end_sq > draws[:, 0]) | (draws[:, 0] == 0)
             if stays.any():
                 weight_c[live[stays]] *= end_sq[stays]
-                final_c[live[stays]] = flow.unit_state(np.flatnonzero(stays), remaining[stays])
+                final_c[live[stays, None], cols] = flow.unit_state(
+                    np.flatnonzero(stays), remaining[stays])
                 if stays.all():
                     break
 
@@ -544,12 +597,12 @@ def run_trajectories(
             s = _bisect_jump_times(flow, jumping, remaining[jumping], threshold)
             pre = flow.unit_state(jumping, s)
             weight_c[rows] *= threshold  # squared norm at the crossing
-            channel_w = _channel_weights(model, pre)
+            channel_w = _channel_weights(model, pre, cols)
             total = channel_w.sum(axis=1)
             dark = total <= 0.0
             if dark.any():
                 absorbed_c[rows[dark]] = True
-                final_c[rows[dark]] = pre[dark]
+                final_c[rows[dark, None], cols] = pre[dark]
                 lit = ~dark
                 rows, s, pre, pick = rows[lit], s[lit], pre[lit], pick[lit]
                 channel_w, total = channel_w[lit], total[lit]
@@ -558,11 +611,17 @@ def run_trajectories(
             cdf = np.cumsum(channel_w / total[:, None], axis=1)
             cdf /= cdf[:, -1:]
             j = np.count_nonzero(cdf <= pick[:, None], axis=1)
-            jumped = lower_rows(pre, qubits[j])
-            jumped *= sqrt_kappas[j][:, None]  # in place: one (rows, 2^N) array fewer
+            if k == len(sources):
+                reached, source = _lowered_columns(cols, bits, psi0.dim, not flow.diagonal)
+                columns.append(reached)
+                sources.append(source)
+            # L_alpha as one gather; a string with no source reads the zero pad.
+            padded = np.concatenate((pre, np.zeros((len(pre), 1))), axis=1)
+            jumped = padded[np.arange(len(pre))[:, None], sources[k][j]]
+            jumped *= sqrt_kappas[j][:, None]  # in place: one (rows, columns) array fewer
             jump_sq = row_norms(jumped) ** 2
             weight_c[rows] *= jump_sq
-            psi[rows] = jumped / np.sqrt(jump_sq)[:, None]
+            psi = jumped / np.sqrt(jump_sq)[:, None]
             t[rows] += s
             if k == len(jump_times):
                 jump_times.append(np.full(count, np.nan))
@@ -570,8 +629,8 @@ def run_trajectories(
             jump_times[k][chunk][rows] = t[rows]
             jump_qubits[k][chunk][rows] = qubits[j]
             over = t[rows] >= T
-            final_c[rows[over]] = psi[rows[over]]
-            live = rows[~over]
+            final_c[rows[over, None], columns[k + 1]] = psi[over]
+            live, psi = rows[~over], psi[~over]
             if not live.size:
                 break
     return TrajectoryBatch(

@@ -779,10 +779,12 @@ class TestSimScaleGrid:
     @pytest.mark.parametrize("argv", [
         ["--n", "4", "--t-final", "1000"], ["--n", "8", "--t-final", "1000"],
         ["--n", "4", "--kappa", "1e6"],
-    ], ids=["n4-T1000", "n8-T1000", "kappa1e6"])
+        ["--n", "4", "--t-final", "1e308"], ["--n", "8", "--t-final", "1e308"],
+    ], ids=["n4-T1000", "n8-T1000", "kappa1e6", "n4-T1e308", "n8-T1e308"])
     def test_equal_rates_recover_exactly_at_any_kappa_t(self, capsys, tmp_path, argv):
         # The squared norm over the last window, e^(-kappa (N/2) (T - t)),
-        # underflows long before kappa T = 1000; the flow must not.
+        # underflows long before kappa T = 1000; the flow must not. At
+        # T = 1e308 the decay exponents themselves overflow to -inf.
         status = main(["sim", "run", *argv, "--trajectories", "20", "--seed", "3",
                        "--out", str(tmp_path)])
         summary = _strict_json(capsys.readouterr().out)

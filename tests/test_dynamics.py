@@ -295,7 +295,7 @@ class TestAverageTrajectories:
         # no real model reaches a zero total weight; zero weights force it.
         monkeypatch.setattr(
             dynamics, "_channel_weights",
-            lambda model, psi: np.zeros((len(psi), len(model.channels))),
+            lambda model, psi, columns: np.zeros((len(psi), len(model.channels))),
         )
         model, psi0 = memory_model(4, 1.0), code_state(4, 1)
         batch = run_trajectories(model, psi0, 40.0, 3, range(64))
@@ -603,6 +603,123 @@ class TestRunTrajectories:
         )
 
 
+def round_case(name: str):
+    """(model, psi0, T) of one sampler case, by name."""
+    if name == "code-mismatch":
+        return memory_model(8, [1.2, 0.8, 1.0, 1.1, 0.9, 1.0, 1.0, 1.05]), code_state(8, 4), 1.5
+    if name == "full-support":
+        return memory_model(8, list(np.linspace(0.6, 1.4, 8))), random_state(8, 5), 1.0
+    if name == "driven":
+        from jumpcodes.gates import GateHamiltonian
+
+        drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
+        return LindbladModel(4, drive, ((1, 1.3), (2, 0.7), (3, 1.0), (4, 1.0))), code_state(4, 1), 2.0
+    raise KeyError(name)
+
+
+def dense_trajectory(model, psi0: Ket, T: float, seed: int, traj_id: int):
+    """Oracle: one trajectory as an event loop on its full 2^N state, with the
+    jump operators applied as local operators and the channel drawn by
+    ``Generator.choice``. Returns (jump times, jump qubits, final state)."""
+    from jumpcodes.dynamics import trajectory_rng
+    from jumpcodes.states import apply_local
+
+    rng, flow, one = trajectory_rng(seed, traj_id), dynamics._NoJumpRows(model), np.arange(1)
+    psi, t, times, qubits = psi0.amplitudes, 0.0, [], []
+    while True:
+        u = rng.random()
+        flow.start(psi[None, :])
+        remaining = np.array([T - t])
+        if u == 0 or flow.norm_sq(one)(remaining)[0] > u:
+            return times, qubits, flow.unit_state(one, remaining)[0]
+        s = dynamics._bisect_jump_times(flow, one, remaining, np.array([u]))
+        pre = flow.unit_state(one, s)[0]
+        w = jump_channel_weights(model, Ket(psi0.n_qubits, pre))
+        if w.sum() <= 0:
+            return times, qubits, pre
+        alpha = model.channels[rng.choice(len(w), p=w / w.sum())][0]
+        psi = apply_local(model.jump_operator(alpha), Ket(psi0.n_qubits, pre)).amplitudes
+        psi = psi / np.linalg.norm(psi)
+        t += s[0]
+        times.append(t)
+        qubits.append(alpha)
+        if t >= T:
+            return times, qubits, psi
+
+
+class TestRoundColumns:
+    """Round k of the sampler works on the strings k jumps can reach."""
+
+    @pytest.mark.parametrize("name", ["code-mismatch", "full-support", "driven"])
+    def test_rows_are_bitwise_the_same_in_any_batch(self, name, monkeypatch):
+        model, psi0, T = round_case(name)
+        ids = range(40)
+        full = run_trajectories(model, psi0, T, 29, ids)
+        assert full.jump_counts.max() >= 2
+        parts = [run_trajectories(model, psi0, T, 29, ids[a:b]) for a, b in ((0, 13), (13, 40))]
+        monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 7)
+        chunked = run_trajectories(model, psi0, T, 29, ids)
+        rows = [(part, r) for part in parts for r in range(len(part.weights))]
+        for row, (part, r) in enumerate(rows):
+            n = full.jump_counts[row]
+            for other, i in ((part, r), (chunked, row)):
+                assert other.jump_times[i, :n].tobytes() == full.jump_times[row, :n].tobytes()
+                assert np.array_equal(other.jump_qubits[i, :n], full.jump_qubits[row, :n])
+                assert other.final_states[i].tobytes() == full.final_states[row].tobytes()
+                assert other.weights[i] == full.weights[row]
+
+    @pytest.mark.parametrize("name", ["code-mismatch", "full-support", "driven"])
+    def test_rows_match_a_dense_event_loop(self, name):
+        model, psi0, T = round_case(name)
+        batch = run_trajectories(model, psi0, T, 31, range(25))
+        assert batch.jump_counts.max() >= 2
+        for row in range(25):
+            times, qubits, final = dense_trajectory(model, psi0, T, 31, row)
+            n = batch.jump_counts[row]
+            assert batch.jump_qubits[row, :n].tolist() == qubits
+            assert (np.abs(batch.jump_times[row, :n] - times) <= 1e-14 * np.array(times)).all()
+            assert np.abs(batch.final_states[row] - final).max() <= 1e-14
+
+    def test_a_jump_at_the_horizon_ends_on_the_lowered_strings(self, monkeypatch):
+        # u at the squared norm at T makes ln(S/u)/r round to T or past it:
+        # the row jumps at T exactly and ends on the next round's strings.
+        model, psi0 = memory_model(4, 1.0), code_state(4, 1)
+        flow, one, at_horizon = dynamics._NoJumpRows(model), np.arange(1), 0
+        flow.start(psi0.amplitudes[None, :])
+        for T in np.linspace(0.05, 3.0, 40):
+            u = flow.norm_sq(one)(np.array([T]))[0]
+            monkeypatch.setattr(dynamics, "_philox_uniforms",
+                                lambda keys, blocks: np.tile([u, 0.5, 0.5, 0.5], (len(keys), 1)))
+            batch = run_trajectories(model, psi0, T, 3, range(1))
+            if batch.jump_counts[0] == 1 and batch.jump_times[0, 0] == T:
+                at_horizon += 1
+                alpha = model.jump_operator(batch.jump_qubits[0, 0])
+                lowered = local_to_dense(alpha, 4) @ psi0.amplitudes
+                expected = lowered / np.linalg.norm(lowered)
+                assert np.abs(batch.final_states[0] - expected).max() <= 1e-14
+        assert at_horizon > 0
+
+    def test_code_rows_work_on_their_excitation_sector(self, monkeypatch):
+        # A code state sits in the weight-4 sector, and after k jumps in the
+        # weight 4 - k sector: C(8, 4 - k) strings in round k.
+        from math import comb
+
+        widths = []
+        start = dynamics._NoJumpRows.start
+
+        def recording_start(flow, psi, *columns):
+            widths.append(psi.shape[1])
+            start(flow, psi, *columns)
+
+        monkeypatch.setattr(dynamics._NoJumpRows, "start", recording_start)
+        batch = run_trajectories(memory_model(8, 1.0), code_state(8, 3), 20.0, 5, range(50))
+        assert widths == [comb(8, 4 - k) for k in range(5)]
+        assert (batch.jump_counts == 4).all()
+        weights = [bin(x).count("1") for x in range(256)]
+        for state, n in zip(batch.final_states, batch.jump_counts):
+            assert {weights[x] for x in np.flatnonzero(state)} == {4 - n}
+
+
 class TestNoJumpFlow:
     """The driven no-jump flow against exp(-i H_eff t) applied row by row."""
 
@@ -692,7 +809,7 @@ class TestJumpTimeBracket:
             in_bisection.append(True)
             s = bisect(flow, rows, horizon, threshold)
             in_bisection.pop()
-            rounds.append((flow.weights[rows], horizon, threshold, s))
+            rounds.append((flow.weights[rows], flow.rates, horizon, threshold, s))
             return s
 
         monkeypatch.setattr(dynamics._NoJumpRows, "norm_sq", counting_norm_sq)
@@ -702,8 +819,7 @@ class TestJumpTimeBracket:
         # The norm is evaluated once per round for the end test, never inside.
         assert evals["bisection"] == 0
         assert evals["end"] in (len(rounds), len(rounds) + 1)
-        rates = memory_model(n, kappa).decay_rates()
-        for k, (weights, horizon, u, s) in enumerate(rounds):
+        for k, (weights, rates, horizon, u, s) in enumerate(rounds):
             # After k jumps every row sits in the weight n/2 - k sector.
             support_rates = np.where(weights > 0, rates, np.nan)
             assert np.array_equal(np.nanmin(support_rates, 1), np.nanmax(support_rates, 1))

@@ -428,8 +428,10 @@ def _bisect_jump_times(
     crosses its threshold.
 
     The norm is monotone in time, and bisection starts from ``flow.bracket``.
-    Each row stops once its bracket is within the relative tolerance (a
-    single-rate row at once), so its result does not depend on the other rows.
+    Each row stops once its bracket [lo, hi] is within JUMP_TIME_REL_TOL * hi,
+    but at least two subnormal steps (a single-rate row at once), so its
+    result depends neither on the other rows nor on the unit of time, and a
+    row whose squared norm starts below its threshold jumps one step after 0.
     """
     out = np.empty_like(horizon)
     if not out.size:
@@ -437,14 +439,18 @@ def _bisect_jump_times(
     pos = np.arange(len(horizon))
     lo, hi = flow.bracket(rows, horizon, threshold)
     norm_sq = None
-    # Each step halves a bracket (to within rounding), so with the factor 2
-    # margin in ``limit`` no row can meet its tolerance in the first
-    # ``unchecked`` steps: they skip the test.
-    limit = 2.0 * JUMP_TIME_REL_TOL * np.maximum(hi, 1.0)
+
+    def tolerance(hi: np.ndarray) -> np.ndarray:
+        return np.maximum(JUMP_TIME_REL_TOL * hi, 2 * np.finfo(float).smallest_subnormal)
+
+    # Each step halves a bracket (to within rounding) and hi only falls, so
+    # with the factor 2 margin in ``limit`` no row can meet its tolerance in
+    # the first ``unchecked`` steps: they skip the test.
+    limit = 2.0 * tolerance(hi)
     unchecked = int(np.log2(np.maximum(hi - lo, limit) / limit).min())
     for step in itertools.count():
         if step >= unchecked:
-            done = hi - lo <= JUMP_TIME_REL_TOL * np.maximum(hi, 1.0)
+            done = hi - lo <= tolerance(hi)
             if done.any():
                 out[pos[done]] = 0.5 * (lo[done] + hi[done])
                 go = ~done
@@ -495,6 +501,14 @@ def _lowered_columns(columns: np.ndarray, bits: np.ndarray, dim: int, every: boo
     return reached, source
 
 
+def _lower(psi: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Row r of ``psi`` gathered through ``source[r]``, one channel's row of a
+    ``_lowered_columns`` map: |0><1| on that qubit (L_alpha without its
+    sqrt(kappa_alpha)), where a string with no source reads the zero pad."""
+    padded = np.concatenate((psi, np.zeros((len(psi), 1))), axis=1)
+    return padded[np.arange(len(psi))[:, None], source]
+
+
 @dataclass
 class TrajectoryBatch:
     """Trajectories sampled together; row r holds the r-th requested id.
@@ -507,7 +521,6 @@ class TrajectoryBatch:
     jump_times: np.ndarray
     jump_qubits: np.ndarray
     final_states: np.ndarray
-    weights: np.ndarray
     absorbed: np.ndarray
 
     @property
@@ -521,15 +534,17 @@ def run_trajectories(
     """Simulate the trajectories ``ids`` up to horizon T, batched over rows.
 
     Between jumps each row follows exp(-i H_eff t); a jump fires when the
-    row's squared norm crosses a uniform threshold u > 0 (bisection to relative
-    time tolerance 1e-10 within ``_NoJumpRows.bracket``: ln(S/u)/r for weight
+    row's squared norm crosses a uniform threshold u > 0 (bisection within
+    ``_NoJumpRows.bracket`` until the bracket is within JUMP_TIME_REL_TOL =
+    1e-10 relative to its upper end, at any time scale: ln(S/u)/r for weight
     S at one decay rate r, Dalibard, Castin & Molmer, PRL 68, 580 (1992)), the
     channel is drawn with probability proportional to ||L_alpha psi||^2, and
-    the row is replaced by the normalized L_alpha psi. Trajectory i draws from
-    ``trajectory_rng(seed, i)``: one threshold, then (if it jumps) one channel
-    draw, per round, so round k reads draws 2k and 2k + 1. Those bits are
-    computed for all rows at once (``_stream_keys``, then one Philox block per
-    two rounds), not through a Generator per row.
+    the row is replaced by the normalized L_alpha psi, one gather through
+    ``_lower``. Trajectory i draws from ``trajectory_rng(seed, i)``: one
+    threshold, then (if it jumps) one channel draw, per round, so round k
+    reads draws 2k and 2k + 1. Those bits are computed for all rows at once
+    (``_stream_keys``, then one Philox block per two rounds), not through a
+    Generator per row.
 
     Every row in round k has jumped k times. Under H = 0 a jump maps each
     string to one string and the flow keeps every string, so round k works
@@ -551,7 +566,6 @@ def run_trajectories(
     flow = _NoJumpRows(model)
     qubits = np.array([a for a, _ in model.channels], dtype=int)
     bits = 1 << (qubits - 1)
-    sqrt_kappas = np.sqrt([k for _, k in model.channels])
     # Round k's strings and the gather that lowers them into round k + 1's,
     # built once for all chunks as the rounds are first reached.
     columns = [np.flatnonzero(psi0.amplitudes) if flow.diagonal else np.arange(psi0.dim)]
@@ -559,7 +573,6 @@ def run_trajectories(
     final = np.zeros((count, psi0.dim), dtype=complex)
     if T == 0:  # no round runs
         final[:] = psi0.amplitudes
-    weight = np.ones(count)
     absorbed = np.zeros(count, dtype=bool)
     jump_times: list[np.ndarray] = []  # per round of jumps, one entry per row
     jump_qubits: list[np.ndarray] = []
@@ -567,7 +580,7 @@ def run_trajectories(
         # Views of this chunk's rows; ``live`` indexes within the chunk, and
         # row i of ``psi`` holds live row i's amplitudes on round k's strings.
         chunk = slice(start, start + TRAJECTORY_CHUNK)
-        final_c, weight_c, absorbed_c = final[chunk], weight[chunk], absorbed[chunk]
+        final_c, absorbed_c = final[chunk], absorbed[chunk]
         keys_c = keys[chunk]
         block = np.empty((len(keys_c), 4))  # the Philox block of rounds k and k + 1
         t = np.zeros(len(keys_c))
@@ -586,7 +599,6 @@ def run_trajectories(
             # Threshold 0 is never crossed: its waiting time is infinite.
             stays = (end_sq > draws[:, 0]) | (draws[:, 0] == 0)
             if stays.any():
-                weight_c[live[stays]] *= end_sq[stays]
                 final_c[live[stays, None], cols] = flow.unit_state(
                     np.flatnonzero(stays), remaining[stays])
                 if stays.all():
@@ -596,7 +608,6 @@ def run_trajectories(
             rows, (threshold, pick) = live[jumping], draws[jumping].T
             s = _bisect_jump_times(flow, jumping, remaining[jumping], threshold)
             pre = flow.unit_state(jumping, s)
-            weight_c[rows] *= threshold  # squared norm at the crossing
             channel_w = _channel_weights(model, pre, cols)
             total = channel_w.sum(axis=1)
             dark = total <= 0.0
@@ -615,13 +626,8 @@ def run_trajectories(
                 reached, source = _lowered_columns(cols, bits, psi0.dim, not flow.diagonal)
                 columns.append(reached)
                 sources.append(source)
-            # L_alpha as one gather; a string with no source reads the zero pad.
-            padded = np.concatenate((pre, np.zeros((len(pre), 1))), axis=1)
-            jumped = padded[np.arange(len(pre))[:, None], sources[k][j]]
-            jumped *= sqrt_kappas[j][:, None]  # in place: one (rows, columns) array fewer
-            jump_sq = row_norms(jumped) ** 2
-            weight_c[rows] *= jump_sq
-            psi = jumped / np.sqrt(jump_sq)[:, None]
+            jumped = _lower(pre, sources[k][j])
+            psi = jumped / row_norms(jumped)[:, None]
             t[rows] += s
             if k == len(jump_times):
                 jump_times.append(np.full(count, np.nan))
@@ -638,7 +644,6 @@ def run_trajectories(
         np.array(jump_times, dtype=float).reshape(len(jump_times), count).T,
         np.array(jump_qubits, dtype=int).reshape(len(jump_qubits), count).T,
         final,
-        weight,
         absorbed,
     )
 

@@ -533,12 +533,14 @@ def _cartan_factors(U: np.ndarray) -> list[tuple[np.ndarray, float]]:
 def synthesize_qutrit(U: np.ndarray, code: JumpCode) -> HamiltonianProgram:
     """Emit a physical E/F program of at most three segments realizing U up to phase.
 
-    The identity is the empty program, and a target whose principal log is
-    real symmetric is one segment. Any other target is a real-symmetric
-    segment after two reflections (``_cartan_factors``), so the program is
-    exact; its measured phase-aligned error is ``achieved_error``. Every
-    segment Hamiltonian is evaluated through ``logical_matrix``, which raises
-    ``LeakageError`` if it leaks from the code space.
+    A target whose traceless principal log has norm below 1e-13 is the
+    empty program, and one whose principal log is real symmetric is one
+    segment. Any other target is a real-symmetric segment after two
+    reflections (``_cartan_factors``), so the program is exact. Every
+    program's phase-aligned error, the empty one's too, is measured into
+    ``achieved_error``. Every segment Hamiltonian is evaluated through
+    ``logical_matrix``, which raises ``LeakageError`` if it leaks from the
+    code space.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (3, 3) or not (
@@ -553,8 +555,8 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode) -> HamiltonianProgram:
     H = principal_log_hamiltonian(U)
     H = H - np.trace(H) / 3.0 * np.eye(3)
     if np.linalg.norm(H) < 1e-13:
-        return HamiltonianProgram([], achieved_error=0.0, trotter_steps=0)
-    if np.linalg.norm(0.5 * (H.imag - H.imag.T)) < 1e-13:
+        factors = []
+    elif np.linalg.norm(0.5 * (H.imag - H.imag.T)) < 1e-13:
         factors = [(0.5 * (H.real + H.real.T), 1.0)]
     else:
         factors = _cartan_factors(U)

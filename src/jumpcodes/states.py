@@ -121,20 +121,6 @@ def apply_local(op: LocalOperator, psi: Ket) -> Ket:
     return Ket(psi.n_qubits, (op.block[rows] * psi.amplitudes[at % psi.dim]).sum(axis=1))
 
 
-def lower_rows(psi: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Apply |0><1| on qubit ``alpha[r]`` to row r of ``psi`` (unnormalized).
-
-    L_alpha|x> = |x - 2**(alpha-1)> when bit alpha of x is set, so entry x of
-    the result is psi[r, x | 2**(alpha-1)] where that bit of x is clear and
-    zero where it is set.
-    """
-    bit = (1 << (np.asarray(alpha) - 1))[:, None]
-    idx = np.arange(psi.shape[1])
-    out = psi[np.arange(len(psi))[:, None], idx | bit]
-    out[(idx & bit) != 0] = 0.0
-    return out
-
-
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row, bit for bit: the same BLAS dot per row."""
     re, im = rows.real[:, None, :], rows.imag[:, None, :]

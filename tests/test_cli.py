@@ -181,6 +181,17 @@ class TestVerifyCommand:
         assert entry["verdict"] == "not reversible"
         assert entry["offdiagonal_witness"] > 0.1
 
+    @pytest.mark.parametrize("kappa", ["1e-320", "1e308"])
+    def test_kl_passes_at_the_ends_of_float_range(self, capsys, kappa):
+        # 1e-9 kappa underflows to 0 at 1e-320, and four rates of 1e308
+        # overflow their sum; the condition is homogeneous in kappa.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, report = run_cli(capsys, "verify", "kl", "--kappa", kappa)
+        assert status == 0 and report["pass"] is True
+        for a in range(1, 5):
+            assert report["checks"][f"L{a}"]["lambda"] == pytest.approx(float(kappa) / 2)
+
     def test_entangle_report_fields(self, capsys):
         status, report = run_cli(capsys, "verify", "entangle")
         assert status == 0
@@ -780,16 +791,49 @@ class TestSimScaleGrid:
         ["--n", "4", "--t-final", "1000"], ["--n", "8", "--t-final", "1000"],
         ["--n", "4", "--kappa", "1e6"],
         ["--n", "4", "--t-final", "1e308"], ["--n", "8", "--t-final", "1e308"],
-    ], ids=["n4-T1000", "n8-T1000", "kappa1e6", "n4-T1e308", "n8-T1e308"])
+        ["--n", "4", "--kappa", "1e200", "--t-final", "1e-200"],
+        ["--n", "4", "--kappa", "1e300", "--t-final", "1e6"],
+    ], ids=["n4-T1000", "n8-T1000", "kappa1e6", "n4-T1e308", "n8-T1e308", "kappa1e200-T1e-200",
+            "kappa1e300-T1e6"])
     def test_equal_rates_recover_exactly_at_any_kappa_t(self, capsys, tmp_path, argv):
         # The squared norm over the last window, e^(-kappa (N/2) (T - t)),
         # underflows long before kappa T = 1000; the flow must not. At
-        # T = 1e308 the decay exponents themselves overflow to -inf.
+        # T = 1e308 the decay exponents themselves overflow to -inf. At
+        # kappa 1e200 a product of kappa over two jumps would overflow.
         status = main(["sim", "run", *argv, "--trajectories", "20", "--seed", "3",
                        "--out", str(tmp_path)])
         summary = _strict_json(capsys.readouterr().out)
         assert status == 0 and summary["total_jumps"] > 0
         assert abs(summary["mean_fidelity"] - 1.0) <= 1e-12
+
+
+def _jump_log(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(trajectory_id, alpha) pairs and times of a ``jumps.csv``."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return rows[:, [0, 2]].astype(int), rows[:, 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-200, 1e-3, 1e3, 1e6, 1e200])
+def test_sim_run_does_not_depend_on_the_time_unit(capsys, tmp_path, c):
+    # (kappa, T, delay) -> (c kappa, T / c, delay / c) is a change of time
+    # unit: the same jumps at times scaled by 1 / c, and the same fidelity.
+    def run(scale: float, out: Path) -> float:
+        status = main([
+            "sim", "run", "--n", "4", "--kappa", repr(scale), "--t-final", repr(1.5 / scale),
+            "--delay", repr(0.1 / scale), "--mismatch", "1.3", "0.7", "1", "1",
+            "--p-miss", "0.3", "--trajectories", "200", "--seed", "3", "--out", str(out),
+        ])
+        assert status == 0
+        return _strict_json(capsys.readouterr().out)["mean_fidelity"]
+
+    fidelity = run(1.0, tmp_path / "unit")
+    scaled = run(c, tmp_path / "scaled")
+    events, times = _jump_log(tmp_path / "unit" / "jumps.csv")
+    scaled_events, scaled_times = _jump_log(tmp_path / "scaled" / "jumps.csv")
+    assert len(events) > 200 and np.array_equal(scaled_events, events)
+    assert (np.abs(scaled_times * c - times) <= 1e-12 * times).all()
+    assert abs(scaled - fidelity) <= 1e-12
 
 
 @pytest.mark.parametrize("module, name, argv", [

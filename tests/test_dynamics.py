@@ -233,8 +233,8 @@ class TestRunTrajectory:
         assert np.allclose(w, kappa / 2.0)
 
     def test_record_weight_matches_operator_product(self):
-        # the running weight must equal the squared norm of the unnormalized
-        # state built from the record by explicit operator products
+        # the final state must be the normalized state built from the record
+        # by explicit operator products
         kappa = [1.0, 0.6, 1.7]
         model = memory_model(3, kappa)
         H_eff = sum_to_dense(effective_hamiltonian(model), 3)
@@ -248,7 +248,6 @@ class TestRunTrajectory:
                 psi = local_to_dense(model.jump_operator(alpha), 3) @ psi
                 t_prev = t
             psi = expm(-1j * H_eff * (6.0 - t_prev)) @ psi
-            assert abs(rec.weights[0] - np.linalg.norm(psi) ** 2) < 1e-9
             direction = rec.final_states[0]
             assert np.linalg.norm(psi / np.linalg.norm(psi) - direction) < 1e-7
             found += rec.jump_counts[0]
@@ -551,7 +550,6 @@ def test_horizon_must_be_non_negative():
     batch = run_trajectories(model, psi, 0.0, 0, range(3))
     assert batch.jump_counts.tolist() == [0, 0, 0]
     assert np.array_equal(batch.final_states, np.tile(psi.amplitudes, (3, 1)))
-    assert batch.weights.tolist() == [1.0, 1.0, 1.0]
 
 
 def random_state(n: int, seed: int) -> Ket:
@@ -574,7 +572,6 @@ class TestRunTrajectories:
             assert rec.jump_times[0].tobytes() == batch.jump_times[row, :n].tobytes()
             assert np.array_equal(rec.jump_qubits[0], batch.jump_qubits[row, :n])
             assert rec.final_states[0].tobytes() == batch.final_states[row].tobytes()
-            assert rec.weights[0] == batch.weights[row]
             assert rec.absorbed[0] == batch.absorbed[row]
         assert batch.jump_counts.sum() > 0
 
@@ -659,14 +656,13 @@ class TestRoundColumns:
         parts = [run_trajectories(model, psi0, T, 29, ids[a:b]) for a, b in ((0, 13), (13, 40))]
         monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 7)
         chunked = run_trajectories(model, psi0, T, 29, ids)
-        rows = [(part, r) for part in parts for r in range(len(part.weights))]
+        rows = [(part, r) for part in parts for r in range(len(part.jump_qubits))]
         for row, (part, r) in enumerate(rows):
             n = full.jump_counts[row]
             for other, i in ((part, r), (chunked, row)):
                 assert other.jump_times[i, :n].tobytes() == full.jump_times[row, :n].tobytes()
                 assert np.array_equal(other.jump_qubits[i, :n], full.jump_qubits[row, :n])
                 assert other.final_states[i].tobytes() == full.final_states[row].tobytes()
-                assert other.weights[i] == full.weights[row]
 
     @pytest.mark.parametrize("name", ["code-mismatch", "full-support", "driven"])
     def test_rows_match_a_dense_event_loop(self, name):
@@ -911,7 +907,7 @@ class TestJumpTimeBracket:
             warnings.simplefilter("error")
             batch = run_trajectories(model, psi, 1.0, 3, range(5))
         assert not batch.jump_counts.any() and not batch.absorbed.any()
-        assert np.isfinite(batch.final_states).all() and np.isfinite(batch.weights).all()
+        assert np.isfinite(batch.final_states).all()
         rates = model.decay_rates()
         slowest = rates == rates[psi.amplitudes != 0].min()
         expected = psi.amplitudes * slowest / np.linalg.norm(psi.amplitudes * slowest)

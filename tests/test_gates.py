@@ -404,6 +404,14 @@ class TestSynthesis:
         assert prog.segments == []
         assert prog.achieved_error == 0.0
 
+    def test_near_identity_target_measures_its_error(self):
+        # The traceless log has norm 4.1e-14, so the program is empty, but
+        # its error against the target is measured, not taken as 0.
+        target = np.diag([np.exp(5e-14j), 1.0, 1.0])
+        report = synthesis_report(target, 1e-15)
+        assert report["segments"] == [] and report["pass"] is False
+        assert report["achieved_error"] > 1e-15
+
     def test_real_symmetric_target_single_segment(self):
         tau = np.pi / 3.0
         target = expm(-1j * tau * TABLE1["E12"])

@@ -318,7 +318,7 @@ class TestCorrectTrajectory:
     def test_jump_qubit_out_of_range(self, alpha):
         batch = TrajectoryBatch(
             4, np.array([[0.1]]), np.array([[alpha]]), self.psi.amplitudes[None, :],
-            np.ones(1), np.zeros(1, dtype=bool),
+            np.zeros(1, dtype=bool),
         )
         with pytest.raises(ValueError, match="must lie in 0..4"):
             correct_trajectory(batch, self.code, self.logical)

@@ -156,13 +156,14 @@ def test_sum_to_dense_adds_terms():
 
 class TestRowKernels:
     def test_lower_rows_matches_apply_local(self):
-        from jumpcodes.states import lower_rows
+        from jumpcodes.dynamics import _lower, _lowered_columns
 
         rng = np.random.default_rng(12)
         n = 4
         kets = [random_ket(rng, n) for _ in range(8)]
         alpha = np.array([1, 2, 3, 4, 4, 3, 2, 1])
-        got = lower_rows(np.array([k.amplitudes for k in kets]), alpha)
+        _, lowering = _lowered_columns(np.arange(2**n), 1 << np.arange(n), 2**n, True)
+        got = _lower(np.array([k.amplitudes for k in kets]), lowering[alpha - 1])
         for row, ket, a in zip(got, kets, alpha):
             expected = apply_local(LocalOperator((int(a),), LOWER), ket).amplitudes
             assert np.array_equal(row, expected)

@@ -129,6 +129,61 @@ class TestNoJumpKraus:
             no_jump_kraus(model, 1.0)
 
 
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """The model's Liouvillian on column-stacked rho: vec(A rho B) = (B^T x A) vec(rho)."""
+    n = model.n_qubits
+    Hm, eye = sum_to_dense(model.hamiltonian, n), np.eye(2**n)
+    liouv = -1j * (np.kron(eye, Hm) - np.kron(Hm.T, eye))
+    for alpha, _ in model.channels:
+        L = local_to_dense(model.jump_operator(alpha), n)
+        LdL = L.conj().T @ L
+        liouv += np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+    return liouv
+
+
+def classic_rk4(model: LindbladModel, rho0: DensityMatrix, T: float, dt: float) -> np.ndarray:
+    """Oracle: the four-stage RK4 on all 2^N strings, h/6 (k1 + 2 k2 + 2 k3 + k4),
+    with two matmuls for the commutator and dense L_a rho L_a^+ per stage."""
+    n = model.n_qubits
+    h_eff = sum_to_dense(effective_hamiltonian(model), n)
+    jumps = [local_to_dense(model.jump_operator(a), n) for a, k in model.channels if k > 0]
+
+    def rhs(rho):
+        out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+        for L in jumps:
+            out += L @ rho @ L.conj().T
+        return out
+
+    rho = rho0.matrix.copy()
+    steps, last = divmod(T, dt)
+    for h in [dt] * int(steps) + [last] * (last > 1e-15 * T):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def master_case(name: str):
+    """(model, rho0, T, dt) of one master-equation case, by name."""
+    if name == "benchmark":  # the benchmark's driven_master call
+        model, psi, T, _, _ = projector_case("driven-e23-f23")
+        return model, pure_density(psi), T, 1e-3
+    if name == "two-sectors":  # coherent across the weight-2 and weight-1 sectors
+        model, psi, _, _, _ = projector_case("driven-e23-f23")
+        v = psi.amplitudes + 0.6j * basis_ket("0001").amplitudes - 0.3 * basis_ket("1000").amplitudes
+        return model, pure_density(Ket(4, v / np.linalg.norm(v))), 0.5, 1e-3
+    if name == "every-string":  # a drive that couples every string: C is all 16
+        model, psi, _, _, _ = projector_case("driven-sigma-x")
+        return model, pure_density(psi), 0.5, 1e-3
+    if name == "code-n6":
+        model = memory_model(6, [1.2, 0.8, 1.0, 1.1, 0.9, 1.0])
+        return model, pure_density(code_state(6, 3)), 0.5, 1e-2
+    raise KeyError(name)
+
+
 class TestIntegrateMaster:
     def test_single_qubit_decay(self):
         kappa, T = 1.0, 2.0
@@ -183,15 +238,46 @@ class TestIntegrateMaster:
         psi = random_state(3, 8)
         T = 0.9
         rho = integrate_master(model, pure_density(psi), T, 1e-3)
-        Hm, eye = sum_to_dense(H, 3), np.eye(8)
-        liouv = -1j * (np.kron(eye, Hm) - np.kron(Hm.T, eye))
-        for alpha, _ in model.channels:
-            L = local_to_dense(model.jump_operator(alpha), 3)
-            LdL = L.conj().T @ L
-            liouv += np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
         vec0 = pure_density(psi).matrix.reshape(-1, order="F")
-        expected = (expm(liouv * T) @ vec0).reshape(8, 8, order="F")
+        expected = (expm(liouvillian(model) * T) @ vec0).reshape(8, 8, order="F")
         assert np.linalg.norm(rho.matrix - expected) < 1e-8
+
+    def test_benchmark_case_matches_liouvillian(self):
+        # N = 4 under the E23 - F23 drive at rates (1.3, 0.7, 1, 1) from a
+        # code state: RK4 against expm of the 256 x 256 Liouvillian.
+        model, rho0, T, dt = master_case("benchmark")
+        rho = integrate_master(model, rho0, T, dt)
+        vec0 = rho0.matrix.reshape(-1, order="F")
+        expected = (expm(liouvillian(model) * T) @ vec0).reshape(16, 16, order="F")
+        assert np.abs(rho.matrix - expected).max() < 1e-9
+
+    @pytest.mark.parametrize("name", ["benchmark", "two-sectors", "every-string", "code-n6"])
+    def test_matches_classic_rk4_on_every_string(self, name):
+        model, rho0, T, dt = master_case(name)
+        rho = integrate_master(model, rho0, T, dt)
+        assert np.abs(rho.matrix - classic_rk4(model, rho0, T, dt)).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["benchmark", "two-sectors", "code-n6"])
+    def test_entries_outside_the_reached_strings_are_zero(self, name):
+        # A code state's (or a weight <= 2 start's) reachable strings are
+        # those of weight <= N/2; each of them fills by T, and no other does.
+        model, rho0, T, dt = master_case(name)
+        rho = integrate_master(model, rho0, T, dt).matrix
+        weight = np.array([bin(x).count("1") for x in range(len(rho))])
+        reached = weight <= model.n_qubits // 2
+        assert (rho.diagonal()[reached].real > 0).all()
+        assert not rho[~reached].any() and not rho[:, ~reached].any()
+        assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-15, 1e-12, 1e-3, 1e3, 1e200])
+    def test_does_not_depend_on_the_time_unit(self, c):
+        # (kappa, T, dt) -> (kappa / c, c T, c dt) is the same evolution in
+        # another unit of time. The end test was once an absolute 1e-15: at
+        # c = 1e-15 the loop stopped at e^-1, and at c = 1e-200 it never ran.
+        rho0 = pure_density(basis_ket("1"))
+        expected = integrate_master(memory_model(1, 1.0), rho0, 2.0, 1e-3).matrix
+        rho = integrate_master(memory_model(1, 1.0 / c), rho0, 2.0 * c, 1e-3 * c).matrix
+        assert np.abs(rho - expected).max() <= 1e-12
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -880,6 +966,40 @@ class TestJumpTimeBracket:
             assert (batch.jump_counts == 2).all()
         else:  # the ground state has no channel weight
             assert batch.absorbed.all() and not batch.jump_counts.any()
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["memory", "driven"])
+    def test_row_starting_below_its_threshold_jumps_at_once(self, driven):
+        # Row 0's squared norm 1 - 1e-10 starts below u = 1 - 2^-40, so it
+        # crosses at 0: once bisected from the horizon down to the
+        # two-subnormal floor (about 1075 norm evaluations), now bracketed
+        # there by its weight (its norm at 0 under a drive). Row 1 crosses
+        # later, and is bisected as it would be alone.
+        from jumpcodes.gates import GateHamiltonian
+
+        drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
+        model = LindbladModel(4, drive if driven else None, ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.1)))
+        psi = code_state(4, 1).amplitudes
+        flow = dynamics._NoJumpRows(model)
+        flow.start(np.array([psi * np.sqrt(1 - 1e-10), psi]))
+        evaluations = []
+        norm_sq = flow.norm_sq
+
+        def counting_norm_sq(rows):
+            f = norm_sq(rows)
+
+            def evaluate(t):
+                evaluations.append(len(t))
+                return f(t)
+
+            return evaluate
+
+        flow.norm_sq = counting_norm_sq
+        horizon, u = np.full(2, 3.0), np.array([1 - 2.0**-40, 0.5])
+        s = dynamics._bisect_jump_times(flow, np.arange(1), horizon[:1], u[:1])
+        assert s[0] == np.finfo(float).smallest_subnormal and not evaluations
+        both = dynamics._bisect_jump_times(flow, np.arange(2), horizon, u)
+        alone = dynamics._bisect_jump_times(flow, np.arange(1, 2), horizon[1:], u[1:])
+        assert both[0] == s[0] and both[1] == alone[0] and 0 < alone[0] < 3.0
 
     def test_threshold_at_the_end_norm_stays_within_horizon(self):
         # u equal to the squared norm at the horizon jumps; ln(S/u)/r may

@@ -32,6 +32,10 @@ TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 EIG_TOL = 1e-8
 JUMP_TIME_REL_TOL = 1e-10
+# Most steps integrate_master takes. Past 1e6 RK4 steps the rounding they add
+# (about 1e-16 each) outweighs their truncation error for kappa T up to about
+# 600, so more steps only cost time (about 7 ms each at N = 8).
+MASTER_STEP_LIMIT = 10**6
 
 
 @dataclass
@@ -100,9 +104,14 @@ class DensityMatrix:
             raise ValueError(f"trace {tr} is not 1")
         if not np.linalg.norm(mat - mat.conj().T) <= HERM_TOL:
             raise ValueError("density matrix is not hermitian")
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        if not eigs.min() >= -self.eig_tol:
-            raise ValueError(f"negative eigenvalue {eigs.min()}")
+        # min eig >= -eig_tol iff mat + eig_tol I has a Cholesky factor, to rounding.
+        herm = 0.5 * (mat + mat.conj().T)
+        herm.reshape(-1)[:: len(herm) + 1] += self.eig_tol
+        try:
+            np.linalg.cholesky(herm)
+        except np.linalg.LinAlgError:
+            eig = np.linalg.eigvalsh(herm).min() - self.eig_tol
+            raise ValueError(f"negative eigenvalue {eig}") from None
         mat.setflags(write=False)
         self.matrix = mat
 
@@ -160,6 +169,8 @@ def integrate_master(
         raise ValueError("dt must be positive and finite")
     if not (np.isfinite(T) and T >= 0):
         raise ValueError("T must be finite and non-negative")
+    if T > MASTER_STEP_LIMIT * dt:
+        raise ValueError(f"T / dt exceeds {MASTER_STEP_LIMIT:.0e} steps")
     if model.n_qubits > 8:
         raise ValueError("dense master integration limited to 8 qubits")
     dim = 2**model.n_qubits
@@ -339,8 +350,8 @@ class _NoJumpRows:
 
     def __init__(self, model: LindbladModel):
         self.diagonal = not model.hamiltonian.terms
+        self.string_rates = model.decay_rates()
         if self.diagonal:
-            self.string_rates = model.decay_rates()
             return
         self.h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
         lam, V = np.linalg.eig(self.h_eff)
@@ -354,9 +365,8 @@ class _NoJumpRows:
     def start(self, psi: np.ndarray, columns=slice(None)) -> None:
         """Start from rows ``psi``. Under H = 0 their columns hold the
         strings ``columns`` (default: every string); otherwise every string."""
-        self.psi = psi
+        self.psi, self.rates = psi, self.string_rates[columns]
         if self.diagonal:
-            self.rates = self.string_rates[columns]
             self.__dict__.pop("weights", None)  # the old rows' cached |psi|^2
         elif self.eigenbasis:
             self.coeffs = (psi[:, None, :] @ self.to_eigen)[:, 0]
@@ -407,16 +417,17 @@ class _NoJumpRows:
 
     def norm_sq(self, rows: np.ndarray):
         """The squared norm of start rows ``rows`` as a function of their times."""
-        if not self.diagonal:
-            return lambda t: row_norms(self.state(rows, t)) ** 2
-        weights, neg_rates = self.weights[rows], -self.rates
+        return lambda t: self.norm_slope(rows, t)[0]
 
-        def norm_sq(t: np.ndarray) -> np.ndarray:
+    def norm_slope(self, rows: np.ndarray, t: np.ndarray):
+        """The squared norm f of start rows ``rows`` at times ``t``, and its
+        slope f' = -<psi(t)|Gamma|psi(t)>, Gamma the strings' decay rates."""
+        if self.diagonal:
             with np.errstate(over="ignore"):  # to -inf, as in ``state``
-                exponent = neg_rates * t[:, None]
-            return np.add.reduce(weights * np.exp(exponent), axis=1)
-
-        return norm_sq
+                probs = self.weights[rows] * np.exp(-self.rates * t[:, None])
+        else:
+            probs = np.abs(self.state(rows, t)) ** 2
+        return np.add.reduce(probs, axis=1), -np.add.reduce(probs * self.rates, axis=1)
 
     def bracket(self, rows: np.ndarray, horizon: np.ndarray, u: np.ndarray):
         """Each row's crossing of u lies in [ln(S/u)/r_max, ln(S/u)/r_min] under H = 0,
@@ -441,49 +452,51 @@ class _NoJumpRows:
         return np.minimum(lo, hi), hi
 
 
-def _bisect_jump_times(
+def _jump_times(
     flow: _NoJumpRows, rows: np.ndarray, horizon: np.ndarray, threshold: np.ndarray
 ) -> np.ndarray:
-    """For each of the flow's ``rows``, the time where its squared norm
-    crosses its threshold.
+    """For each of the flow's ``rows``, the time where its squared norm f
+    crosses its threshold u.
 
-    The norm is monotone in time, and bisection starts from ``flow.bracket``.
-    Each row stops once its bracket [lo, hi] is within JUMP_TIME_REL_TOL * hi,
-    but at least two subnormal steps (a single-rate row at once), so its
-    result depends neither on the other rows nor on the unit of time. A row
-    whose squared norm starts at or below its threshold jumps one subnormal
-    step after 0, with no norm evaluation.
+    Safeguarded Newton on ln f (convex under H = 0) within ``flow.bracket``:
+    a row starts at its lower end, and each evaluation of (f, f') moves lo or
+    hi to its point by the sign of f - u. The next point is the Newton point
+    t + ln(f/u) f / -f' (exact at one decay rate) if it lies in [lo, hi] and
+    its step is at most half the step before last, else the midpoint. A row
+    ends at a Newton step below JUMP_TIME_REL_TOL times that point (and two
+    subnormals), or at the midpoint of a bracket within JUMP_TIME_REL_TOL *
+    hi (a single-rate row at once), so its time depends neither on the other
+    rows nor on the unit of time. A row whose squared norm starts at or below
+    its threshold jumps one subnormal step after 0, with no evaluation.
     """
     out = np.empty_like(horizon)
-    if not out.size:
-        return out
     pos = np.arange(len(horizon))
     lo, hi = flow.bracket(rows, horizon, threshold)
-    norm_sq = None
+    t, steps = lo, np.full((2, len(lo)), np.inf)  # each row's last two steps
 
-    def tolerance(hi: np.ndarray) -> np.ndarray:
-        return np.maximum(JUMP_TIME_REL_TOL * hi, 2 * np.finfo(float).smallest_subnormal)
+    def tolerance(t: np.ndarray) -> np.ndarray:
+        return np.maximum(JUMP_TIME_REL_TOL * t, 2 * np.finfo(float).smallest_subnormal)
 
-    # Each step halves a bracket (to within rounding) and hi only falls, so
-    # with the factor 2 margin in ``limit`` no row can meet its tolerance in
-    # the first ``unchecked`` steps: they skip the test.
-    limit = 2.0 * tolerance(hi)
-    unchecked = int(np.log2(np.maximum(hi - lo, limit) / limit).min())
-    for step in itertools.count():
-        if step >= unchecked:
-            done = hi - lo <= tolerance(hi)
-            if done.any():
-                out[pos[done]] = 0.5 * (lo[done] + hi[done])
-                go = ~done
-                pos, lo, hi, rows, threshold = pos[go], lo[go], hi[go], rows[go], threshold[go]
-                if not pos.size:
-                    return out
-                norm_sq = None
-        norm_sq = norm_sq or flow.norm_sq(rows)
-        mid = 0.5 * (lo + hi)
-        above = norm_sq(mid) > threshold
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+    while True:
+        done = hi - lo <= tolerance(hi)
+        out[pos[done]] = 0.5 * (lo[done] + hi[done])
+        go = ~done
+        pos, lo, hi, t, rows, threshold = pos[go], lo[go], hi[go], t[go], rows[go], threshold[go]
+        if not pos.size:
+            return out
+        steps = steps[:, go]
+        f, slope = flow.norm_slope(rows, t)
+        above = f > threshold
+        lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = t + np.log(f / threshold) * (f / -slope)
+        # Steps that halve every two evaluations: rounding cannot cycle them.
+        step = np.abs(newton - t)
+        inside = (lo <= newton) & (newton <= hi) & (step <= 0.5 * steps[0])
+        last = inside & (step <= tolerance(newton))  # its bracket closes on it
+        lo, hi = np.where(last, newton, lo), np.where(last, newton, hi)
+        t, previous = np.where(inside, newton, 0.5 * (lo + hi)), t
+        steps = np.stack([steps[1], np.abs(t - previous)])
 
 
 def _channel_weights(model: LindbladModel, psi: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -555,13 +568,13 @@ def run_trajectories(
     """Simulate the trajectories ``ids`` up to horizon T, batched over rows.
 
     Between jumps each row follows exp(-i H_eff t); a jump fires when the
-    row's squared norm crosses a uniform threshold u > 0 (bisection within
-    ``_NoJumpRows.bracket`` until the bracket is within JUMP_TIME_REL_TOL =
-    1e-10 relative to its upper end, at any time scale: ln(S/u)/r for weight
-    S at one decay rate r, Dalibard, Castin & Molmer, PRL 68, 580 (1992)), the
-    channel is drawn with probability proportional to ||L_alpha psi||^2, and
-    the row is replaced by the normalized L_alpha psi, one gather through
-    ``_lower``. Trajectory i draws from ``trajectory_rng(seed, i)``: one
+    row's squared norm crosses a uniform threshold u > 0 (``_jump_times``:
+    safeguarded Newton steps on its logarithm within ``_NoJumpRows.bracket``,
+    to JUMP_TIME_REL_TOL = 1e-10 relative at any time scale; ln(S/u)/r for
+    weight S at one decay rate r, Dalibard, Castin & Molmer, PRL 68, 580
+    (1992)), the channel is drawn with probability proportional to
+    ||L_alpha psi||^2, and the row is replaced by the normalized L_alpha psi,
+    one gather through ``_lower``. Trajectory i draws from ``trajectory_rng(seed, i)``: one
     threshold, then (if it jumps) one channel draw, per round, so round k
     reads draws 2k and 2k + 1. Those bits are computed for all rows at once
     (``_stream_keys``, then one Philox block per two rounds), not through a
@@ -627,7 +640,7 @@ def run_trajectories(
 
             jumping = np.flatnonzero(~stays)
             rows, (threshold, pick) = live[jumping], draws[jumping].T
-            s = _bisect_jump_times(flow, jumping, remaining[jumping], threshold)
+            s = _jump_times(flow, jumping, remaining[jumping], threshold)
             pre = flow.unit_state(jumping, s)
             channel_w = _channel_weights(model, pre, cols)
             total = channel_w.sum(axis=1)

@@ -279,6 +279,13 @@ class TestIntegrateMaster:
         rho = integrate_master(memory_model(1, 1.0 / c), rho0, 2.0 * c, 1e-3 * c).matrix
         assert np.abs(rho - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-15], ids=["subnormal", "1e15-steps"])
+    def test_rejects_more_steps_than_the_limit(self, dt):
+        # dt = 5e-324 raised OverflowError from int(T / dt); T / dt = 1e15
+        # steps would run for days.
+        with pytest.raises(ValueError, match="exceeds"):
+            integrate_master(memory_model(1, 1.0), pure_density(basis_ket("1")), 1.0, dt)
+
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             integrate_master(memory_model(1, 1.0), pure_density(basis_ket("1")), 1.0, 0.0)
@@ -518,6 +525,20 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("eig_tol", [dynamics.EIG_TOL, 1e-7])
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_smallest_eigenvalue_bound_is_eig_tol(self, eig_tol, factor, accepted):
+        # Eigenvalues (0.5 + f tol, 0.3, 0.2, -f tol) in a random basis.
+        eigs = np.array([0.5 + factor * eig_tol, 0.3, 0.2, -factor * eig_tol])
+        Q, _ = np.linalg.qr(random_state(4, 3).amplitudes.reshape(4, 4))
+        matrix = (Q * eigs) @ Q.conj().T
+        matrix = 0.5 * (matrix + matrix.conj().T)
+        if accepted:
+            DensityMatrix(matrix, eig_tol=eig_tol)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue -"):
+                DensityMatrix(matrix, eig_tol=eig_tol)
+
     @pytest.mark.parametrize("matrix", [
         np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 0.0]]),
     ], ids=["all-nan", "nan-coherence"])
@@ -715,7 +736,7 @@ def dense_trajectory(model, psi0: Ket, T: float, seed: int, traj_id: int):
         remaining = np.array([T - t])
         if u == 0 or flow.norm_sq(one)(remaining)[0] > u:
             return times, qubits, flow.unit_state(one, remaining)[0]
-        s = dynamics._bisect_jump_times(flow, one, remaining, np.array([u]))
+        s = dynamics._jump_times(flow, one, remaining, np.array([u]))
         pre = flow.unit_state(one, s)[0]
         w = jump_channel_weights(model, Ket(psi0.n_qubits, pre))
         if w.sum() <= 0:
@@ -815,7 +836,7 @@ class TestNoJumpFlow:
         h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
         for row, (tr, p) in enumerate(zip(t, psi)):
             assert np.abs(got[row] - expm(-1j * tr * h_eff) @ p).max() < 1e-12
-        # A subset of the rows, at other times, as bisection evaluates them.
+        # A subset of the rows, at other times, as the jump-time search evaluates them.
         rows, times = np.array([4, 1]), np.array([0.7, 2.9])
         expected = [
             np.linalg.norm(expm(-1j * tr * h_eff) @ psi[r]) ** 2 for tr, r in zip(times, rows)
@@ -868,38 +889,36 @@ class TestNoJumpFlow:
 
 
 class TestJumpTimeBracket:
-    """Jump times bisected from each row's decay-rate bracket."""
+    """Jump times by safeguarded Newton on ln f, f the squared norm, from each
+    row's decay-rate bracket; single-rate rows take the closed form."""
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_equal_rate_code_rows_take_the_closed_form(self, n, monkeypatch):
         kappa = 0.7
-        evals = {"end": 0, "bisection": 0}
-        in_bisection = []
+        evals = {"end": 0, "search": 0}
+        in_search = []
         rounds = []
-        norm_sq, bisect = dynamics._NoJumpRows.norm_sq, dynamics._bisect_jump_times
+        norm_slope, search = dynamics._NoJumpRows.norm_slope, dynamics._jump_times
 
-        def counting_norm_sq(flow, rows):
-            f = norm_sq(flow, rows)
+        # Every norm evaluation, the end test's (through ``norm_sq``) and the
+        # search's, goes through ``norm_slope``.
+        def counting_norm_slope(flow, rows, t):
+            evals["search" if in_search else "end"] += 1
+            return norm_slope(flow, rows, t)
 
-            def evaluate(t):
-                evals["bisection" if in_bisection else "end"] += 1
-                return f(t)
-
-            return evaluate
-
-        def recording_bisect(flow, rows, horizon, threshold):
-            in_bisection.append(True)
-            s = bisect(flow, rows, horizon, threshold)
-            in_bisection.pop()
+        def recording_search(flow, rows, horizon, threshold):
+            in_search.append(True)
+            s = search(flow, rows, horizon, threshold)
+            in_search.pop()
             rounds.append((flow.weights[rows], flow.rates, horizon, threshold, s))
             return s
 
-        monkeypatch.setattr(dynamics._NoJumpRows, "norm_sq", counting_norm_sq)
-        monkeypatch.setattr(dynamics, "_bisect_jump_times", recording_bisect)
+        monkeypatch.setattr(dynamics._NoJumpRows, "norm_slope", counting_norm_slope)
+        monkeypatch.setattr(dynamics, "_jump_times", recording_search)
         batch = run_trajectories(memory_model(n, kappa), code_state(n, 2), 3.0, 17, range(300))
         assert len(rounds) >= 2 and batch.jump_counts.max() == len(rounds)
         # The norm is evaluated once per round for the end test, never inside.
-        assert evals["bisection"] == 0
+        assert evals["search"] == 0
         assert evals["end"] in (len(rounds), len(rounds) + 1)
         for k, (weights, rates, horizon, u, s) in enumerate(rounds):
             # After k jumps every row sits in the weight n/2 - k sector.
@@ -924,7 +943,7 @@ class TestJumpTimeBracket:
         rows, horizon = np.arange(len(psi)), np.full(len(psi), 3.0)
         end = flow.norm_sq(rows)(horizon)
         u = end + (1.0 - end) * np.random.default_rng(5).uniform(0.05, 0.95, len(psi))
-        s = dynamics._bisect_jump_times(flow, rows, horizon, u)
+        s = dynamics._jump_times(flow, rows, horizon, u)
         weights = np.abs(psi) ** 2
         crossing = np.array([
             brentq(lambda t: weights[r] @ np.exp(-rates * t) - u[r], 0.0, 3.0,
@@ -937,6 +956,110 @@ class TestJumpTimeBracket:
         lo, hi = flow.bracket(rows, horizon, u)
         assert (lo > 0).all() and (hi < horizon).any()
         assert ((lo <= crossing + tol) & (crossing - tol <= hi)).all()
+
+    @pytest.mark.parametrize("case", ["eigenbasis", "expm"])
+    def test_driven_rows_land_within_tolerance_of_the_crossing(self, case):
+        from scipy.optimize import brentq
+
+        from jumpcodes.gates import GateHamiltonian
+
+        if case == "eigenbasis":  # the benchmark's drive and rates
+            drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
+            model = LindbladModel(4, drive, ((1, 1.3), (2, 0.7), (3, 1.0), (4, 1.0)))
+        else:  # the exceptional point: H_eff = 0.25 sigma_x - (i/2) n
+            H = OperatorSum((LocalOperator((1,), 0.25 * SIGMA_X),))
+            model = LindbladModel(1, H, ((1, 1.0),))
+        psi = np.array([random_state(model.n_qubits, seed).amplitudes for seed in range(16)])
+        flow = dynamics._NoJumpRows(model)
+        assert flow.eigenbasis == (case == "eigenbasis")
+        flow.start(psi)
+        rows, horizon = np.arange(len(psi)), np.full(len(psi), 3.0)
+        end = flow.norm_sq(rows)(horizon)
+        u = end + (1.0 - end) * np.random.default_rng(7).uniform(0.05, 0.95, len(psi))
+        s = dynamics._jump_times(flow, rows, horizon, u)
+        h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
+        crossing = np.array([
+            brentq(lambda t: np.linalg.norm(expm(-1j * t * h_eff) @ psi[r]) ** 2 - u[r],
+                   0.0, 3.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for r in rows
+        ])
+        assert (np.abs(s - crossing) <= dynamics.JUMP_TIME_REL_TOL * crossing).all()
+
+    def test_a_far_horizon_does_not_loosen_the_tolerance(self):
+        # With the zero-rate string in its support a row's bracket ends at
+        # the horizon, and Newton points approach the crossing from below, so
+        # the bracket stays wide: a row ends on its step relative to its time.
+        from scipy.optimize import brentq
+
+        model = memory_model(4, [1.3, 0.7, 1.0, 0.4])
+        rates = model.decay_rates()
+        psi = np.array([random_state(4, seed).amplitudes for seed in range(24)])
+        weights = np.abs(psi) ** 2
+        floor = weights[:, 0]  # the zero-rate weight
+        u = floor + (1 - floor) * np.random.default_rng(3).uniform(0.05, 0.95, len(psi))
+        flow, rows, horizon = dynamics._NoJumpRows(model), np.arange(len(psi)), np.full(len(psi), 1e6)
+        flow.start(psi)
+        assert (flow.bracket(rows, horizon, u)[1] == horizon).all()
+        s = dynamics._jump_times(flow, rows, horizon, u)
+        crossing = np.array([
+            brentq(lambda t: weights[r] @ np.exp(-rates * t) - u[r], 0.0, 100.0,
+                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for r in rows
+        ])
+        assert (np.abs(s - crossing) <= dynamics.JUMP_TIME_REL_TOL * crossing).all()
+
+    def test_rows_within_rounding_of_their_weight_end(self):
+        # u = S (1 - 10^-k): for k >= 6 the crossing is known only to about
+        # 1e-16 / (r t) relative, and rounding in f once made Newton points
+        # cycle between two times for ever. Steps that must halve every two
+        # evaluations end each row with f at u to rounding.
+        model = memory_model(4, [1.3, 0.7, 1.0, 0.4])
+        rng = np.random.default_rng(11)
+        psi = np.array([random_state(4, seed).amplitudes for seed in range(40)])
+        psi[:, 0] = 0.0
+        weight = np.add.reduce(np.abs(psi) ** 2, axis=1)
+        u = weight * (1 - 10.0 ** -rng.integers(6, 16, len(psi)) * rng.uniform(0.5, 1, len(psi)))
+        flow, rows = dynamics._NoJumpRows(model), np.arange(len(psi))
+        flow.start(psi)
+        evaluations = []
+        norm_slope = flow.norm_slope
+
+        def counting_norm_slope(rows, t):
+            evaluations.append(rows)
+            if len(evaluations) > 200:
+                raise RuntimeError("the search does not end")
+            return norm_slope(rows, t)
+
+        flow.norm_slope = counting_norm_slope
+        s = dynamics._jump_times(flow, rows, np.full(len(psi), 3.0), u)
+        assert np.bincount(np.concatenate(evaluations)).max() <= 40
+        assert (np.abs(flow.norm_sq(rows)(s) - u) <= 1e-15).all()
+
+    @pytest.mark.parametrize("name", ["driven", "code-mismatch"])
+    def test_searched_rows_take_few_evaluations(self, name, monkeypatch):
+        # Bisection to 1e-10 of the bracket takes about 33 evaluations per
+        # row; Newton steps converge in a few.
+        model, psi0, T = round_case(name)
+        evaluated, counts = [], []
+        norm_slope, search = dynamics._NoJumpRows.norm_slope, dynamics._jump_times
+
+        def counting_norm_slope(flow, rows, t):
+            evaluated.append(rows)
+            return norm_slope(flow, rows, t)
+
+        def counting_search(flow, rows, horizon, threshold):
+            evaluated.clear()
+            s = search(flow, rows, horizon, threshold)
+            per_row = np.bincount(np.concatenate([rows[:0], *evaluated]), minlength=rows.max() + 1)
+            counts.append(per_row[rows])
+            return s
+
+        monkeypatch.setattr(dynamics._NoJumpRows, "norm_slope", counting_norm_slope)
+        monkeypatch.setattr(dynamics, "_jump_times", counting_search)
+        run_trajectories(model, psi0, T, 41, range(300))
+        counts = np.concatenate(counts)
+        assert (counts > 0).sum() >= 300
+        assert counts.max() <= 12
 
     @pytest.mark.parametrize("case", ["zero rate in support", "u above weight",
                                       "u above weight, dark"])
@@ -973,7 +1096,7 @@ class TestJumpTimeBracket:
         # crosses at 0: once bisected from the horizon down to the
         # two-subnormal floor (about 1075 norm evaluations), now bracketed
         # there by its weight (its norm at 0 under a drive). Row 1 crosses
-        # later, and is bisected as it would be alone.
+        # later, and is searched as it would be alone.
         from jumpcodes.gates import GateHamiltonian
 
         drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
@@ -982,23 +1105,18 @@ class TestJumpTimeBracket:
         flow = dynamics._NoJumpRows(model)
         flow.start(np.array([psi * np.sqrt(1 - 1e-10), psi]))
         evaluations = []
-        norm_sq = flow.norm_sq
+        norm_slope = flow.norm_slope
 
-        def counting_norm_sq(rows):
-            f = norm_sq(rows)
+        def counting_norm_slope(rows, t):
+            evaluations.append(len(t))
+            return norm_slope(rows, t)
 
-            def evaluate(t):
-                evaluations.append(len(t))
-                return f(t)
-
-            return evaluate
-
-        flow.norm_sq = counting_norm_sq
+        flow.norm_slope = counting_norm_slope
         horizon, u = np.full(2, 3.0), np.array([1 - 2.0**-40, 0.5])
-        s = dynamics._bisect_jump_times(flow, np.arange(1), horizon[:1], u[:1])
+        s = dynamics._jump_times(flow, np.arange(1), horizon[:1], u[:1])
         assert s[0] == np.finfo(float).smallest_subnormal and not evaluations
-        both = dynamics._bisect_jump_times(flow, np.arange(2), horizon, u)
-        alone = dynamics._bisect_jump_times(flow, np.arange(1, 2), horizon[1:], u[1:])
+        both = dynamics._jump_times(flow, np.arange(2), horizon, u)
+        alone = dynamics._jump_times(flow, np.arange(1, 2), horizon[1:], u[1:])
         assert both[0] == s[0] and both[1] == alone[0] and 0 < alone[0] < 3.0
 
     def test_threshold_at_the_end_norm_stays_within_horizon(self):
@@ -1010,7 +1128,7 @@ class TestJumpTimeBracket:
         rows = np.arange(len(horizon))
         u = flow.norm_sq(rows)(horizon)
         assert (np.log(np.add.reduce(flow.weights, axis=1) / u) / 2.0 > horizon).any()
-        s = dynamics._bisect_jump_times(flow, rows, horizon, u)
+        s = dynamics._jump_times(flow, rows, horizon, u)
         assert ((s > 0) & (s <= horizon)).all()
 
     @pytest.mark.parametrize("kappas", [1000.0, [1000.0, 900.0, 1100.0, 1000.0]])
@@ -1034,14 +1152,15 @@ class TestJumpTimeBracket:
         assert np.abs(batch.final_states - expected).max() < 1e-12
 
     def test_zero_threshold_bisects_from_zero_to_horizon(self):
-        # u = 0 is crossed only where the norm underflows to 0. The bisection
-        # alone: run_trajectories never bisects a zero threshold.
+        # u = 0 is crossed only where the norm underflows to 0, and every
+        # Newton point is infinite, so the search bisects. The search alone:
+        # run_trajectories never searches a zero threshold.
         flow = dynamics._NoJumpRows(memory_model(4, 1000.0))
         flow.start(code_state(4, 1).amplitudes[None, :])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lo, hi = flow.bracket(np.arange(1), np.ones(1), np.zeros(1))
-            s = dynamics._bisect_jump_times(flow, np.arange(1), np.ones(1), np.zeros(1))
+            s = dynamics._jump_times(flow, np.arange(1), np.ones(1), np.zeros(1))
         assert (lo, hi) == (0.0, 1.0)
         assert 0 < s[0] <= 1.0 and flow.norm_sq(np.arange(1))(s)[0] < 1e-300
 

@@ -82,7 +82,7 @@ for k in range(3):
     durations = ", ".join(f"{seg.duration:.4f}" for seg in program.segments)
     print(
         f"target {k}: {len(program.segments)} segments (durations {durations}), "
-        f"error {err:.1e}, leakage {leak:.1e}"
+        f"error {err:.1e}, leakage bound {leak:.1e}"
     )
 first = program_to_json(program)["segments"][0]
 print(f"first segment of the last program: {first}")

@@ -226,19 +226,28 @@ def trajectory_rng(seed: int, trajectory_id: int, stream: int = 0) -> np.random.
 
 
 _MASK32 = 0xFFFFFFFF
+# Philox4x64-10's two multipliers, and the sums of r key bumps for rounds r.
+_PHILOX_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None]
+_PHILOX_BUMPS = np.array([[[r * w & 2**64 - 1] for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)]
+                          for r in range(10)], dtype=np.uint64)
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of uint32 word arrays, advancing its constant."""
+def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants for ``count`` hashes, (count + 1, 1) uint32."""
+    return np.array([const * pow(mult, j, 2**32) & _MASK32 for j in range(count + 1)],
+                    dtype=np.uint32)[:, None]
 
-    def hash32(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ value >> 16
 
-    return hash32
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 words, hash j xoring constant j and
+    multiplying by constant j + 1: one hash per row of ``consts[:-1]``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * 0xCA01F9DD - y * 0x4973F715
+    return out ^ out >> 16
 
 
 def _stream_keys(seed: int, ids, stream: int = 0) -> np.ndarray:
@@ -247,8 +256,9 @@ def _stream_keys(seed: int, ids, stream: int = 0) -> np.ndarray:
 
     The entropy words are seed's, then i's (one below 2**32, else two), then
     stream's. ``mix_entropy`` hashes the first four (zero-padded) into a pool,
-    mixes each pool word into the others, then each further word into all
-    four; ``generate_state`` hashes the pool once more.
+    one (4, rows) array; mixes each pool word's three hashes into the other
+    three words at once; then each further word's four hashes into all four.
+    ``generate_state`` hashes the pool once more.
     """
     seed, stream, ids = int(seed), int(stream), [int(i) for i in ids]
     if seed < 0 or stream < 0 or (ids and (min(ids) < 0 or max(ids) >> 64)):
@@ -256,40 +266,25 @@ def _stream_keys(seed: int, ids, stream: int = 0) -> np.ndarray:
     ids = np.array(ids, dtype=np.uint64)
     keys = np.empty((ids.size, 2), dtype=np.uint64)
     wide = ids >> 32 != 0
-
-    def mix(x, y):
-        out = x * 0xCA01F9DD - y * 0x4973F715
-        return out ^ out >> 16
-
-    def word_count(n: int) -> int:  # SeedSequence splits an int into 32-bit words
-        return max(1, (n.bit_length() + 31) // 32)
-
-    for sel, id_words in ((~wide, 1), (wide, 2)):
-        rows = ids[sel]
-        parts = ((seed, word_count(seed)), (rows, id_words), (stream, word_count(stream)))
-        entropy = [np.full(rows.size, n >> 32 * j & _MASK32, dtype=np.uint32)
-                   for n, count in parts for j in range(count)]
-        entropy += [np.zeros(rows.size, dtype=np.uint32)] * (4 - len(entropy))
-        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(word) for word in entropy[:4]]
+    head, tail = ([n >> 32 * j & _MASK32 for j in range(max(1, (n.bit_length() + 31) // 32))]
+                  for n in (seed, stream))  # SeedSequence's 32-bit words of each int
+    for sel, width in ((~wide, 1), (wide, 2)):
+        if not sel.any():
+            continue
+        words = [*head, *(ids[sel] & _MASK32, ids[sel] >> 32)[:width], *tail]
+        entropy = np.zeros((max(len(words), 4), np.count_nonzero(sel)), dtype=np.uint32)
+        for j, word in enumerate(words):
+            entropy[j] = word
+        consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * len(entropy))
+        pool = _hash(entropy[:4], consts[:5])
         for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        out = [w.astype(np.uint64) for w in map(_hasher(0x8B51F9DD, 0x58F38DED), pool)]
-        keys[sel] = np.column_stack([out[0] | out[1] << 32, out[2] | out[3] << 32])
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hash(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+        for j, word in enumerate(entropy[4:], start=4):
+            pool = _mix(pool, _hash(word, consts[4 * j : 4 * j + 5]))
+        out = _hash(pool, _hash_constants(0x8B51F9DD, 0x58F38DED, 4))
+        keys[sel] = out.T.astype("<u4", order="C").view("<u8")
     return keys
-
-
-def _mulhilo64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64 bits of the 128-bit products a * b, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
-    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32), a * b
 
 
 def _philox_uniforms(keys: np.ndarray, blocks) -> np.ndarray:
@@ -297,17 +292,23 @@ def _philox_uniforms(keys: np.ndarray, blocks) -> np.ndarray:
     doubles of ``Generator.random``: (rows, 4 len(blocks)). numpy increments
     the counter before its first block, so counter b gives draws 4(b - 1) to
     4b - 1 of the stream.
+
+    Counter words (c0, c2) and (c1, c3) are held as two (2, rows len(blocks))
+    arrays, so each round's two 64x64 -> 128-bit multiplies are one set of
+    operations on 32-bit halves.
     """
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    c0, c1, c2, c3 = np.asarray(blocks, dtype=np.uint64)[None, :], zero, zero, zero
-    for r in range(10):  # every word is (rows, len(blocks)) from round 3 on
-        if r:
-            k0, k1 = k0 + 0x9E3779B97F4A7C15, k1 + 0xBB67AE8584CAA73B
-        hi0, lo0 = _mulhilo64(c0, 0xD2E7470EE14C6C93)
-        hi1, lo1 = _mulhilo64(c2, 0xCA5A826395121157)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    bits = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)
+    rows, count = len(keys), len(blocks)
+    round_keys = np.repeat(keys.T, count, axis=1) + _PHILOX_BUMPS  # (10, 2, rows count)
+    x, y = np.zeros((2, rows * count), dtype=np.uint64), 0
+    x[0] = np.tile(np.asarray(blocks, dtype=np.uint64), rows)
+    m0, m1 = _PHILOX_MULT & _MASK32, _PHILOX_MULT >> 32
+    for k in round_keys:
+        x0, x1 = x & _MASK32, x >> 32
+        low = x0 * m1 + (x0 * m0 >> 32)
+        mid = (low & _MASK32) + x1 * m0
+        hi = x1 * m1 + (low >> 32) + (mid >> 32)
+        x, y = hi[::-1] ^ y ^ k, (x * _PHILOX_MULT)[::-1]
+    bits = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * count)
     return (bits >> 11).astype(float) * 2.0**-53
 
 
@@ -577,8 +578,8 @@ def run_trajectories(
     one gather through ``_lower``. Trajectory i draws from ``trajectory_rng(seed, i)``: one
     threshold, then (if it jumps) one channel draw, per round, so round k
     reads draws 2k and 2k + 1. Those bits are computed for all rows at once
-    (``_stream_keys``, then one Philox block per two rounds), not through a
-    Generator per row.
+    (``_stream_keys``, then one ``_philox_uniforms`` call of two blocks per
+    four rounds), not through a Generator per row.
 
     Every row in round k has jumped k times. Under H = 0 a jump maps each
     string to one string and the flow keeps every string, so round k works
@@ -616,15 +617,15 @@ def run_trajectories(
         chunk = slice(start, start + TRAJECTORY_CHUNK)
         final_c, absorbed_c = final[chunk], absorbed[chunk]
         keys_c = keys[chunk]
-        block = np.empty((len(keys_c), 4))  # the Philox block of rounds k and k + 1
+        block = np.empty((len(keys_c), 8))  # the Philox blocks of rounds k to k + 3
         t = np.zeros(len(keys_c))
         live = np.arange(len(keys_c))
         psi = np.tile(psi0.amplitudes[columns[0]], (live.size, 1))
         for k in itertools.count():
             cols = columns[k]
-            if k % 2 == 0:
-                block[live] = _philox_uniforms(keys_c[live], [k // 2 + 1])
-            draws = block[live, 2 * (k % 2) : 2 * (k % 2) + 2]
+            if k % 4 == 0:
+                block[live] = _philox_uniforms(keys_c[live], [k // 2 + 1, k // 2 + 2])
+            draws = block[live, 2 * (k % 4) : 2 * (k % 4) + 2]
             flow.start(psi, cols)
             remaining = T - t[live]
             end_sq = flow.norm_sq(np.arange(live.size))(remaining)
@@ -738,7 +739,6 @@ class KrausSet:
 def records_to_csv(batch: TrajectoryBatch) -> str:
     """Jump log with columns (trajectory_id, t, alpha); the id is the batch row."""
     rows, cols = np.nonzero(batch.jump_qubits)
-    times = batch.jump_times[rows, cols].tolist()
-    qubits = batch.jump_qubits[rows, cols].tolist()
-    lines = (f"{r},{t:.17g},{a}\n" for r, t, a in zip(rows.tolist(), times, qubits))
-    return "trajectory_id,t,alpha\n" + "".join(lines)
+    times, qubits = batch.jump_times[rows, cols].tolist(), batch.jump_qubits[rows, cols].tolist()
+    fields = tuple(itertools.chain.from_iterable(zip(rows.tolist(), times, qubits)))
+    return "trajectory_id,t,alpha\n" + "%d,%.17g,%d\n" * len(rows) % fields

@@ -648,6 +648,26 @@ def test_records_csv_is_the_batch_jump_log_exactly():
     assert records_to_csv(empty) == "trajectory_id,t,alpha\n"
 
 
+@pytest.mark.parametrize("case", ["sampled", "extreme times", "no jumps"])
+def test_records_csv_matches_one_formatted_line_per_jump(case):
+    # The one-% log against the f-string form, line by line.
+    if case == "sampled":
+        batch = run_trajectories(memory_model(3, [1.0, 0.6, 1.7]), excited(3), 2.0, 8, range(25))
+    elif case == "extreme times":
+        times = np.array([[1e-300, 3.0, np.nan], [5e-324, 1 / 3, 2.5e10], [np.nan] * 3])
+        qubits = np.array([[2, 1, 0], [1, 3, 2], [0, 0, 0]])
+        batch = dynamics.TrajectoryBatch(3, np.tile(times, (5, 1)), np.tile(qubits, (5, 1)),
+                                         np.zeros((15, 8)), np.zeros(15, dtype=bool))
+    else:
+        batch = run_trajectories(memory_model(3, 1.0), excited(3), 0.0, 8, range(12))
+    rows, cols = np.nonzero(batch.jump_qubits)
+    times = batch.jump_times[rows, cols].tolist()
+    qubits = batch.jump_qubits[rows, cols].tolist()
+    lines = "".join(f"{r},{t:.17g},{a}\n" for r, t, a in zip(rows.tolist(), times, qubits))
+    assert records_to_csv(batch) == "trajectory_id,t,alpha\n" + lines
+    assert rows.size == 0 if case == "no jumps" else rows.max() >= 10
+
+
 def test_horizon_must_be_non_negative():
     model, psi = memory_model(2, 1.0), excited(2)
     with pytest.raises(ValueError, match="horizon must be finite and non-negative"):
@@ -791,8 +811,10 @@ class TestRoundColumns:
         flow.start(psi0.amplitudes[None, :])
         for T in np.linspace(0.05, 3.0, 40):
             u = flow.norm_sq(one)(np.array([T]))[0]
-            monkeypatch.setattr(dynamics, "_philox_uniforms",
-                                lambda keys, blocks: np.tile([u, 0.5, 0.5, 0.5], (len(keys), 1)))
+            monkeypatch.setattr(
+                dynamics, "_philox_uniforms",
+                lambda keys, blocks: np.tile([u, 0.5, 0.5, 0.5], (len(keys), len(blocks))),
+            )
             batch = run_trajectories(model, psi0, T, 3, range(1))
             if batch.jump_counts[0] == 1 and batch.jump_times[0, 0] == T:
                 at_horizon += 1
@@ -1178,23 +1200,27 @@ def test_trajectory_stream_is_philox_keyed_by_seed_sequence():
 @settings(max_examples=60, deadline=None)
 @example(seed=2**80, extra=[2**64 - 1], stream=1, first=3, count=2)
 @example(seed=0, extra=[], stream=0, first=0, count=9)
+@example(seed=2**1000, extra=[5], stream=2**70, first=6, count=5)
 @given(
     seed=st.integers(0, 2**80),
     extra=st.lists(st.integers(0, 2**64 - 1), max_size=4),
-    stream=st.sampled_from([0, 1]),
+    stream=st.integers(0, 2**70),
     first=st.integers(0, 10),
     count=st.integers(1, 9),
 )
 def test_batch_streams_match_numpy_bit_for_bit(seed, extra, stream, first, count):
     """Keys and draws computed for a batch of ids, whose ids take one or two
-    32-bit entropy words, are SeedSequence -> Philox -> random(), and no
-    unsigned overflow warning escapes."""
+    32-bit entropy words and whose seed and stream take one or more, are
+    SeedSequence -> Philox -> random(), and no unsigned overflow warning
+    escapes. An empty id list gives no keys and no draws."""
     from jumpcodes.dynamics import _philox_uniforms, _stream_keys
 
     ids = [0, 2**32 - 1, 2**32, *extra]
     keys = _stream_keys(seed, ids, stream)
     blocks = range(first // 4 + 1, (first + count - 1) // 4 + 2)
     draws = _philox_uniforms(keys, blocks)[:, first % 4 : first % 4 + count]
+    none = _stream_keys(seed, [], stream)
+    assert none.shape == (0, 2) and _philox_uniforms(none, blocks).shape == (0, 4 * len(blocks))
     for row, traj_id in enumerate(ids):
         seq = np.random.SeedSequence((seed, traj_id, stream))
         assert np.array_equal(keys[row], seq.generate_state(2, np.uint64))
@@ -1247,19 +1273,19 @@ def test_stream_keys_reject_negative_inputs_and_ids_past_64_bits():
             _stream_keys(seed, ids, stream)
 
 
-def test_rounds_read_each_rows_stream_in_order():
+def assert_rounds_follow_streams(rates, seed, ids, T):
     """Round k of trajectory i uses draws 2k and 2k + 1 of trajectory_rng(seed, i):
-    a threshold, then a channel pick. From |111> under pure decay, each round's
-    jump time and channel follow from those two draws in closed form."""
+    a threshold, then a channel pick. From |1...1> under pure decay, each
+    round's jump time and channel follow from those two draws in closed form."""
     from jumpcodes.dynamics import trajectory_rng
 
-    rates = np.array([1.0, 0.7, 0.4])
-    ids = [0, 3, 2**32 + 5, 99]
-    batch = run_trajectories(memory_model(3, list(rates)), basis_ket("111"), 50.0, 21, ids)
+    rates = np.array(rates)
+    n = len(rates)
+    batch = run_trajectories(memory_model(n, list(rates)), basis_ket("1" * n), T, seed, ids)
     for row, traj_id in enumerate(ids):
-        rng = trajectory_rng(21, traj_id)
-        excited, t = np.ones(3, dtype=bool), 0.0
-        for k in range(3):
+        rng = trajectory_rng(seed, traj_id)
+        excited, t = np.ones(n, dtype=bool), 0.0
+        for k in range(n):
             threshold, pick = rng.random(2)
             t += -np.log(threshold) / rates[excited].sum()
             cdf = np.cumsum(rates[excited] / rates[excited].sum())
@@ -1267,4 +1293,14 @@ def test_rounds_read_each_rows_stream_in_order():
             excited[qubit] = False
             assert batch.jump_qubits[row, k] == qubit + 1
             assert abs(batch.jump_times[row, k] - t) <= 1e-8 * t
-        assert batch.jump_counts[row] == 3
+        assert batch.jump_counts[row] == n
+
+
+def test_rounds_read_each_rows_stream_in_order():
+    assert_rounds_follow_streams([1.0, 0.7, 0.4], 21, [0, 3, 2**32 + 5, 99], 50.0)
+
+
+def test_rounds_past_the_fourth_read_the_next_philox_blocks():
+    # Rounds 4 and 5 read blocks 3 and 4, drawn after the first four rounds.
+    rates = [1.0, 0.7, 0.4, 1.3, 0.55, 0.85]
+    assert_rounds_follow_streams(rates, 21, [0, 3, 2**32 + 5, 99, 10**12], 500.0)

@@ -35,8 +35,8 @@ def _emit(report: dict, out_file: str | Path | None) -> None:
 
 # --- code subcommand ---------------------------------------------------------
 
-# jump_code enumerates all C(N, N/2) strings, so its time grows about 4x per
-# step of 2 in N: `code generate --n 20` takes about 0.7 s.
+# jump_code enumerates C(N-1, N/2) words, so the time grows about 4x per step
+# of 2 in N: `code generate --n 20` takes about 0.6 s, mostly printing them.
 CODE_QUBIT_LIMIT = 20
 
 

@@ -4,28 +4,23 @@ four-point design that indexes the smallest code's words.
 A DFS-(N, k) is spanned by all N-qubit basis states with exactly k excited
 qubits. For even N, pairing each weight-N/2 string s with its bitwise
 complement gives the code words |s> + e^{i phi} |complement(s)>; there are
-C(N-1, N/2-1) such pairs.
+C(N-1, N/2-1) such pairs. Strings are amplitude indices; labels are for JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, isfinite, log2
+from math import comb, isfinite, log2, sqrt
 
 import numpy as np
 
-from .states import Ket, label_to_index, tensor
+from .states import Ket, tensor
 
 
-def _weight_strings(n: int, k: int) -> list[str]:
-    out = []
-    for positions in combinations(range(n), k):
-        chars = ["0"] * n
-        for p in positions:
-            chars[p] = "1"
-        out.append("".join(chars))
-    return sorted(out)
+def _weight_indices(n: int, k: int) -> list[int]:
+    """The amplitude indices of n qubits with exactly k bits set, ascending."""
+    return sorted(map(sum, combinations([1 << p for p in range(n)], k)))
 
 
 @dataclass
@@ -34,24 +29,33 @@ class DFSBasis:
 
     N: int
     k: int
-    basis: list[str]
+    indices: list[int]
+
+    @property
+    def basis(self) -> list[str]:
+        return [f"{s:0{self.N}b}" for s in self.indices]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.indices)
 
 
 @dataclass
 class JumpCode:
     """One-error-correcting code from complementary pairs of weight-N/2 strings.
 
-    Code word i is (|s_i> + e^{i phase} |s_i complement>) / sqrt(2); the
-    canonical representative s_i has qubit N (leftmost printed bit) in state 0.
+    Code word i is (|s> + e^{i phase} |s_bar>) / sqrt(2) for (s, s_bar) = ``words[i]``,
+    amplitude indices as Python ints; the representative s has qubit N clear.
     """
 
     N: int
     phase: float
-    pairs: list[tuple[str, str]]
+    words: list[tuple[int, int]]
+
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        """The words as printed labels b_N...b_1."""
+        return [(f"{s:0{self.N}b}", f"{sbar:0{self.N}b}") for s, sbar in self.words]
 
     @property
     def k(self) -> int:
@@ -59,7 +63,7 @@ class JumpCode:
 
     @property
     def count(self) -> int:
-        return len(self.pairs)
+        return len(self.words)
 
     @property
     def redundancy(self) -> int:
@@ -76,27 +80,21 @@ class DesignPlane:
 
 
 def dfs_basis(N: int, k: int) -> DFSBasis:
-    """All weight-k strings of length N, lexicographically sorted."""
+    """All weight-k strings of length N, in ascending order."""
     if not (0 <= k <= N):
         raise ValueError(f"need 0 <= k <= N, got k={k}, N={N}")
     if N > 12:
         raise ValueError("basis enumeration limited to N <= 12")
-    return DFSBasis(N, k, _weight_strings(N, k))
-
-
-def _complement(s: str) -> str:
-    return "".join("1" if c == "0" else "0" for c in s)
+    return DFSBasis(N, k, _weight_indices(N, k))
 
 
 def jump_code(N: int, phase: float = 0.0) -> JumpCode:
-    """Pair each weight-N/2 string with its complement; one code word per pair."""
+    """One code word per weight-N/2 string with qubit N clear, paired with its complement."""
     if N % 2 != 0 or N < 2:
         raise ValueError(f"N must be even and >= 2, got {N}")
     if not isfinite(phase):
         raise ValueError(f"phase {phase} is not finite")
-    reps = [s for s in _weight_strings(N, N // 2) if s[0] == "0"]
-    pairs = [(s, _complement(s)) for s in reps]
-    return JumpCode(N, phase, pairs)
+    return JumpCode(N, phase, [(s, s ^ (2**N - 1)) for s in _weight_indices(N - 1, N // 2)])
 
 
 def logical_qubits(N: int) -> float:
@@ -106,14 +104,17 @@ def logical_qubits(N: int) -> float:
     return log2(comb(N - 1, N // 2 - 1))
 
 
+def word_amplitudes(phase: float) -> np.ndarray:
+    """A code word's amplitudes on its strings (s, s_bar): [1, e^{i phase}] / sqrt(2)."""
+    return np.array([1.0 / sqrt(2.0), np.exp(1j * phase) / sqrt(2.0)])
+
+
 def codeword_ket(code: JumpCode, i: int) -> Ket:
     """Normalized code word (|s> + e^{i phase}|s_bar>) / sqrt(2)."""
     if not (0 <= i < code.count):
         raise IndexError(f"code word index {i} out of range 0..{code.count - 1}")
-    s, sbar = code.pairs[i]
     amps = np.zeros(2**code.N, dtype=complex)
-    amps[label_to_index(s)] = 1.0 / np.sqrt(2.0)
-    amps[label_to_index(sbar)] = np.exp(1j * code.phase) / np.sqrt(2.0)
+    amps[list(code.words[i])] = word_amplitudes(code.phase)
     return Ket(code.N, amps)
 
 
@@ -123,27 +124,22 @@ def encode(code: JumpCode, logical: np.ndarray) -> Ket:
     if logical.shape != (code.count,):
         raise ValueError(f"logical vector must have length {code.count}")
     amps = np.zeros(2**code.N, dtype=complex)
-    for i, a in enumerate(logical):
-        amps += a * codeword_ket(code, i).amplitudes
+    amps[np.array(code.words)] = logical[:, None] * word_amplitudes(code.phase)
     return Ket(code.N, amps)
 
 
 def projector(code: JumpCode) -> np.ndarray:
-    """Rank-``count`` projector onto the code space."""
-    dim = 2**code.N
-    P = np.zeros((dim, dim), dtype=complex)
-    for i in range(code.count):
-        v = codeword_ket(code, i).amplitudes
-        P += np.outer(v, v.conj())
+    """Rank-``count`` projector onto the code space: one 2x2 block per word."""
+    amps = word_amplitudes(code.phase)
+    words = np.array(code.words)
+    P = np.zeros((2**code.N, 2**code.N), dtype=complex)
+    P[words[:, :, None], words[:, None, :]] = np.outer(amps, amps.conj())
     return P
 
 
 def dfs_projector(basis: DFSBasis) -> np.ndarray:
-    dim = 2**basis.N
-    P = np.zeros((dim, dim), dtype=complex)
-    for s in basis.basis:
-        idx = label_to_index(s)
-        P[idx, idx] = 1.0
+    P = np.zeros((2**basis.N, 2**basis.N), dtype=complex)
+    P[basis.indices, basis.indices] = 1.0
     return P
 
 
@@ -177,21 +173,9 @@ def verify_plane_axioms(plane: DesignPlane) -> None:
 def parallelism_to_code(plane: DesignPlane, phase: float = 0.0) -> JumpCode:
     """Map each parallel class {g, h} to the code word exciting g's and h's points."""
     verify_plane_axioms(plane)
-    n = 4
-
-    def line_string(line: tuple[int, int]) -> str:
-        chars = ["0"] * n
-        for p in line:
-            chars[n - p] = "1"  # qubit p prints at position n - p
-        return "".join(chars)
-
-    pairs = []
-    for g, h in plane.parallel_classes:
-        s, sbar = line_string(g), line_string(h)
-        if s[0] == "1":
-            s, sbar = sbar, s
-        pairs.append((s, sbar))
-    return JumpCode(n, phase, sorted(pairs))
+    # Qubit p owns bit 2^(p-1); the smaller index, the representative, keeps qubit 4 clear.
+    bits = [sorted(sum(1 << (p - 1) for p in ln) for ln in c) for c in plane.parallel_classes]
+    return JumpCode(4, phase, sorted(map(tuple, bits)))
 
 
 def product_code_basis(code_a: JumpCode, code_b: JumpCode) -> list[Ket]:
@@ -212,7 +196,7 @@ def code_to_json(code: JumpCode) -> dict:
         "N": code.N,
         "k": code.k,
         "phase": float(code.phase),
-        "pairs": [[s, sbar] for s, sbar in code.pairs],
+        "pairs": [list(pair) for pair in code.pairs],
     }
 
 
@@ -238,6 +222,9 @@ def code_from_json(data: dict) -> JumpCode:
         raise ValueError(f"code file lacks {', '.join(missing)}")
     if type(data["N"]) is not int:
         raise ValueError(f"N must be an integer, not {data['N']!r}")
+    N = data["N"]
+    if N % 2 != 0 or N < 2:
+        raise ValueError(f"N must be even and >= 2, got {N}")
     if type(data["phase"]) not in (int, float):
         raise ValueError(f"phase must be a number, not {data['phase']!r}")
     raw = data["pairs"]
@@ -250,23 +237,22 @@ def code_from_json(data: dict) -> JumpCode:
         phase = float(data["phase"])
     except OverflowError:  # an integer beyond float range
         raise ValueError("phase must lie within float range") from None
-    pairs = [(s, sbar) for s, sbar in raw]
-    code = JumpCode(data["N"], phase, pairs)
-    if not pairs:
+    if not raw:
         raise ValueError("code has no pairs")
-    if "k" in data and data["k"] != code.k:
-        raise ValueError(f"k must be N/2 = {code.k}, not {data['k']}")
-    if not isfinite(code.phase):
-        raise ValueError(f"phase {code.phase} is not finite")
-    seen: set[str] = set()
-    for s, sbar in code.pairs:
-        if len(s) != code.N or set(s) - {"0", "1"}:
-            raise ValueError(f"pair ({s},{sbar}) is not of {code.N}-bit strings")
-        if _complement(s) != sbar:
+    if "k" in data and data["k"] != N // 2:
+        raise ValueError(f"k must be N/2 = {N // 2}, not {data['k']}")
+    if not isfinite(phase):
+        raise ValueError(f"phase {phase} is not finite")
+    words: dict[int, int] = {}  # first string -> second, in file order
+    for s, sbar in raw:
+        if len(s) != N or set(s) - {"0", "1"}:
+            raise ValueError(f"pair ({s},{sbar}) is not of {N}-bit strings")
+        word, bar = int(s, 2), int(s, 2) ^ (2**N - 1)
+        if f"{bar:0{N}b}" != sbar:
             raise ValueError(f"pair ({s},{sbar}) is not complementary")
-        if 2 * s.count("1") != code.N:
-            raise ValueError(f"pair ({s},{sbar}) is not of weight {code.N}/2")
-        if s in seen or sbar in seen:
+        if 2 * s.count("1") != N:
+            raise ValueError(f"pair ({s},{sbar}) is not of weight {N}/2")
+        if word in words or bar in words:  # a repeat, as given or swapped
             raise ValueError(f"pair ({s},{sbar}) repeats a code word")
-        seen.update((s, sbar))
-    return code
+        words[word] = bar
+    return JumpCode(N, phase, list(words.items()))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import JumpCode, dfs_basis, dfs_projector, encode, jump_code, projector
+from .codes import word_amplitudes
 from .dynamics import (
     FADE_NORM,
     KrausSet,
@@ -29,7 +30,7 @@ from .dynamics import (
     run_trajectories,
     trajectory_rng,
 )
-from .states import DENSE_QUBIT_LIMIT, label_to_index, local_to_dense, row_norms
+from .states import DENSE_QUBIT_LIMIT, local_to_dense, row_norms
 from .states import apply_local  # noqa: F401  bench/test_tracing.py expects it bound here
 
 DEFAULT_TOL = 1e-9
@@ -183,11 +184,10 @@ def recovery_map(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not (1 <= alpha <= code.N):
         raise ValueError(f"qubit {alpha} out of range")
-    if not code.pairs:
+    if not code.words:
         raise ValueError("code has no code words")
     dim = 2**code.N
-    s = np.array([label_to_index(a) for a, _ in code.pairs])
-    sbar = np.array([label_to_index(b) for _, b in code.pairs])
+    s, sbar = np.array(code.words).T
     lo, hi = np.minimum(s, sbar), np.maximum(s, sbar)
     for i in np.flatnonzero(lo + hi != dim - 1):  # complementary strings sum to 2^N - 1
         raise ValueError("pair ({},{}) is not complementary".format(*code.pairs[i]))
@@ -203,9 +203,8 @@ def recovery_map(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     vals = np.zeros((dim, 2), dtype=complex)
     cols[out_idx] = in_idx[:, None]
     vals[out_idx, 0] = 1.0
-    # c_i's amplitudes on (lo, hi): 1/sqrt(2) on s_i, e^{i phase}/sqrt(2) on its complement
-    r, e = 1.0 / np.sqrt(2.0), np.exp(1j * code.phase) / np.sqrt(2.0)
-    c = np.where((s < sbar)[:, None], [r, e], [e, r])
+    amps = word_amplitudes(code.phase)  # c_i's amplitudes on (s_i, sbar_i)
+    c = np.where((s < sbar)[:, None], amps, amps[::-1])  # ... and on (lo, hi)
     ct = np.where(lo & bit, c[:, 0], c[:, 1])
     w = -c[:, :1].conjugate() * c
     w[:, 0] += 1.0
@@ -236,7 +235,7 @@ _recovery_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _cached_recovery(code: JumpCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (code.N, code.phase, tuple(code.pairs), alpha)
+    key = (code.N, code.phase, tuple(code.words), alpha)
     if key not in _recovery_cache:
         _recovery_cache[key] = recovery_map(code, alpha)
     return _recovery_cache[key]

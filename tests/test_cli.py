@@ -79,8 +79,10 @@ class TestCodeCommand:
         ({"k": 3}, "k must be N/2"),
         ({"phase": float("nan")}, "not finite"),
         ({"phase": 10**400}, "float range"),  # json writes it as 401 digits
+        ({"N": 0, "k": 0, "pairs": [["", ""]]}, "N must be even and >= 2, got 0"),
+        ({"N": 5}, "N must be even and >= 2, got 5"),
     ], ids=["repeated-pair", "wrong-length", "wrong-weight", "empty", "wrong-k", "nan-phase",
-            "huge-phase"])
+            "huge-phase", "zero-n", "odd-n"])
     def test_bad_code_file_is_rejected(self, capsys, tmp_path, fields, word):
         f = tmp_path / "code.json"
         data = {"N": 4, "k": 2, "phase": 0.0, "pairs": [["0011", "1100"]], **fields}
@@ -136,6 +138,17 @@ class TestCodeCommand:
         f.write_text(json.dumps({"N": 22, "phase": 0.0, "pairs": [[word, word[::-1]]]}))
         status, report = run_cli(capsys, "code", "inspect", "--in", str(f))
         assert status == 0 and report["N"] == 22
+
+    def test_inspect_from_file_past_int64(self, capsys, tmp_path):
+        # Words are Python ints, so a file's N is not bound by numpy's integer width.
+        word = "0" + "1" * 32 + "0" * 31
+        back = word.translate(str.maketrans("01", "10"))
+        f = tmp_path / "code.json"
+        f.write_text(json.dumps({"N": 64, "phase": 0.0, "pairs": [[word, back]]}))
+        status, report = run_cli(capsys, "code", "inspect", "--in", str(f))
+        assert status == 0
+        assert report["N"] == 64 and report["codewords"] == 1
+        assert report["redundancy"] == 2**64 - 1
 
     def test_defaults_without_a_file(self, capsys):
         assert run_cli(capsys, "code", "generate") == run_cli(

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb, log2
 
 import numpy as np
@@ -22,7 +23,17 @@ from jumpcodes.codes import (
 from jumpcodes.states import NUMBER, LocalOperator, label_to_index, sum_to_dense, OperatorSum
 
 
+def printed_labels(n: int, k: int) -> list[str]:
+    """Oracle: every n-character 0/1 label with k ones, sorted as strings."""
+    return sorted(s for s in map("".join, product("01", repeat=n)) if s.count("1") == k)
+
+
 class TestDFSBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_basis_matches_string_enumeration(self, n):
+        for k in range(n + 1):
+            assert dfs_basis(n, k).basis == printed_labels(n, k)
+
     def test_four_two_sector(self):
         assert dfs_basis(4, 2).basis == ["0011", "0101", "0110", "1001", "1010", "1100"]
 
@@ -53,6 +64,15 @@ class TestJumpCode:
         code = jump_code(2, 0.7)
         assert code.pairs == [("01", "10")]
         assert code.phase == 0.7
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_pairs_match_string_enumeration(self, n):
+        # Word order fixes which logical amplitude each word carries in `sim run`.
+        reps = [s for s in printed_labels(n, n // 2) if s[0] == "0"]
+        want = [(s, s.translate(str.maketrans("01", "10"))) for s in reps]
+        code = jump_code(n)
+        assert code.pairs == want
+        assert code.words == [(int(s, 2), int(sbar, 2)) for s, sbar in want]
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +195,22 @@ class TestProductBasis:
     def test_phase_mismatch_rejected(self):
         with pytest.raises(ValueError):
             product_code_basis(jump_code(4, 0.0), jump_code(4, 0.5))
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3, np.pi])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_encode_and_projector_are_sums_over_code_words(n, phase):
+    code = jump_code(n, phase)
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=code.count) + 1j * rng.normal(size=code.count)
+    psi = np.zeros(2**n, dtype=complex)
+    P = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(code.count):
+        v = codeword_ket(code, i).amplitudes
+        psi += a[i] * v
+        P += np.outer(v, v.conj())
+    assert np.array_equal(encode(code, a).amplitudes, psi)
+    assert np.array_equal(projector(code), P)
 
 
 def test_encode_unit_norm():

@@ -527,7 +527,7 @@ class TestSynthesis:
         # With a nonzero phase, swapping the first pair's representatives
         # changes that code word's relative phase, so the E/F segments leak
         # (about 0.24).
-        code = JumpCode(4, 0.3, [("1100", "0011"), ("0101", "1010"), ("0110", "1001")])
+        code = JumpCode(4, 0.3, [(0b1100, 0b0011), (0b0101, 0b1010), (0b0110, 0b1001)])
         with pytest.raises(LeakageError):
             synthesize_qutrit(unitary_group.rvs(3, random_state=3), code)
 

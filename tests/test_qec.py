@@ -165,7 +165,7 @@ class TestRecoveryUnitary:
 
     def test_kl_failure_raises(self):
         # deliberately non-complementary pairing: diagonal KL entries differ
-        broken = JumpCode(4, 0.0, [("0011", "0101"), ("0110", "1001")])
+        broken = JumpCode(4, 0.0, [(0b0011, 0b0101), (0b0110, 0b1001)])
         with pytest.raises(ValueError):
             recovery_unitary(broken, 1)
 
@@ -219,7 +219,7 @@ def gram_schmidt_recovery(code: JumpCode, alpha: int, out_basis: list[np.ndarray
     return U
 
 
-SWAPPED_REPRESENTATIVES = [("1100", "0011"), ("0101", "1010"), ("0110", "1001")]
+SWAPPED_REPRESENTATIVES = [(0b1100, 0b0011), (0b0101, 0b1010), (0b0110, 0b1001)]
 
 
 class TestClosedFormRecovery:
@@ -243,7 +243,7 @@ class TestClosedFormRecovery:
         # A one-word code passes kl_check for any jump (its projector has
         # rank one), and Gram-Schmidt would complete its two-string jump
         # image; the closed form needs complementary pairs.
-        code = JumpCode(4, 0.0, [("0011", "0101")])
+        code = JumpCode(4, 0.0, [(0b0011, 0b0101)])
         assert kl_check(KrausSet((jump_matrix(1, 4),)), projector(code)).reversible
         with pytest.raises(ValueError, match="not complementary"):
             recovery_unitary(code, 1)
@@ -261,17 +261,17 @@ class TestClosedFormRecovery:
             assert abs(report.lam[0, 0] - 0.5) <= 1e-12
             assert report.residual <= 1e-12
 
-    @pytest.mark.parametrize("pairs", [
-        [("0011", "1100"), ("0011", "1100")],
-        [("0011", "1100"), ("1100", "0011"), ("0101", "1010")],
+    @pytest.mark.parametrize("words", [
+        [(0b0011, 0b1100), (0b0011, 0b1100)],
+        [(0b0011, 0b1100), (0b1100, 0b0011), (0b0101, 0b1010)],
     ], ids=["repeated", "swapped"])
-    def test_shared_basis_string_is_rejected(self, pairs):
+    def test_shared_basis_string_is_rejected(self, words):
         with pytest.raises(ValueError, match="share a basis string"):
-            recovery_unitary(JumpCode(4, 0.3, pairs), 1)
+            recovery_unitary(JumpCode(4, 0.3, words), 1)
 
     def test_empty_code_is_rejected(self):
         with pytest.raises(ValueError, match="no code words"):
-            recovery_unitary(JumpCode(4, 0.0, []), 1)
+            recovery_unitary(JumpCode(4, 0.0, words=[]), 1)
 
     @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi])
     @pytest.mark.parametrize("n", [2, 4, 6, 8])

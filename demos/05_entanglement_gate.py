@@ -17,8 +17,7 @@ from jumpcodes import (
 )
 
 code4 = jump_code(4, 0.0)
-states = product_code_basis(code4, code4)
-C9 = np.column_stack([s.amplitudes for s in states])
+C9 = product_code_basis(code4, code4)
 labels = [f"|{i}{j}>" for i in range(3) for j in range(3)]
 
 print("=== the coupling Hamiltonian ===")
@@ -26,8 +25,8 @@ gh = h_ent()
 print(f"terms: {gh.terms}")
 H = gh.matrix(8)
 print("eigenvalue on each two-register state:")
-for label, s in zip(labels, states):
-    ev = np.vdot(s.amplitudes, H @ s.amplitudes).real
+for label, s in zip(labels, C9.T):
+    ev = np.vdot(s, H @ s).real
     print(f"  {label}: {ev:+.3f}")
 
 print("\n=== leakage from the 35-word code space ===")
@@ -45,7 +44,7 @@ logical = C9.conj().T @ V @ C9
 print("diagonal of V on the nine two-register states:")
 print("  " + "  ".join(f"{labels[m]}:{logical[m, m].real:+.0f}" for m in range(9)))
 
-theta = gate_theta_matrix(V, states, 3)
+theta = gate_theta_matrix(V, C9, 3)
 primitive, witness = is_primitive_diagonal(theta)
 print(f"\nphase table theta/pi:\n{theta.theta / np.pi}")
 print(f"primitive: {primitive}, violating quadruple (j,k,p,q): {witness}")

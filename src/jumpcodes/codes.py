@@ -15,7 +15,7 @@ from math import comb, isfinite, log2, sqrt
 
 import numpy as np
 
-from .states import Ket, tensor
+from .states import Ket
 
 
 def _weight_indices(n: int, k: int) -> list[int]:
@@ -118,6 +118,13 @@ def codeword_ket(code: JumpCode, i: int) -> Ket:
     return Ket(code.N, amps)
 
 
+def isometry(code: JumpCode) -> np.ndarray:
+    """The (2^N, count) array whose column i is code word i."""
+    C = np.zeros((2**code.N, code.count), dtype=complex)
+    C[np.array(code.words), np.arange(code.count)[:, None]] = word_amplitudes(code.phase)
+    return C
+
+
 def encode(code: JumpCode, logical: np.ndarray) -> Ket:
     """Embed a logical amplitude vector (length = code.count) into the code space."""
     logical = np.asarray(logical, dtype=complex)
@@ -178,17 +185,14 @@ def parallelism_to_code(plane: DesignPlane, phase: float = 0.0) -> JumpCode:
     return JumpCode(4, phase, sorted(map(tuple, bits)))
 
 
-def product_code_basis(code_a: JumpCode, code_b: JumpCode) -> list[Ket]:
-    """Nine two-register states |ij>_L with register A on qubits 5-8, B on 1-4."""
+def product_code_basis(code_a: JumpCode, code_b: JumpCode) -> np.ndarray:
+    """The (256, 9) isometry whose column 3i + j is |i>_A |j>_B, register A on
+    qubits 5-8 and B on 1-4."""
     if code_a.N != 4 or code_b.N != 4:
         raise ValueError("product basis is defined for two 4-qubit codes")
     if code_a.phase != code_b.phase:
         raise ValueError("register codes must share the same phase")
-    states = []
-    for i in range(code_a.count):
-        for j in range(code_b.count):
-            states.append(tensor(codeword_ket(code_a, i), codeword_ket(code_b, j)))
-    return states
+    return np.kron(isometry(code_a), isometry(code_b))
 
 
 def code_to_json(code: JumpCode) -> dict:

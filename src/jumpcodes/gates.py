@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import JumpCode, codeword_ket, jump_code, product_code_basis
+from .codes import JumpCode, isometry, jump_code, product_code_basis
 from .states import Ket, LocalOperator, OperatorSum, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
@@ -72,14 +72,15 @@ def _leakage(HC: np.ndarray, C: np.ndarray) -> float:
     return float(np.linalg.svd(HC - C @ (C.conj().T @ HC), compute_uv=False)[0])
 
 
-def logical_matrix(hamiltonian, basis: list[Ket]) -> np.ndarray:
-    """Matrix elements <b_i|H|b_j>; raises LeakageError if H leaks out of span(basis)."""
+def logical_matrix(hamiltonian, code: JumpCode) -> np.ndarray:
+    """Matrix elements <c_i|H|c_j> between code words; raises LeakageError if H
+    leaks out of the code space."""
     if isinstance(hamiltonian, GateHamiltonian):
         hamiltonian = hamiltonian.to_sum()
-    H = sum_to_dense(hamiltonian, basis[0].n_qubits)
+    H = sum_to_dense(hamiltonian, code.N)
     if not np.isfinite(H).all():  # before _leakage's SVD, which fails to converge on NaN
         raise ValueError("Hamiltonian entries must be finite")
-    C = np.column_stack([b.amplitudes for b in basis])
+    C = isometry(code)
     HC = H @ C
     # Judged relative to ||HC||_F, so the verdict does not change with H's scale.
     leakage, scale = _leakage(HC, C), np.linalg.norm(HC)
@@ -101,11 +102,10 @@ class LogicalGenerator:
 def table1_matrices(phase: float = 0.0) -> dict[str, np.ndarray]:
     """Logical 3x3 matrices of the six pair Hamiltonians on the 4-qubit code."""
     code = jump_code(4, phase)
-    basis = [codeword_ket(code, i) for i in range(code.count)]
     out = {}
     for a, b in [(1, 2), (2, 3), (1, 3)]:
         for kind in "EF":
-            out[f"{kind}{a}{b}"] = logical_matrix(GateHamiltonian(((kind, (a, b), 1.0),)), basis)
+            out[f"{kind}{a}{b}"] = logical_matrix(GateHamiltonian(((kind, (a, b), 1.0),)), code)
     return out
 
 
@@ -136,7 +136,6 @@ def su3_generators() -> list[LogicalGenerator]:
     i times commutators of two C+ operators.
     """
     code = jump_code(4, 0.0)
-    basis = [codeword_ket(code, i) for i in range(code.count)]
 
     def combo(pair: tuple[int, int]) -> GateHamiltonian:
         """E_ab - F_ab on the pair (a, b)."""
@@ -145,7 +144,7 @@ def su3_generators() -> list[LogicalGenerator]:
     plus = {"C12+": combo((2, 3)), "C13+": combo((1, 3)), "C23+": combo((1, 2))}
     gens = []
     for name, gh in plus.items():
-        gens.append(LogicalGenerator(name, logical_matrix(gh, basis), hamiltonian=gh))
+        gens.append(LogicalGenerator(name, logical_matrix(gh, code), hamiltonian=gh))
     by_name = {g.name: g for g in gens}
     for name, (a, b) in [
         ("C12-", ("C13+", "C23+")),
@@ -156,7 +155,7 @@ def su3_generators() -> list[LogicalGenerator]:
         gens.append(LogicalGenerator(name, 1j * (A @ B - B @ A), commutator_of=(a, b)))
     for name, pair in [("F12", (1, 2)), ("F13", (1, 3))]:
         gh = GateHamiltonian((("F", pair, 1.0),))
-        gens.append(LogicalGenerator(name, logical_matrix(gh, basis), hamiltonian=gh))
+        gens.append(LogicalGenerator(name, logical_matrix(gh, code), hamiltonian=gh))
     return gens
 
 
@@ -377,10 +376,10 @@ def _value_key(h: Hamiltonian) -> tuple:
 
 
 def _program_product(
-    program: HamiltonianProgram, n_qubits: int | None = None, basis: list[Ket] | None = None
+    program: HamiltonianProgram, n_qubits: int | None = None, code: JumpCode | None = None
 ) -> np.ndarray | None:
     """U_K ... U_1 with U_k = exp(-i H_k t_k), physical on ``n_qubits`` qubits or
-    logical on span(basis) when a basis is given; None for no segments. Each
+    logical on the code words when a code is given; None for no segments. Each
     distinct (Hamiltonian value, duration) pair is exponentiated once per call.
     """
     cache: dict[tuple, np.ndarray] = {}
@@ -391,10 +390,10 @@ def _program_product(
         if key not in cache:
             if not isinstance(h, GateHamiltonian):
                 M = np.asarray(h, dtype=complex)
-                if basis is not None and M.shape != (len(basis), len(basis)):
-                    raise ValueError("abstract segment dimension does not match basis size")
-            elif basis is not None:
-                M = logical_matrix(h, basis)
+                if code is not None and M.shape != (code.count, code.count):
+                    raise ValueError("abstract segment dimension does not match code size")
+            elif code is not None:
+                M = logical_matrix(h, code)
             elif n_qubits is None:
                 raise ValueError("n_qubits required to evaluate physical segments")
             else:
@@ -411,10 +410,10 @@ def program_unitary(program: HamiltonianProgram, n_qubits: int | None = None) ->
     return _program_product(program, n_qubits=n_qubits)
 
 
-def program_logical_unitary(program: HamiltonianProgram, basis: list[Ket]) -> np.ndarray:
-    """Restriction of the program unitary to span(basis), segment by segment."""
-    U = _program_product(program, basis=basis)
-    return np.eye(len(basis), dtype=complex) if U is None else U
+def program_logical_unitary(program: HamiltonianProgram, code: JumpCode) -> np.ndarray:
+    """Restriction of the program unitary to the code space, segment by segment."""
+    U = _program_product(program, code=code)
+    return np.eye(code.count, dtype=complex) if U is None else U
 
 
 def phase_aligned_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -430,7 +429,7 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
     projector. By Duhamel's formula ||(1-P) e^{-iHs} P|| <= s ||(1-P) H P|| for
     hermitian H and s >= 0, so the sum bounds the leakage at every instant. It
     takes one ``_leakage`` per distinct segment Hamiltonian and no exponential."""
-    C = np.column_stack([codeword_ket(code, i).amplitudes for i in range(code.count)])
+    C = isometry(code)
     residual: dict[tuple, float] = {}
     bound = 0.0
     for seg in program.segments:
@@ -550,7 +549,6 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode) -> HamiltonianProgram:
         raise ValueError("target must be a 3x3 unitary")
     if code.N != 4:
         raise ValueError("synthesis targets the 4-qubit code register")
-    basis = [codeword_ket(code, i) for i in range(code.count)]
     H = principal_log_hamiltonian(U)
     H = H - np.trace(H) / 3.0 * np.eye(3)
     if np.linalg.norm(H) < 1e-13:
@@ -563,7 +561,7 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode) -> HamiltonianProgram:
         [ProgramSegment(symmetric_to_gate_hamiltonian(S), t) for S, t in factors],
         trotter_steps=0,
     )
-    program.achieved_error = phase_aligned_distance(program_logical_unitary(program, basis), U)
+    program.achieved_error = phase_aligned_distance(program_logical_unitary(program, code), U)
     return program
 
 
@@ -635,9 +633,8 @@ class ThetaMatrix:
         self.theta = np.mod(th, 2.0 * np.pi)
 
 
-def gate_theta_matrix(U: np.ndarray, states: list[Ket], d: int) -> ThetaMatrix:
-    """Extract phases of a gate diagonal in the given d*d product basis."""
-    C = np.column_stack([s.amplitudes for s in states])
+def gate_theta_matrix(U: np.ndarray, C: np.ndarray, d: int) -> ThetaMatrix:
+    """Extract phases of a gate diagonal in the d*d product basis of C's columns."""
     M = C.conj().T @ U @ C
     off = M - np.diag(np.diag(M))
     if not np.linalg.norm(off) <= 1e-10:
@@ -690,14 +687,13 @@ def verify_entangle(tol: float = 1e-12) -> dict:
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     code8 = jump_code(8, 0.0)
-    C35 = np.column_stack([codeword_ket(code8, i).amplitudes for i in range(code8.count)])
+    C35 = isometry(code8)
     code4 = jump_code(4, 0.0)
-    states = product_code_basis(code4, code4)
-    C9 = np.column_stack([s.amplitudes for s in states])
+    C9 = product_code_basis(code4, code4)
     leakage = 2.0 * np.pi * _leakage(_h_ent_diagonal()[:, None] * C35, C35)
     V = v_gate()
     v_residual = float(np.abs(C9.conj().T @ V @ C9 - np.diag([1] * 8 + [-1])).max())
-    theta = gate_theta_matrix(V, states, 3)
+    theta = gate_theta_matrix(V, C9, 3)
     primitive, witness = is_primitive_diagonal(theta)
     th = theta.theta
     named_gap = (th[1, 1] + th[2, 2] - (th[1, 2] + th[2, 1])) % (2 * np.pi)

@@ -74,14 +74,6 @@ def basis_ket(label: str) -> Ket:
     return Ket(len(label), amps)
 
 
-def tensor(high: Ket, low: Ket) -> Ket:
-    """Combine registers; ``low`` keeps qubits 1..n_low, ``high`` is shifted above.
-
-    The printed label of a product of basis states is (high label)(low label).
-    """
-    return Ket(high.n_qubits + low.n_qubits, np.outer(high.amplitudes, low.amplitudes).ravel())
-
-
 @dataclass
 class LocalOperator:
     """Operator acting on ``support`` qubits, identity elsewhere.

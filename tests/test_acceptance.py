@@ -12,7 +12,6 @@ import pytest
 from scipy.stats import unitary_group
 
 from jumpcodes.codes import (
-    codeword_ket,
     dfs_basis,
     dfs_projector,
     encode,
@@ -246,8 +245,7 @@ def test_criterion_7_trotter_scaling():
 
 def test_criterion_8_entanglement_gate():
     code4 = jump_code(4, 0.0)
-    states = product_code_basis(code4, code4)
-    C9 = np.column_stack([s.amplitudes for s in states])
+    C9 = product_code_basis(code4, code4)
     P9 = C9 @ C9.conj().T
     P35 = projector(jump_code(8, 0.0))
     one = np.eye(256)
@@ -259,7 +257,7 @@ def test_criterion_8_entanglement_gate():
         float(np.linalg.norm((one - P35) @ ent_unitary(tau) @ P9, 2))
         for tau in (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi)
     )
-    theta = gate_theta_matrix(V, states, 3)
+    theta = gate_theta_matrix(V, C9, 3)
     primitive, witness = is_primitive_diagonal(theta)
     th = theta.theta
     named = abs((th[1, 1] + th[2, 2]) - np.pi) < 1e-9 and abs(th[1, 2] + th[2, 1]) < 1e-9
@@ -284,13 +282,12 @@ def test_criterion_8_entanglement_gate():
 def test_criterion_9_qutrit_synthesis():
     start = time.time()
     code = jump_code(4, 0.0)
-    basis = [codeword_ket(code, i) for i in range(3)]
     worst_err = 0.0
     worst_leak = 0.0
     for k in range(20):
         U = unitary_group.rvs(3, random_state=9000 + k)
         program = synthesize_qutrit(U, code)
-        err = phase_aligned_distance(program_logical_unitary(program, basis), U)
+        err = phase_aligned_distance(program_logical_unitary(program, code), U)
         leak = leakage_certificate(program, code)
         worst_err = max(worst_err, err)
         worst_leak = max(worst_leak, leak)

@@ -13,6 +13,7 @@ from jumpcodes.codes import (
     dfs_basis,
     dfs_projector,
     encode,
+    isometry,
     jump_code,
     logical_qubits,
     parallelism_to_code,
@@ -173,8 +174,7 @@ class TestAffinePlane:
 class TestProductBasis:
     def test_printed_expansion_of_00(self):
         code = jump_code(4, 0.0)
-        states = product_code_basis(code, code)
-        v = states[0].amplitudes
+        v = product_code_basis(code, code)[:, 0]
         printed = ["00110011", "11001100", "00111100", "11000011"]
         for label in printed:
             assert np.isclose(v[label_to_index(label)], 0.5)
@@ -182,19 +182,39 @@ class TestProductBasis:
 
     def test_orthonormal_nine(self):
         code = jump_code(4, 0.0)
-        states = product_code_basis(code, code)
-        C = np.column_stack([s.amplitudes for s in states])
+        C = product_code_basis(code, code)
         assert np.allclose(C.conj().T @ C, np.eye(9), atol=1e-12)
 
     def test_inside_35_dim_code(self):
         code = jump_code(4, 0.0)
         P35 = projector(jump_code(8, 0.0))
-        for s in product_code_basis(code, code):
-            assert np.linalg.norm(P35 @ s.amplitudes - s.amplitudes) < 1e-12
+        for s in product_code_basis(code, code).T:
+            assert np.linalg.norm(P35 @ s - s) < 1e-12
 
     def test_phase_mismatch_rejected(self):
         with pytest.raises(ValueError):
             product_code_basis(jump_code(4, 0.0), jump_code(4, 0.5))
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi, -2.1])
+    def test_columns_are_outer_products_of_code_words(self, phase):
+        # Column 3i + j is |i>_A |j>_B, register A on the high qubits 5-8; B
+        # lists its words in reverse, so swapped registers would not match.
+        a = jump_code(4, phase)
+        b = JumpCode(4, phase, a.words[::-1])
+        C = product_code_basis(a, b)
+        assert C.shape == (256, 9)
+        for i in range(3):
+            for j in range(3):
+                want = np.outer(codeword_ket(a, i).amplitudes, codeword_ket(b, j).amplitudes)
+                assert C[:, 3 * i + j].tobytes() == want.ravel().tobytes()
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3, np.pi, -2.1])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_isometry_columns_are_the_code_words(n, phase):
+    code = jump_code(n, phase)
+    want = np.column_stack([codeword_ket(code, i).amplitudes for i in range(code.count)])
+    assert isometry(code).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi])

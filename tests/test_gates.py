@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from jumpcodes import gates as gates_module
-from jumpcodes.codes import JumpCode, codeword_ket, jump_code, product_code_basis, projector
+from jumpcodes.codes import JumpCode, isometry, jump_code, product_code_basis, projector
 from jumpcodes.gates import (
     GateHamiltonian,
     LeakageError,
@@ -118,37 +118,36 @@ class TestLogicalMatrix:
             assert np.abs(got[name] - expected).max() < 1e-12, name
 
     def test_leakage_raises(self):
-        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
+        code = jump_code(4, 0.0)
         flip = OperatorSum((LocalOperator((1,), SIGMA_X),))  # changes excitation count
         with pytest.raises(LeakageError):
-            logical_matrix(flip, basis)
+            logical_matrix(flip, code)
 
     @pytest.mark.parametrize("form", ["sum", "local"])
     def test_non_finite_hamiltonian_raises_value_error(self, form):
         # A NaN block used to reach _leakage's SVD and raise LinAlgError.
-        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
+        code = jump_code(4, 0.0)
         term = LocalOperator((1, 2), np.full((4, 4), np.nan))
         with pytest.raises(ValueError, match="finite"):
-            logical_matrix(OperatorSum((term,)) if form == "sum" else term, basis)
+            logical_matrix(OperatorSum((term,)) if form == "sum" else term, code)
 
     @pytest.mark.parametrize("phase", [0.0, 0.3])
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e4, 1e6, 1e9])
     def test_verdict_does_not_depend_on_the_scale(self, phase, scale):
         # The residual grows with H; at 1e4 and above this sum's (2e-12 to
         # 3e-7) once exceeded an absolute 1e-12, though it is 2e-16 of ||HC||.
-        basis = [codeword_ket(jump_code(4, phase), i) for i in range(3)]
+        code = jump_code(4, phase)
         terms = (("E", (1, 2), 0.7), ("F", (2, 3), -0.4), ("E", (1, 3), 0.31), ("F", (1, 3), 0.77))
         gh = GateHamiltonian(tuple((kind, pair, scale * c) for kind, pair, c in terms))
-        want = scale * logical_matrix(GateHamiltonian(terms), basis)
-        assert np.abs(logical_matrix(gh, basis) - want).max() <= 1e-14 * scale
+        want = scale * logical_matrix(GateHamiltonian(terms), code)
+        assert np.abs(logical_matrix(gh, code) - want).max() <= 1e-14 * scale
         flip = OperatorSum((LocalOperator((1,), scale * SIGMA_X),))
         with pytest.raises(LeakageError):
-            logical_matrix(flip, basis)
+            logical_matrix(flip, code)
 
     def test_zero_hamiltonian_is_invariant(self):
-        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
         zero = GateHamiltonian((("E", (1, 2), 0.0),))
-        assert np.all(logical_matrix(zero, basis) == 0)
+        assert np.all(logical_matrix(zero, jump_code(4, 0.0)) == 0)
 
     def test_all_pair_hamiltonians_leave_code_invariant(self):
         code = jump_code(4, 0.0)
@@ -229,9 +228,8 @@ class TestLieClosure:
 
     def test_six_qubit_pair_terms_close_to_u10_within_a_second(self):
         code = jump_code(6, 0.0)
-        basis = [codeword_ket(code, i) for i in range(code.count)]
         terms = [
-            logical_matrix(GateHamiltonian(((kind, (a, b), 1.0),)), basis)
+            logical_matrix(GateHamiltonian(((kind, (a, b), 1.0),)), code)
             for a in range(1, 7) for b in range(a + 1, 7) for kind in "EF"
         ]
         start = time.perf_counter()
@@ -342,14 +340,14 @@ class TestTrotterFormulas:
     @pytest.mark.parametrize("t1, t2", [(1.3, -0.8), (-0.4, 0.9)])
     def test_commuting_gate_hamiltonians_match_the_exact_target(self, t1, t2):
         # Physical E/F programs against the logical oracle, on both signs of time.
-        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
+        code = jump_code(4, 0.0)
         h1 = GateHamiltonian((("F", (1, 2), 1.0),))
         h2 = GateHamiltonian((("F", (1, 3), 0.7),))
         target = sum_formula_target(
-            logical_matrix(h1, basis), logical_matrix(h2, basis), t1, t2
+            logical_matrix(h1, code), logical_matrix(h2, code), t1, t2
         )
         for n in (1, 3):
-            got = program_logical_unitary(trotter_sum(h1, h2, t1, t2, n), basis)
+            got = program_logical_unitary(trotter_sum(h1, h2, t1, t2, n), code)
             assert np.linalg.norm(got - target) < 1e-12
 
     def test_non_hermitian_segment_is_rejected(self):
@@ -417,7 +415,6 @@ class TestEighExponentials:
 class TestSynthesis:
     def setup_method(self):
         self.code = jump_code(4, 0.0)
-        self.basis = [codeword_ket(self.code, i) for i in range(3)]
 
     def test_identity_target_empty_program(self):
         prog = synthesize_qutrit(np.eye(3), self.code)
@@ -438,7 +435,7 @@ class TestSynthesis:
         prog = synthesize_qutrit(target, self.code)
         assert len(prog.segments) == 1
         assert prog.achieved_error < 1e-10
-        U = program_logical_unitary(prog, self.basis)
+        U = program_logical_unitary(prog, self.code)
         assert phase_aligned_distance(U, target) < 1e-10
 
     def test_random_targets_reach_tolerance(self):
@@ -446,7 +443,7 @@ class TestSynthesis:
             U = unitary_group.rvs(3, random_state=300 + k)
             prog = synthesize_qutrit(U, self.code)
             assert prog.achieved_error <= 1e-2
-            got = program_logical_unitary(prog, self.basis)
+            got = program_logical_unitary(prog, self.code)
             assert phase_aligned_distance(got, U) <= 1e-2
             assert leakage_certificate(prog, self.code) <= 1e-12
 
@@ -455,7 +452,7 @@ class TestSynthesis:
         prog = synthesize_qutrit(U, self.code)
         assert prog.achieved_error <= 1e-2
         full = program_unitary(prog, n_qubits=4)
-        C = np.column_stack([b.amplitudes for b in self.basis])
+        C = isometry(self.code)
         restricted = C.conj().T @ full @ C
         assert phase_aligned_distance(restricted, U) <= 1e-2
 
@@ -470,7 +467,7 @@ class TestSynthesis:
         prog = synthesize_qutrit(U, self.code)
         assert len(prog.segments) <= 3
         assert prog.trotter_steps == 0
-        got = program_logical_unitary(prog, self.basis)
+        got = program_logical_unitary(prog, self.code)
         assert phase_aligned_distance(got, U) <= 1e-12
         assert prog.achieved_error <= 1e-12
         assert leakage_certificate(prog, self.code) <= 1e-12
@@ -536,7 +533,7 @@ class TestSynthesis:
         S = rng.normal(size=(3, 3))
         S = 0.5 * (S + S.T)
         gh = symmetric_to_gate_hamiltonian(S)
-        got = logical_matrix(gh, self.basis)
+        got = logical_matrix(gh, self.code)
         assert np.abs(got - S).max() < 1e-12
 
     def test_nan_matrix_is_not_expanded(self):
@@ -547,8 +544,7 @@ class TestSynthesis:
 class TestEntanglementGate:
     def setup_method(self):
         self.code4 = jump_code(4, 0.0)
-        self.states = product_code_basis(self.code4, self.code4)
-        self.C9 = np.column_stack([s.amplitudes for s in self.states])
+        self.C9 = product_code_basis(self.code4, self.code4)
 
     def test_h_ent_eigenvalues(self):
         H = h_ent().matrix(8)
@@ -561,8 +557,8 @@ class TestEntanglementGate:
         assert np.linalg.norm(H @ minus) < 1e-14
         # Block form on the product code space: eigenvalue 1 on the eight
         # states other than |22>_L (the last), 2 on |22+>, 0 on |22->.
-        for psi in self.states[:8]:
-            assert np.linalg.norm(H @ psi.amplitudes - psi.amplitudes) <= 1e-12
+        for psi in self.C9.T[:8]:
+            assert np.linalg.norm(H @ psi - psi) <= 1e-12
         assert np.linalg.norm(H @ plus - 2.0 * plus) <= 1e-12
         assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
 
@@ -648,15 +644,15 @@ class TestPrimitivity:
             ThetaMatrix(np.full((3, 3), np.nan))
 
     def test_nan_gate_is_rejected(self):
-        states = product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0))
+        C9 = product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0))
         with pytest.raises(ValueError, match="not diagonal"):
-            gate_theta_matrix(np.full((256, 256), np.nan), states, 3)
+            gate_theta_matrix(np.full((256, 256), np.nan), C9, 3)
 
 
 def dense_leakage(program, code, points=200):
     """Oracle: max of ||(1-P) U(s) P||_2 over every segment's end and ``points``
     interior instants of it, propagated with one eigh per distinct segment."""
-    C = np.column_stack([codeword_ket(code, i).amplitudes for i in range(code.count)])
+    C = isometry(code)
     d, k = C.shape
     leak = np.eye(d) - C @ C.conj().T
     UC, steps, starts = C.astype(complex), {}, {}
@@ -723,14 +719,12 @@ class TestLeakageCertificate:
         assert want > 0.2
         assert leakage_certificate(prog, self.code) >= want
 
-    def test_block_edges_match_oracle(self):
-        # Program lengths around 1024, once the size of a batched evaluation.
-        rows = 1024
-        for length in (rows - 1, rows, rows + 1):
-            prog = self.program(length)
-            want = dense_leakage(prog, self.code)
-            assert want > 0.2  # only the last segment leaks
-            assert leakage_certificate(prog, self.code) >= want
+    def test_leak_in_the_last_of_many_repeated_segments_counts(self):
+        # 1024 segments of seven cached values, then one that leaks.
+        prog = self.program(1025)
+        want = dense_leakage(prog, self.code)
+        assert want > 0.2  # only the last segment leaks
+        assert leakage_certificate(prog, self.code) >= want
 
     def test_leak_undone_by_a_later_segment_still_counts(self):
         from jumpcodes.gates import HamiltonianProgram, ProgramSegment
@@ -805,9 +799,9 @@ class TestProgramSerialization:
         assert prog.achieved_error <= 1e-2
         data = program_to_json(prog)
         again = program_from_json(data)
-        basis = [codeword_ket(jump_code(4, 0.0), i) for i in range(3)]
-        U1 = program_logical_unitary(prog, basis)
-        U2 = program_logical_unitary(again, basis)
+        code = jump_code(4, 0.0)
+        U1 = program_logical_unitary(prog, code)
+        U2 = program_logical_unitary(again, code)
         assert np.linalg.norm(U1 - U2) < 1e-12
 
     def test_round_trip_is_bitwise_and_evaluates_each_segment_value_once(

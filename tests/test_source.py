@@ -7,6 +7,7 @@ named exception.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,12 +52,14 @@ def test_detector_sees_every_form():
 def _unreferenced(path: Path, corpus: list[Path]) -> list[str]:
     """Module-level functions and classes of ``path`` that no line of
     ``corpus`` names as a whole word, other than their own def/class line."""
-    lines = [(p, i, line) for p in corpus for i, line in enumerate(p.read_text().splitlines(), 1)]
+    words = Counter(w for p in corpus for w in re.findall(r"\w+", p.read_text()))
+    source = path.read_text()
+    lines = source.splitlines()
     out = []
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
+    for node in ast.parse(source, filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(line) for p, i, line in lines if (p, i) != (path, node.lineno)):
+            own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name) if path in corpus else 0
+            if words[node.name] == own:
                 out.append(node.name)
     return out
 
@@ -67,3 +70,22 @@ def test_every_definition_is_referenced():
     modules = [p for p in SOURCES if p.name != "__init__.py"]
     corpus = modules + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     assert {p.name: _unreferenced(p, corpus) for p in modules} == {p.name: [] for p in modules}
+
+
+def test_names_only_the_benchmark_keeps_alive_are_pinned():
+    # The benchmark's files are frozen, so a definition that only they read
+    # waits for a benchmark change to be deleted (ROADMAP item 4). A new name
+    # kept alive that way fails here until it is added to that list.
+    modules = [p for p in SOURCES if p.name != "__init__.py"]
+    library = modules + sorted((ROOT / "demos").glob("*.py"))
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    kept = {
+        f"{p.stem}.{name}"
+        for p in modules
+        for name in set(_unreferenced(p, library)) - set(_unreferenced(p, library + bench))
+    }
+    assert kept == {
+        "dynamics.jump_channel_weights",
+        "dynamics.run_trajectory",
+        "gates.program_from_json",
+    }

@@ -13,7 +13,6 @@ from jumpcodes.states import (
     label_to_index,
     local_to_dense,
     sum_to_dense,
-    tensor,
 )
 
 
@@ -49,27 +48,6 @@ class TestBasisKet:
     def test_rejects_bad_labels(self, bad):
         with pytest.raises(ValueError):
             basis_ket(bad)
-
-
-class TestTensor:
-    def test_printed_label_composition(self):
-        t = tensor(basis_ket("0011"), basis_ket("0101"))
-        assert t.amplitudes[label_to_index("00110101")] == 1.0
-        assert t.n_qubits == 8
-
-    def test_vacuum_low_register_shifts_high(self):
-        rng = np.random.default_rng(1)
-        x = random_ket(rng, 3)
-        t = tensor(x, basis_ket("00"))
-        assert np.allclose(t.amplitudes[::4], x.amplitudes)
-        mask = np.ones(t.dim, dtype=bool)
-        mask[::4] = False
-        assert np.all(t.amplitudes[mask] == 0)
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(2)
-        a, b = random_ket(rng, 2), random_ket(rng, 3)
-        assert abs(tensor(a, b).norm() - 1.0) < 1e-12
 
 
 class TestApplyLocal:

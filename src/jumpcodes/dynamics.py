@@ -21,7 +21,6 @@ from .states import (
     Ket,
     LocalOperator,
     LOWER,
-    NUMBER,
     OperatorSum,
     apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
     row_norms,
@@ -46,14 +45,12 @@ class LindbladModel:
     """
 
     n_qubits: int
-    hamiltonian: OperatorSum | LocalOperator | None
+    hamiltonian: OperatorSum | None
     channels: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         if self.hamiltonian is None:
             self.hamiltonian = OperatorSum(())
-        elif isinstance(self.hamiltonian, LocalOperator):
-            self.hamiltonian = OperatorSum((self.hamiltonian,))
         self.channels = tuple((int(a), float(k)) for a, k in self.channels)
         qubits = [a for a, _ in self.channels]
         if len(set(qubits)) != len(qubits):
@@ -130,13 +127,10 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-def effective_hamiltonian(model: LindbladModel) -> OperatorSum:
-    """No-jump generator H - (i/2) sum_a kappa_a |1_a><1_a|."""
-    terms = list(model.hamiltonian.terms)
-    for alpha, kappa in model.channels:
-        if kappa > 0.0:
-            terms.append(LocalOperator((alpha,), -0.5j * kappa * NUMBER))
-    return OperatorSum(tuple(terms))
+def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
+    """Dense no-jump generator H - (i/2) sum_a kappa_a |1_a><1_a|, whose
+    diagonal decay part is the strings' ``decay_rates``."""
+    return sum_to_dense(model.hamiltonian, model.n_qubits) - 0.5j * np.diag(model.decay_rates())
 
 
 def no_jump_kraus(model: LindbladModel, t: float) -> np.ndarray:
@@ -176,7 +170,7 @@ def integrate_master(
     dim = 2**model.n_qubits
     if rho0.dimension != dim:
         raise ValueError("state dimension does not match model")
-    h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
+    h_eff = effective_hamiltonian(model)
     bits = np.array([1 << (a - 1) for a, k in model.channels if k > 0.0], dtype=int)
     kappas = np.array([k for _, k in model.channels if k > 0.0])
     strings = np.arange(dim)
@@ -354,7 +348,7 @@ class _NoJumpRows:
         self.string_rates = model.decay_rates()
         if self.diagonal:
             return
-        self.h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
+        self.h_eff = effective_hamiltonian(model)
         lam, V = np.linalg.eig(self.h_eff)
         self.neg_i_lam = -1j * lam
         self.eigenbasis = np.linalg.cond(V) <= EIGENBASIS_COND_LIMIT
@@ -415,10 +409,6 @@ class _NoJumpRows:
             end[faded] = self.state(rows[faded], t[faded], rescale=True)
             norms[faded] = row_norms(end[faded])
         return end / norms[:, None]
-
-    def norm_sq(self, rows: np.ndarray):
-        """The squared norm of start rows ``rows`` as a function of their times."""
-        return lambda t: self.norm_slope(rows, t)[0]
 
     def norm_slope(self, rows: np.ndarray, t: np.ndarray):
         """The squared norm f of start rows ``rows`` at times ``t``, and its
@@ -628,7 +618,7 @@ def run_trajectories(
             draws = block[live, 2 * (k % 4) : 2 * (k % 4) + 2]
             flow.start(psi, cols)
             remaining = T - t[live]
-            end_sq = flow.norm_sq(np.arange(live.size))(remaining)
+            end_sq = flow.norm_slope(np.arange(live.size), remaining)[0]
             if not np.isfinite(end_sq).all():  # a NaN state would creep on forever
                 raise ValueError("trajectory norms must be finite")
             # Threshold 0 is never crossed: its waiting time is infinite.

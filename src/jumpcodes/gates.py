@@ -72,16 +72,22 @@ def _leakage(HC: np.ndarray, C: np.ndarray) -> float:
     return float(np.linalg.svd(HC - C @ (C.conj().T @ HC), compute_uv=False)[0])
 
 
-def logical_matrix(hamiltonian, code: JumpCode) -> np.ndarray:
+def _segment_matrix(h: Hamiltonian, n_qubits: int) -> np.ndarray:
+    """The 2^n matrix of a segment Hamiltonian: a GateHamiltonian's, or a
+    finite hermitian 2^n array itself."""
+    H = h.matrix(n_qubits) if isinstance(h, GateHamiltonian) else np.asarray(h, dtype=complex)
+    if H.shape != (2**n_qubits, 2**n_qubits):
+        raise ValueError(f"Hamiltonian must be {2**n_qubits} x {2**n_qubits}, got {H.shape}")
+    if not np.isfinite(H).all():  # before any SVD, which fails to converge on NaN
+        raise ValueError("Hamiltonian entries must be finite")
+    return H if isinstance(h, GateHamiltonian) else _hermitian(H)
+
+
+def logical_matrix(hamiltonian: Hamiltonian, code: JumpCode) -> np.ndarray:
     """Matrix elements <c_i|H|c_j> between code words; raises LeakageError if H
     leaks out of the code space."""
-    if isinstance(hamiltonian, GateHamiltonian):
-        hamiltonian = hamiltonian.to_sum()
-    H = sum_to_dense(hamiltonian, code.N)
-    if not np.isfinite(H).all():  # before _leakage's SVD, which fails to converge on NaN
-        raise ValueError("Hamiltonian entries must be finite")
     C = isometry(code)
-    HC = H @ C
+    HC = _segment_matrix(hamiltonian, code.N) @ C
     # Judged relative to ||HC||_F, so the verdict does not change with H's scale.
     leakage, scale = _leakage(HC, C), np.linalg.norm(HC)
     if leakage > INVARIANCE_TOL * scale:
@@ -388,12 +394,10 @@ def _program_product(
         h = seg.hamiltonian
         key = (_value_key(h), seg.duration)
         if key not in cache:
-            if not isinstance(h, GateHamiltonian):
-                M = np.asarray(h, dtype=complex)
-                if code is not None and M.shape != (code.count, code.count):
-                    raise ValueError("abstract segment dimension does not match code size")
-            elif code is not None:
+            if code is not None:
                 M = logical_matrix(h, code)
+            elif not isinstance(h, GateHamiltonian):
+                M = np.asarray(h, dtype=complex)
             elif n_qubits is None:
                 raise ValueError("n_qubits required to evaluate physical segments")
             else:
@@ -436,8 +440,7 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
         h = seg.hamiltonian
         key = _value_key(h)
         if key not in residual:
-            H = h.matrix(code.N) if isinstance(h, GateHamiltonian) else np.asarray(h, complex)
-            residual[key] = _leakage(_hermitian(H) @ C, C)
+            residual[key] = _leakage(_segment_matrix(h, code.N) @ C, C)
         bound += seg.duration * residual[key]
     return bound
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12
-
 # Pauli matrices in the |0>, |1> basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -56,7 +54,7 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
+    def is_normalized(self, tol: float) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol
 
     def normalized(self) -> "Ket":
@@ -147,15 +145,13 @@ def _index_map(support: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray
 
 def local_to_dense(op: LocalOperator, n_qubits: int) -> np.ndarray:
     """Embed a local operator into the full 2^n x 2^n matrix."""
-    return sum_to_dense(op, n_qubits)
+    return sum_to_dense(OperatorSum((op,)), n_qubits)
 
 
-def sum_to_dense(ops: OperatorSum | LocalOperator, n_qubits: int) -> np.ndarray:
+def sum_to_dense(ops: OperatorSum, n_qubits: int) -> np.ndarray:
     """Add every term's embedding (see ``_index_map``) into one 2^n x 2^n matrix."""
     if n_qubits > DENSE_QUBIT_LIMIT:
         raise ValueError(f"refusing dense embedding beyond {DENSE_QUBIT_LIMIT} qubits")
-    if isinstance(ops, LocalOperator):
-        ops = OperatorSum((ops,))
     # Zeros written up front: np.zeros leaves a large matrix unmapped, and the
     # scattered adds below would then fault each page twice (read, then write).
     total = np.full((2**n_qubits, 2**n_qubits), 0j)

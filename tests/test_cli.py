@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 import warnings
 from math import comb
 from pathlib import Path
@@ -349,12 +350,31 @@ class TestSimCommand:
         with pytest.raises(ValueError):
             ExperimentConfig(3, 0.0, [1.0], 1.0, 10, 1)
 
-    @pytest.mark.parametrize("n, largest", [(12, 16_384), (4, 4_194_304)])
+    @pytest.mark.parametrize("n, largest", [(12, 2_048), (4, 524_288)])
     def test_trajectories_are_bounded_by_the_state_array(self, n, largest):
-        # one (trajectories, 2^n) complex array may take at most 1 GiB
+        # one (trajectories, 2^n) complex array may take at most 1/8 GiB, as
+        # the run holds about seven of them at its peak
         ExperimentConfig(n, 0.0, [1.0], 1.0, largest, 1)
         with pytest.raises(ValueError, match=f"trajectories must be at most {largest}"):
             ExperimentConfig(n, 0.0, [1.0], 1.0, largest + 1, 1)
+
+    def test_a_run_at_the_cap_traces_at_most_1_gib(self):
+        # 1/64 of the cap at n = 8; the peak grows at most linearly with the
+        # rows, since run_trajectories works on chunks of at most 1024 rows.
+        config = ExperimentConfig(
+            8, 0.4, [1.0], 1.5, (2**26 >> 8 >> 3) // 64, 5, delay=0.05, p_miss=0.2,
+            mismatch=[1.2, 0.9, 1, 1, 0.8, 1.1, 1, 1],
+        )
+        assert config.trajectories == 512
+        with pytest.raises(ValueError, match="trajectories must be at most 32768"):
+            ExperimentConfig(8, 0.0, [1.0], 1.0, 64 * 512 + 1, 1)
+        tracemalloc.start()
+        try:
+            qec.run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 64 * peak <= 2**30
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,17 +81,50 @@ class TestEffectiveHamiltonian:
     def test_no_channels_returns_h(self):
         H = OperatorSum((LocalOperator((1,), SIGMA_X),))
         model = LindbladModel(2, H, ())
-        assert effective_hamiltonian(model).terms == H.terms
+        assert effective_hamiltonian(model).tobytes() == sum_to_dense(H, 2).tobytes()
 
     def test_memory_single_channel(self):
         model = LindbladModel(1, None, ((1, 0.7),))
-        M = sum_to_dense(effective_hamiltonian(model), 1)
+        M = effective_hamiltonian(model)
         assert np.allclose(M, -0.5j * 0.7 * NUMBER)
+
+    def test_equals_the_per_channel_number_term_sum(self):
+        # Oracle: the drive's terms plus -(i/2) kappa |1><1| for each channel
+        # with kappa > 0, summed as one OperatorSum.
+        from jumpcodes.gates import GateHamiltonian
+
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            if rng.random() < 0.5:
+                drive = GateHamiltonian(tuple(
+                    (str(rng.choice(["E", "F"])),
+                     tuple(int(q) for q in rng.choice(np.arange(1, n + 1), 2, replace=False)),
+                     float(rng.normal()))
+                    for _ in range(int(rng.integers(0, 4)))
+                )).to_sum()
+            else:
+                terms = []
+                for _ in range(int(rng.integers(0, 4))):
+                    support = rng.choice(np.arange(1, n + 1), int(rng.integers(1, 3)), replace=False)
+                    d = 2 ** len(support)
+                    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                    terms.append(LocalOperator(tuple(support), 0.5 * (M + M.conj().T)))
+                drive = OperatorSum(tuple(terms))
+            rates = rng.choice([0.0, 0.3, 1.0, 2.5], size=n) * rng.random(n)
+            rates[rng.random(n) < 0.3] = 0.0
+            model = LindbladModel(n, drive, tuple(enumerate(rates.tolist(), start=1)))
+            oracle = list(drive.terms) + [
+                LocalOperator((alpha,), -0.5j * kappa * NUMBER)
+                for alpha, kappa in model.channels if kappa > 0.0
+            ]
+            want = sum_to_dense(OperatorSum(tuple(oracle)), n)
+            assert effective_hamiltonian(model).tobytes() == want.tobytes()
 
     def test_antihermitian_eigenvalues(self):
         kappa = 1.3
         model = memory_model(3, kappa)
-        M = sum_to_dense(effective_hamiltonian(model), 3)
+        M = effective_hamiltonian(model)
         anti = 0.5 * (M - M.conj().T) / 1j  # = -(kappa/2) * excitation count
         diag = np.diag(anti).real
         for idx in range(8):
@@ -145,7 +178,7 @@ def classic_rk4(model: LindbladModel, rho0: DensityMatrix, T: float, dt: float) 
     """Oracle: the four-stage RK4 on all 2^N strings, h/6 (k1 + 2 k2 + 2 k3 + k4),
     with two matmuls for the commutator and dense L_a rho L_a^+ per stage."""
     n = model.n_qubits
-    h_eff = sum_to_dense(effective_hamiltonian(model), n)
+    h_eff = effective_hamiltonian(model)
     jumps = [local_to_dense(model.jump_operator(a), n) for a, k in model.channels if k > 0]
 
     def rhs(rho):
@@ -330,7 +363,7 @@ class TestRunTrajectory:
         # by explicit operator products
         kappa = [1.0, 0.6, 1.7]
         model = memory_model(3, kappa)
-        H_eff = sum_to_dense(effective_hamiltonian(model), 3)
+        H_eff = effective_hamiltonian(model)
         found = 0
         for traj in range(30):
             rec = run_trajectory(model, excited(3), 6.0, 21, trajectory_id=traj)
@@ -559,7 +592,7 @@ def test_dfs_no_jump_flow_is_scalar():
     psi0 = sum(
         coeff * codeword_ket(code, i).amplitudes for i, coeff in enumerate(a)
     )
-    H_eff = sum_to_dense(effective_hamiltonian(model), 4)
+    H_eff = effective_hamiltonian(model)
     for t in (0.2, 1.0, 3.7):
         evolved = expm(-1j * H_eff * t) @ psi0
         scalar = np.exp(-2.0 * kappa * t / 2.0)  # k = 2 excitations
@@ -754,7 +787,7 @@ def dense_trajectory(model, psi0: Ket, T: float, seed: int, traj_id: int):
         u = rng.random()
         flow.start(psi[None, :])
         remaining = np.array([T - t])
-        if u == 0 or flow.norm_sq(one)(remaining)[0] > u:
+        if u == 0 or flow.norm_slope(one, remaining)[0][0] > u:
             return times, qubits, flow.unit_state(one, remaining)[0]
         s = dynamics._jump_times(flow, one, remaining, np.array([u]))
         pre = flow.unit_state(one, s)[0]
@@ -810,7 +843,7 @@ class TestRoundColumns:
         flow, one, at_horizon = dynamics._NoJumpRows(model), np.arange(1), 0
         flow.start(psi0.amplitudes[None, :])
         for T in np.linspace(0.05, 3.0, 40):
-            u = flow.norm_sq(one)(np.array([T]))[0]
+            u = flow.norm_slope(one, np.array([T]))[0][0]
             monkeypatch.setattr(
                 dynamics, "_philox_uniforms",
                 lambda keys, blocks: np.tile([u, 0.5, 0.5, 0.5], (len(keys), len(blocks))),
@@ -855,7 +888,7 @@ class TestNoJumpFlow:
         t = np.array([0.0, 1e-6, 0.3, 1.0, 2.2, 3.0])
         flow.start(psi)
         got = flow.state(np.arange(6), t)
-        h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
+        h_eff = effective_hamiltonian(model)
         for row, (tr, p) in enumerate(zip(t, psi)):
             assert np.abs(got[row] - expm(-1j * tr * h_eff) @ p).max() < 1e-12
         # A subset of the rows, at other times, as the jump-time search evaluates them.
@@ -863,7 +896,7 @@ class TestNoJumpFlow:
         expected = [
             np.linalg.norm(expm(-1j * tr * h_eff) @ psi[r]) ** 2 for tr, r in zip(times, rows)
         ]
-        assert np.abs(flow.norm_sq(rows)(times) - expected).max() < 1e-12
+        assert np.abs(flow.norm_slope(rows, times)[0] - expected).max() < 1e-12
 
     @pytest.mark.parametrize("case", ["diagonal", "eigenbasis", "expm"])
     def test_underflowing_rows_are_rescaled(self, case):
@@ -922,8 +955,8 @@ class TestJumpTimeBracket:
         rounds = []
         norm_slope, search = dynamics._NoJumpRows.norm_slope, dynamics._jump_times
 
-        # Every norm evaluation, the end test's (through ``norm_sq``) and the
-        # search's, goes through ``norm_slope``.
+        # Every norm evaluation, the end test's and the search's, goes
+        # through ``norm_slope``.
         def counting_norm_slope(flow, rows, t):
             evals["search" if in_search else "end"] += 1
             return norm_slope(flow, rows, t)
@@ -963,7 +996,7 @@ class TestJumpTimeBracket:
         flow = dynamics._NoJumpRows(model)
         flow.start(psi)
         rows, horizon = np.arange(len(psi)), np.full(len(psi), 3.0)
-        end = flow.norm_sq(rows)(horizon)
+        end = flow.norm_slope(rows, horizon)[0]
         u = end + (1.0 - end) * np.random.default_rng(5).uniform(0.05, 0.95, len(psi))
         s = dynamics._jump_times(flow, rows, horizon, u)
         weights = np.abs(psi) ** 2
@@ -996,10 +1029,10 @@ class TestJumpTimeBracket:
         assert flow.eigenbasis == (case == "eigenbasis")
         flow.start(psi)
         rows, horizon = np.arange(len(psi)), np.full(len(psi), 3.0)
-        end = flow.norm_sq(rows)(horizon)
+        end = flow.norm_slope(rows, horizon)[0]
         u = end + (1.0 - end) * np.random.default_rng(7).uniform(0.05, 0.95, len(psi))
         s = dynamics._jump_times(flow, rows, horizon, u)
-        h_eff = sum_to_dense(effective_hamiltonian(model), model.n_qubits)
+        h_eff = effective_hamiltonian(model)
         crossing = np.array([
             brentq(lambda t: np.linalg.norm(expm(-1j * t * h_eff) @ psi[r]) ** 2 - u[r],
                    0.0, 3.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
@@ -1055,7 +1088,7 @@ class TestJumpTimeBracket:
         flow.norm_slope = counting_norm_slope
         s = dynamics._jump_times(flow, rows, np.full(len(psi), 3.0), u)
         assert np.bincount(np.concatenate(evaluations)).max() <= 40
-        assert (np.abs(flow.norm_sq(rows)(s) - u) <= 1e-15).all()
+        assert (np.abs(flow.norm_slope(rows, s)[0] - u) <= 1e-15).all()
 
     @pytest.mark.parametrize("name", ["driven", "code-mismatch"])
     def test_searched_rows_take_few_evaluations(self, name, monkeypatch):
@@ -1148,7 +1181,7 @@ class TestJumpTimeBracket:
         horizon = np.linspace(0.05, 3.0, 400)
         flow.start(np.tile(code_state(4, 1).amplitudes, (len(horizon), 1)))
         rows = np.arange(len(horizon))
-        u = flow.norm_sq(rows)(horizon)
+        u = flow.norm_slope(rows, horizon)[0]
         assert (np.log(np.add.reduce(flow.weights, axis=1) / u) / 2.0 > horizon).any()
         s = dynamics._jump_times(flow, rows, horizon, u)
         assert ((s > 0) & (s <= horizon)).all()
@@ -1184,7 +1217,7 @@ class TestJumpTimeBracket:
             lo, hi = flow.bracket(np.arange(1), np.ones(1), np.zeros(1))
             s = dynamics._jump_times(flow, np.arange(1), np.ones(1), np.zeros(1))
         assert (lo, hi) == (0.0, 1.0)
-        assert 0 < s[0] <= 1.0 and flow.norm_sq(np.arange(1))(s)[0] < 1e-300
+        assert 0 < s[0] <= 1.0 and flow.norm_slope(np.arange(1), s)[0][0] < 1e-300
 
 
 def test_trajectory_stream_is_philox_keyed_by_seed_sequence():

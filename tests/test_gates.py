@@ -49,6 +49,7 @@ from jumpcodes.states import (
     OperatorSum,
     apply_local,
     basis_ket,
+    local_to_dense,
     sum_to_dense,
 )
 
@@ -119,7 +120,7 @@ class TestLogicalMatrix:
 
     def test_leakage_raises(self):
         code = jump_code(4, 0.0)
-        flip = OperatorSum((LocalOperator((1,), SIGMA_X),))  # changes excitation count
+        flip = local_to_dense(LocalOperator((1,), SIGMA_X), 4)  # changes excitation count
         with pytest.raises(LeakageError):
             logical_matrix(flip, code)
 
@@ -129,7 +130,8 @@ class TestLogicalMatrix:
         code = jump_code(4, 0.0)
         term = LocalOperator((1, 2), np.full((4, 4), np.nan))
         with pytest.raises(ValueError, match="finite"):
-            logical_matrix(OperatorSum((term,)) if form == "sum" else term, code)
+            logical_matrix(sum_to_dense(OperatorSum((term,)), 4) if form == "sum"
+                           else local_to_dense(term, 4), code)
 
     @pytest.mark.parametrize("phase", [0.0, 0.3])
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e4, 1e6, 1e9])
@@ -141,7 +143,7 @@ class TestLogicalMatrix:
         gh = GateHamiltonian(tuple((kind, pair, scale * c) for kind, pair, c in terms))
         want = scale * logical_matrix(GateHamiltonian(terms), code)
         assert np.abs(logical_matrix(gh, code) - want).max() <= 1e-14 * scale
-        flip = OperatorSum((LocalOperator((1,), scale * SIGMA_X),))
+        flip = local_to_dense(LocalOperator((1,), scale * SIGMA_X), 4)
         with pytest.raises(LeakageError):
             logical_matrix(flip, code)
 
@@ -692,7 +694,7 @@ class TestLeakageCertificate:
 
     code = jump_code(4, 0.0)
     # sigma_x on qubit 1 maps every code word out of the code space
-    flip = sum_to_dense(LocalOperator((1,), SIGMA_X), 4)
+    flip = local_to_dense(LocalOperator((1,), SIGMA_X), 4)
     swap = GateHamiltonian((("E", (1, 2), 0.7), ("F", (2, 3), -0.4)))
 
     def program(self, length):
@@ -743,7 +745,7 @@ class TestLeakageCertificate:
         # through, exp(-i pi/2 Z_1) = -i Z_1 maps each code word out of it.
         from jumpcodes.gates import HamiltonianProgram, ProgramSegment
 
-        sigma_z = sum_to_dense(LocalOperator((1,), SIGMA_Z), 4)
+        sigma_z = local_to_dense(LocalOperator((1,), SIGMA_Z), 4)
         prog = HamiltonianProgram([ProgramSegment(sigma_z, duration)])
         assert dense_leakage(prog, self.code) > 0.99
         assert leakage_certificate(prog, self.code) >= 1.0
@@ -751,7 +753,7 @@ class TestLeakageCertificate:
     def test_bounds_a_stray_field_at_every_instant(self):
         from jumpcodes.gates import HamiltonianProgram, ProgramSegment
 
-        stray = sum_to_dense(LocalOperator((1,), SIGMA_Z), 4)
+        stray = local_to_dense(LocalOperator((1,), SIGMA_Z), 4)
         for seed in range(20):
             prog = synthesize_qutrit(unitary_group.rvs(3, random_state=600 + seed), self.code)
             for eps in (1e-4, 1e-3, 1e-2):
@@ -767,6 +769,46 @@ class TestLeakageCertificate:
         from jumpcodes.gates import HamiltonianProgram
 
         assert leakage_certificate(HamiltonianProgram([]), self.code) == 0.0
+
+
+class TestSegmentReader:
+    """A segment Hamiltonian is a GateHamiltonian or a hermitian 2^N array,
+    read one way by every gate function that takes a code."""
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_array_segments_read_as_their_gate_hamiltonians(self, phase):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        code = jump_code(4, phase)
+        synthesized = synthesize_qutrit(unitary_group.rvs(3, random_state=11), code)
+        product = trotter_sum(
+            GateHamiltonian((("E", (1, 2), 0.7), ("F", (2, 3), -0.4))),
+            GateHamiltonian((("E", (2, 3), 1.1),)), 0.3, -0.5, 3,
+        )
+        for prog in (synthesized, product):
+            as_arrays = HamiltonianProgram([
+                ProgramSegment(seg.hamiltonian.matrix(4), seg.duration) for seg in prog.segments
+            ])
+            assert program_logical_unitary(as_arrays, code).tobytes() == (
+                program_logical_unitary(prog, code).tobytes()
+            )
+            assert leakage_certificate(as_arrays, code) == leakage_certificate(prog, code)
+
+    def test_a_code_sized_array_names_the_expected_shape(self):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        code = jump_code(4, 0.0)
+        prog = HamiltonianProgram([ProgramSegment(TABLE1["E12"], 1.0)])
+        for evaluate in (program_logical_unitary, leakage_certificate):
+            with pytest.raises(ValueError, match=r"must be 16 x 16, got \(3, 3\)"):
+                evaluate(prog, code)
+        with pytest.raises(ValueError, match="must be 16 x 16"):
+            logical_matrix(TABLE1["E12"], code)
+
+    def test_a_non_hermitian_array_is_refused(self):
+        code = jump_code(4, 0.0)
+        with pytest.raises(ValueError, match="hermitian"):
+            logical_matrix(np.triu(np.ones((16, 16))), code)
 
 
 class TestPairMatrixCache:
@@ -789,7 +831,7 @@ class TestPairMatrixCache:
         first[:] = 7.0
         assert gh.matrix(4).tobytes() == want.tobytes()
         assert GateHamiltonian((("E", (1, 2), 1.0),)).matrix(4).tobytes() == (
-            sum_to_dense(pair_term("E", 1, 2), 4).tobytes()
+            local_to_dense(pair_term("E", 1, 2), 4).tobytes()
         )
 
 

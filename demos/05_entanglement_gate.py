@@ -44,7 +44,7 @@ logical = C9.conj().T @ V @ C9
 print("diagonal of V on the nine two-register states:")
 print("  " + "  ".join(f"{labels[m]}:{logical[m, m].real:+.0f}" for m in range(9)))
 
-theta = gate_theta_matrix(V, C9, 3)
+theta = gate_theta_matrix(V, C9)
 primitive, witness = is_primitive_diagonal(theta)
 print(f"\nphase table theta/pi:\n{theta.theta / np.pi}")
 print(f"primitive: {primitive}, violating quadruple (j,k,p,q): {witness}")

@@ -21,7 +21,6 @@ from .states import (
     Ket,
     LocalOperator,
     LOWER,
-    OperatorSum,
     apply_local,  # noqa: F401  bench/test_tracing.py expects every module to bind it
     row_norms,
     sum_to_dense,
@@ -41,16 +40,15 @@ MASTER_STEP_LIMIT = 10**6
 class LindbladModel:
     """Coherent Hamiltonian plus per-qubit decay channels (alpha, kappa_alpha).
 
-    No drive is the empty OperatorSum; None is accepted for it.
+    The drive is a tuple of LocalOperator terms; None or () is no drive.
     """
 
     n_qubits: int
-    hamiltonian: OperatorSum | None
+    hamiltonian: tuple[LocalOperator, ...] | None
     channels: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if self.hamiltonian is None:
-            self.hamiltonian = OperatorSum(())
+        self.hamiltonian = () if self.hamiltonian is None else tuple(self.hamiltonian)
         self.channels = tuple((int(a), float(k)) for a, k in self.channels)
         qubits = [a for a, _ in self.channels]
         if len(set(qubits)) != len(qubits):
@@ -135,7 +133,7 @@ def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
 
 def no_jump_kraus(model: LindbladModel, t: float) -> np.ndarray:
     """exp(-sum_a kappa_a n_a t / 2): the zero-count Kraus family of the memory case."""
-    if model.hamiltonian.terms:
+    if model.hamiltonian:
         raise ValueError("no-jump Kraus family is defined for the H = 0 memory case")
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("time must be finite and non-negative")
@@ -344,7 +342,7 @@ class _NoJumpRows:
     """
 
     def __init__(self, model: LindbladModel):
-        self.diagonal = not model.hamiltonian.terms
+        self.diagonal = not model.hamiltonian
         self.string_rates = model.decay_rates()
         if self.diagonal:
             return

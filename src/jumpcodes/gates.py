@@ -14,12 +14,13 @@ exactly, without ever leaving the code space.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import JumpCode, isometry, jump_code, product_code_basis
-from .states import Ket, LocalOperator, OperatorSum, sum_to_dense
+from .states import Ket, LocalOperator, sum_to_dense
 
 INVARIANCE_TOL = 1e-12
 
@@ -55,11 +56,11 @@ class GateHamiltonian:
             cleaned.append((kind, (int(a), int(b)), float(coeff)))
         self.terms = tuple(cleaned)
 
-    def to_sum(self) -> OperatorSum:
-        return OperatorSum(tuple(
+    def to_sum(self) -> tuple[LocalOperator, ...]:
+        return tuple(
             LocalOperator(pair, coeff * (_SWAP if kind == "E" else _EQUAL_BITS))
             for kind, pair, coeff in self.terms
-        ))
+        )
 
     def matrix(self, n_qubits: int) -> np.ndarray:
         """Dense 2^n x 2^n matrix of the weighted sum."""
@@ -385,7 +386,8 @@ def _program_product(
     program: HamiltonianProgram, n_qubits: int | None = None, code: JumpCode | None = None
 ) -> np.ndarray | None:
     """U_K ... U_1 with U_k = exp(-i H_k t_k), physical on ``n_qubits`` qubits or
-    logical on the code words when a code is given; None for no segments. Each
+    logical on the code words, each segment read by ``_segment_matrix``; with
+    neither, an array is used at its own size. None for no segments. Each
     distinct (Hamiltonian value, duration) pair is exponentiated once per call.
     """
     cache: dict[tuple, np.ndarray] = {}
@@ -396,12 +398,12 @@ def _program_product(
         if key not in cache:
             if code is not None:
                 M = logical_matrix(h, code)
-            elif not isinstance(h, GateHamiltonian):
-                M = np.asarray(h, dtype=complex)
-            elif n_qubits is None:
+            elif n_qubits is not None:
+                M = _segment_matrix(h, n_qubits)
+            elif isinstance(h, GateHamiltonian):
                 raise ValueError("n_qubits required to evaluate physical segments")
             else:
-                M = h.matrix(n_qubits)
+                M = np.asarray(h, dtype=complex)
             cache[key] = _hermitian_expm(M, seg.duration)
         U = cache[key] if U is None else cache[key] @ U
     return U
@@ -433,16 +435,24 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
     projector. By Duhamel's formula ||(1-P) e^{-iHs} P|| <= s ||(1-P) H P|| for
     hermitian H and s >= 0, so the sum bounds the leakage at every instant. It
     takes one ``_leakage`` per distinct segment Hamiltonian and no exponential."""
+    return _certificate(program, code)[0]
+
+
+def _certificate(program: HamiltonianProgram, code: JumpCode) -> tuple[float, bool]:
+    """``leakage_certificate`` and whether it is at most INVARIANCE_TOL times the
+    action sum t_k ||H_k C||_F, C the code isometry: like ``logical_matrix``'s
+    rule, a verdict that does not change with the scale of H or t."""
     C = isometry(code)
-    residual: dict[tuple, float] = {}
-    bound = 0.0
+    seen: dict[tuple, tuple[float, float]] = {}
+    bound = action = 0.0
     for seg in program.segments:
-        h = seg.hamiltonian
-        key = _value_key(h)
-        if key not in residual:
-            residual[key] = _leakage(_segment_matrix(h, code.N) @ C, C)
-        bound += seg.duration * residual[key]
-    return bound
+        key = _value_key(seg.hamiltonian)
+        if key not in seen:
+            HC = _segment_matrix(seg.hamiltonian, code.N) @ C
+            seen[key] = _leakage(HC, C), np.linalg.norm(HC)
+        bound += seg.duration * seen[key][0]
+        action += seg.duration * seen[key][1]
+    return bound, bound <= INVARIANCE_TOL * action
 
 
 # --- logical qutrit synthesis ----------------------------------------------
@@ -570,17 +580,17 @@ def synthesize_qutrit(U: np.ndarray, code: JumpCode) -> HamiltonianProgram:
 
 def synthesis_report(U: np.ndarray, epsilon: float) -> dict:
     """The ``gates synthesize`` report: U's program on the 4-qubit code, its leakage
-    certificate, and whether error <= ``epsilon`` and leakage <= INVARIANCE_TOL."""
+    certificate, and whether error <= ``epsilon`` and ``_certificate`` passes."""
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
     code = jump_code(4, 0.0)
     program = synthesize_qutrit(U, code)
-    leakage = leakage_certificate(program, code)
+    leakage, sealed = _certificate(program, code)
     report = program_to_json(program)
     report["leakage"] = leakage
     report["epsilon"] = epsilon
     report["segment_count"] = len(program.segments)
-    report["pass"] = bool(program.achieved_error <= epsilon and leakage <= INVARIANCE_TOL)
+    report["pass"] = bool(program.achieved_error <= epsilon and sealed)
     return report
 
 
@@ -636,8 +646,11 @@ class ThetaMatrix:
         self.theta = np.mod(th, 2.0 * np.pi)
 
 
-def gate_theta_matrix(U: np.ndarray, C: np.ndarray, d: int) -> ThetaMatrix:
+def gate_theta_matrix(U: np.ndarray, C: np.ndarray) -> ThetaMatrix:
     """Extract phases of a gate diagonal in the d*d product basis of C's columns."""
+    d = math.isqrt(C.shape[1])
+    if d * d != C.shape[1]:
+        raise ValueError(f"product basis must have d*d columns, got {C.shape[1]}")
     M = C.conj().T @ U @ C
     off = M - np.diag(np.diag(M))
     if not np.linalg.norm(off) <= 1e-10:
@@ -689,14 +702,13 @@ def verify_entangle(tol: float = 1e-12) -> dict:
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    code8 = jump_code(8, 0.0)
-    C35 = isometry(code8)
+    C35 = isometry(jump_code(8, 0.0))
     code4 = jump_code(4, 0.0)
     C9 = product_code_basis(code4, code4)
     leakage = 2.0 * np.pi * _leakage(_h_ent_diagonal()[:, None] * C35, C35)
     V = v_gate()
     v_residual = float(np.abs(C9.conj().T @ V @ C9 - np.diag([1] * 8 + [-1])).max())
-    theta = gate_theta_matrix(V, C9, 3)
+    theta = gate_theta_matrix(V, C9)
     primitive, witness = is_primitive_diagonal(theta)
     th = theta.theta
     named_gap = (th[1, 1] + th[2, 2] - (th[1, 2] + th[2, 1])) % (2 * np.pi)

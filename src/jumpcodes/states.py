@@ -9,7 +9,7 @@ Printed labels read b_N...b_1, i.e. ``int(label, 2)`` is the array index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +95,6 @@ class LocalOperator:
         self.block = block
 
 
-@dataclass
-class OperatorSum:
-    """Sum of local operators, kept unassembled until needed."""
-
-    terms: tuple[LocalOperator, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        self.terms = tuple(self.terms)
-
-
 def apply_local(op: LocalOperator, psi: Ket) -> Ket:
     """Apply (op x identity) without materializing the global matrix."""
     rows, at = _index_map(op.support, psi.n_qubits)
@@ -145,10 +135,10 @@ def _index_map(support: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray
 
 def local_to_dense(op: LocalOperator, n_qubits: int) -> np.ndarray:
     """Embed a local operator into the full 2^n x 2^n matrix."""
-    return sum_to_dense(OperatorSum((op,)), n_qubits)
+    return sum_to_dense((op,), n_qubits)
 
 
-def sum_to_dense(ops: OperatorSum, n_qubits: int) -> np.ndarray:
+def sum_to_dense(terms: tuple[LocalOperator, ...], n_qubits: int) -> np.ndarray:
     """Add every term's embedding (see ``_index_map``) into one 2^n x 2^n matrix."""
     if n_qubits > DENSE_QUBIT_LIMIT:
         raise ValueError(f"refusing dense embedding beyond {DENSE_QUBIT_LIMIT} qubits")
@@ -156,7 +146,7 @@ def sum_to_dense(ops: OperatorSum, n_qubits: int) -> np.ndarray:
     # scattered adds below would then fault each page twice (read, then write).
     total = np.full((2**n_qubits, 2**n_qubits), 0j)
     flat = total.reshape(-1)
-    for term in ops.terms:
+    for term in terms:
         rows, at = _index_map(term.support, n_qubits)
         flat[at] += term.block[rows]
     return total

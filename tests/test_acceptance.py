@@ -257,7 +257,7 @@ def test_criterion_8_entanglement_gate():
         float(np.linalg.norm((one - P35) @ ent_unitary(tau) @ P9, 2))
         for tau in (0.0, np.pi / 7.0, np.pi / 2.0, np.pi, 2.0 * np.pi)
     )
-    theta = gate_theta_matrix(V, C9, 3)
+    theta = gate_theta_matrix(V, C9)
     primitive, witness = is_primitive_diagonal(theta)
     th = theta.theta
     named = abs((th[1, 1] + th[2, 2]) - np.pi) < 1e-9 and abs(th[1, 2] + th[2, 1]) < 1e-9

@@ -460,7 +460,8 @@ class TestGatesCommand:
     def test_leakage_above_tolerance_fails(self, capsys, tmp_path, monkeypatch):
         from scipy.stats import unitary_group
 
-        monkeypatch.setattr(gates, "leakage_certificate", lambda program, code: 2e-12)
+        # The certificate and its verdict against the program's action.
+        monkeypatch.setattr(gates, "_certificate", lambda program, code: (2e-12, False))
         U = unitary_group.rvs(3, random_state=7)
         report = gates.synthesis_report(U, 1e-2)
         assert report["achieved_error"] <= 1e-2

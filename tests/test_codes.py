@@ -21,7 +21,7 @@ from jumpcodes.codes import (
     projector,
     verify_plane_axioms,
 )
-from jumpcodes.states import NUMBER, LocalOperator, label_to_index, sum_to_dense, OperatorSum
+from jumpcodes.states import NUMBER, LocalOperator, label_to_index, sum_to_dense
 
 
 def printed_labels(n: int, k: int) -> list[str]:
@@ -131,9 +131,7 @@ class TestProjectors:
 
     def test_commutes_with_excitation_number(self):
         P = projector(jump_code(4, 0.4))
-        N_op = sum_to_dense(
-            OperatorSum(tuple(LocalOperator((a,), NUMBER) for a in range(1, 5))), 4
-        )
+        N_op = sum_to_dense(tuple(LocalOperator((a,), NUMBER) for a in range(1, 5)), 4)
         assert np.linalg.norm(P @ N_op - N_op @ P) < 1e-12
 
     def test_code_inside_dfs(self):
@@ -148,10 +146,7 @@ class TestProjectors:
         kappa = 0.9
         for n, k in [(4, 2), (5, 3), (6, 3)]:
             total = sum_to_dense(
-                OperatorSum(
-                    tuple(LocalOperator((a,), kappa * NUMBER) for a in range(1, n + 1))
-                ),
-                n,
+                tuple(LocalOperator((a,), kappa * NUMBER) for a in range(1, n + 1)), n
             )
             P = dfs_projector(dfs_basis(n, k))
             assert np.linalg.norm(P @ total @ P - kappa * k * P) < 1e-12

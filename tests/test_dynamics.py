@@ -27,7 +27,6 @@ from jumpcodes.states import (
     LOWER,
     LocalOperator,
     NUMBER,
-    OperatorSum,
     SIGMA_X,
     basis_ket,
     local_to_dense,
@@ -79,9 +78,30 @@ class TestModelValidation:
 
 class TestEffectiveHamiltonian:
     def test_no_channels_returns_h(self):
-        H = OperatorSum((LocalOperator((1,), SIGMA_X),))
+        H = (LocalOperator((1,), SIGMA_X),)
         model = LindbladModel(2, H, ())
         assert effective_hamiltonian(model).tobytes() == sum_to_dense(H, 2).tobytes()
+
+    def test_drive_forms(self):
+        # A drive is a tuple of local terms; None and () are no drive.
+        from jumpcodes.gates import GateHamiltonian
+
+        gh = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0)))
+        rates = ((1, 0.4), (2, 1.0), (3, 0.7), (4, 1.3))
+        driven = LindbladModel(4, gh.to_sum(), rates)
+        decay = 0.5j * np.diag(driven.decay_rates())
+        assert isinstance(driven.hamiltonian, tuple) and len(driven.hamiltonian) == 2
+        assert effective_hamiltonian(driven).tobytes() == (gh.matrix(4) - decay).tobytes()
+        with pytest.raises(ValueError, match="H = 0 memory case"):
+            no_jump_kraus(driven, 1.0)
+        for none in (None, ()):
+            model = LindbladModel(4, none, rates)
+            assert model.hamiltonian == ()
+            want = np.full((16, 16), 0j) - decay
+            assert effective_hamiltonian(model).tobytes() == want.tobytes()
+            assert no_jump_kraus(model, 1.0).tobytes() == (
+                np.diag(np.exp(-0.5 * model.decay_rates() * 1.0)).tobytes()
+            )
 
     def test_memory_single_channel(self):
         model = LindbladModel(1, None, ((1, 0.7),))
@@ -90,7 +110,7 @@ class TestEffectiveHamiltonian:
 
     def test_equals_the_per_channel_number_term_sum(self):
         # Oracle: the drive's terms plus -(i/2) kappa |1><1| for each channel
-        # with kappa > 0, summed as one OperatorSum.
+        # with kappa > 0, summed as one tuple of local terms.
         from jumpcodes.gates import GateHamiltonian
 
         rng = np.random.default_rng(2024)
@@ -110,15 +130,15 @@ class TestEffectiveHamiltonian:
                     d = 2 ** len(support)
                     M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     terms.append(LocalOperator(tuple(support), 0.5 * (M + M.conj().T)))
-                drive = OperatorSum(tuple(terms))
+                drive = tuple(terms)
             rates = rng.choice([0.0, 0.3, 1.0, 2.5], size=n) * rng.random(n)
             rates[rng.random(n) < 0.3] = 0.0
             model = LindbladModel(n, drive, tuple(enumerate(rates.tolist(), start=1)))
-            oracle = list(drive.terms) + [
+            oracle = list(drive) + [
                 LocalOperator((alpha,), -0.5j * kappa * NUMBER)
                 for alpha, kappa in model.channels if kappa > 0.0
             ]
-            want = sum_to_dense(OperatorSum(tuple(oracle)), n)
+            want = sum_to_dense(tuple(oracle), n)
             assert effective_hamiltonian(model).tobytes() == want.tobytes()
 
     def test_antihermitian_eigenvalues(self):
@@ -157,7 +177,7 @@ class TestNoJumpKraus:
         assert np.linalg.norm(K1 @ K2 - K12) < 1e-12
 
     def test_requires_memory_case(self):
-        model = LindbladModel(1, OperatorSum((LocalOperator((1,), SIGMA_X),)), ((1, 1.0),))
+        model = LindbladModel(1, (LocalOperator((1,), SIGMA_X),), ((1, 1.0),))
         with pytest.raises(ValueError):
             no_jump_kraus(model, 1.0)
 
@@ -242,7 +262,7 @@ class TestIntegrateMaster:
     def test_coherence_decay_with_hamiltonian(self):
         # driven qubit: RK4 against scipy expm of the full Liouvillian
         kappa, omega, T = 0.8, 1.1, 1.3
-        H = OperatorSum((LocalOperator((1,), omega * SIGMA_X),))
+        H = (LocalOperator((1,), omega * SIGMA_X),)
         model = LindbladModel(1, H, ((1, kappa),))
         rho = integrate_master(model, pure_density(basis_ket("1")), T, 1e-3)
         Hm = omega * SIGMA_X
@@ -263,10 +283,10 @@ class TestIntegrateMaster:
         # the full 64x64 Liouvillian, column-stacked vec(A rho B) = (B^T x A) vec(rho)
         rng = np.random.default_rng(31)
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        H = OperatorSum((
+        H = (
             LocalOperator((1, 3), 0.5 * (M + M.conj().T)),
             LocalOperator((2,), 0.7 * SIGMA_X),
-        ))
+        )
         model = LindbladModel(3, H, ((1, 1.2), (2, 0.5), (3, 0.8)))
         psi = random_state(3, 8)
         T = 0.9
@@ -388,7 +408,7 @@ class TestRunTrajectory:
 class TestAverageTrajectories:
     def test_single_trajectory_no_channels(self):
         omega = 0.9
-        H = OperatorSum((LocalOperator((1,), omega * SIGMA_X),))
+        H = (LocalOperator((1,), omega * SIGMA_X),)
         model = LindbladModel(1, H, ())
         T = 1.2
         rho = average_trajectories(model, basis_ket("1"), T, 1, 7)
@@ -434,7 +454,7 @@ class TestAverageTrajectories:
 
     def test_general_hamiltonian_path_matches_master(self):
         omega, kappa = 1.0, 0.9
-        H = OperatorSum((LocalOperator((1,), omega * SIGMA_X),))
+        H = (LocalOperator((1,), omega * SIGMA_X),)
         model = LindbladModel(1, H, ((1, kappa),))
         approx = average_trajectories(model, basis_ket("1"), 1.1, 3000, 17)
         exact = integrate_master(model, pure_density(basis_ket("1")), 1.1, 1e-3)
@@ -462,7 +482,7 @@ def projector_case(name: str):
         drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
         return LindbladModel(4, drive, rates), code_state(4, 1), 1.0, 300, 5
     if name == "driven-sigma-x":
-        H = OperatorSum(tuple(LocalOperator((a,), 0.7 * SIGMA_X) for a in range(1, 5)))
+        H = tuple(LocalOperator((a,), 0.7 * SIGMA_X) for a in range(1, 5))
         return LindbladModel(4, H, rates), code_state(4, 1), 1.0, 300, 5
     if name == "dense-mixed-rates":
         # Most rows never jump, so one group holds a dense (rows, 256) block.
@@ -736,7 +756,7 @@ class TestRunTrajectories:
         assert batch.jump_counts.sum() > 0
 
     def test_driven_single_trajectory_is_its_batch_row(self):
-        H = OperatorSum((LocalOperator((1,), 0.8 * SIGMA_X),))
+        H = (LocalOperator((1,), 0.8 * SIGMA_X),)
         model = LindbladModel(2, H, ((1, 1.0), (2, 0.6)))
         batch = run_trajectories(model, excited(2), 1.5, 5, range(6))
         for traj_id, n in enumerate(batch.jump_counts):
@@ -911,7 +931,7 @@ class TestNoJumpFlow:
             drive = GateHamiltonian((("E", (2, 3), 300.0), ("F", (2, 3), -300.0))).to_sum()
             model, T = LindbladModel(4, drive, rates), 1.0
         else:  # the exceptional point, scaled up: H_eff = 250 sigma_x - 500 i n
-            H = OperatorSum((LocalOperator((1,), 250.0 * SIGMA_X),))
+            H = (LocalOperator((1,), 250.0 * SIGMA_X),)
             model, T = LindbladModel(1, H, ((1, 1000.0),)), 8.0
         state = random_state if case == "expm" else code_state  # no zero-rate string
         psi = np.array([state(model.n_qubits, seed).amplitudes for seed in range(3)])
@@ -939,7 +959,7 @@ class TestNoJumpFlow:
 
     def test_exceptional_point_takes_the_expm_path(self):
         # H_eff = 0.25 sigma_x - (i/2) n has one eigenvector at kappa = 1.
-        H = OperatorSum((LocalOperator((1,), 0.25 * SIGMA_X),))
+        H = (LocalOperator((1,), 0.25 * SIGMA_X),)
         self.assert_matches_expm(LindbladModel(1, H, ((1, 1.0),)), eigenbasis=False)
 
 
@@ -1022,7 +1042,7 @@ class TestJumpTimeBracket:
             drive = GateHamiltonian((("E", (2, 3), 1.0), ("F", (2, 3), -1.0))).to_sum()
             model = LindbladModel(4, drive, ((1, 1.3), (2, 0.7), (3, 1.0), (4, 1.0)))
         else:  # the exceptional point: H_eff = 0.25 sigma_x - (i/2) n
-            H = OperatorSum((LocalOperator((1,), 0.25 * SIGMA_X),))
+            H = (LocalOperator((1,), 0.25 * SIGMA_X),)
             model = LindbladModel(1, H, ((1, 1.0),))
         psi = np.array([random_state(model.n_qubits, seed).amplitudes for seed in range(16)])
         flow = dynamics._NoJumpRows(model)

@@ -46,7 +46,6 @@ from jumpcodes.states import (
     SIGMA_Y,
     SIGMA_Z,
     LocalOperator,
-    OperatorSum,
     apply_local,
     basis_ket,
     local_to_dense,
@@ -70,7 +69,7 @@ def rand_herm(rng, d):
 
 def pair_term(kind: str, alpha: int, beta: int) -> LocalOperator:
     """The one local operator of the unit-weight E or F term on (alpha, beta)."""
-    (term,) = GateHamiltonian(((kind, (alpha, beta), 1.0),)).to_sum().terms
+    (term,) = GateHamiltonian(((kind, (alpha, beta), 1.0),)).to_sum()
     return term
 
 
@@ -130,7 +129,7 @@ class TestLogicalMatrix:
         code = jump_code(4, 0.0)
         term = LocalOperator((1, 2), np.full((4, 4), np.nan))
         with pytest.raises(ValueError, match="finite"):
-            logical_matrix(sum_to_dense(OperatorSum((term,)), 4) if form == "sum"
+            logical_matrix(sum_to_dense((term,), 4) if form == "sum"
                            else local_to_dense(term, 4), code)
 
     @pytest.mark.parametrize("phase", [0.0, 0.3])
@@ -568,7 +567,7 @@ class TestEntanglementGate:
         H = h_ent().matrix(8)
         assert np.linalg.norm(H - H.conj().T) < 1e-14
         N_op = sum_to_dense(
-            OperatorSum(tuple(LocalOperator((a,), NUMBER) for a in range(1, 9))), 8
+            tuple(LocalOperator((a,), NUMBER) for a in range(1, 9)), 8
         )
         assert np.linalg.norm(H @ N_op - N_op @ H) < 1e-12
 
@@ -616,7 +615,7 @@ class TestEntanglementGate:
 class TestPrimitivity:
     def test_v_gate_theta_fails_criterion(self):
         theta = gate_theta_matrix(
-            v_gate(), product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0)), 3
+            v_gate(), product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0))
         )
         primitive, witness = is_primitive_diagonal(theta)
         assert not primitive
@@ -648,7 +647,7 @@ class TestPrimitivity:
     def test_nan_gate_is_rejected(self):
         C9 = product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0))
         with pytest.raises(ValueError, match="not diagonal"):
-            gate_theta_matrix(np.full((256, 256), np.nan), C9, 3)
+            gate_theta_matrix(np.full((256, 256), np.nan), C9)
 
 
 def dense_leakage(program, code, points=200):
@@ -770,6 +769,33 @@ class TestLeakageCertificate:
 
         assert leakage_certificate(HamiltonianProgram([]), self.code) == 0.0
 
+    @pytest.mark.parametrize("t", [1.0, 100.0, 1e4])
+    def test_a_long_program_that_does_not_leak_passes(self, t):
+        # Its bound grows with the action sum t_k ||H_k C||_F (to about 4e-12
+        # at t = 1e4), so the rule judges it relative to that action.
+        prog = trotter_sum(self.swap, GateHamiltonian((("E", (2, 3), 1.1),)), t, t, 4)
+        bound, sealed = gates_module._certificate(prog, self.code)
+        assert bound == leakage_certificate(prog, self.code)
+        assert sealed
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_pass_rule_does_not_depend_on_the_scale(self, c):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        def sealed(segments):
+            return gates_module._certificate(HamiltonianProgram(segments), self.code)[1]
+
+        prog = synthesize_qutrit(unitary_group.rvs(3, random_state=5), self.code)
+        scaled = [
+            GateHamiltonian(tuple((kind, pair, c * x) for kind, pair, x in seg.hamiltonian.terms))
+            for seg in prog.segments
+        ]
+        assert sealed([ProgramSegment(h, seg.duration) for h, seg in zip(scaled, prog.segments)])
+        assert sealed([ProgramSegment(seg.hamiltonian, c * seg.duration) for seg in prog.segments])
+        sigma_z = local_to_dense(LocalOperator((1,), SIGMA_Z), 4)
+        assert not sealed([ProgramSegment(c * sigma_z, 1.0)])
+        assert not sealed([ProgramSegment(sigma_z, c)])
+
 
 class TestSegmentReader:
     """A segment Hamiltonian is a GateHamiltonian or a hermitian 2^N array,
@@ -793,6 +819,9 @@ class TestSegmentReader:
                 program_logical_unitary(prog, code).tobytes()
             )
             assert leakage_certificate(as_arrays, code) == leakage_certificate(prog, code)
+            U = program_unitary(prog, 4).tobytes()
+            assert program_unitary(as_arrays, 4).tobytes() == U
+            assert program_unitary(as_arrays).tobytes() == U
 
     def test_a_code_sized_array_names_the_expected_shape(self):
         from jumpcodes.gates import HamiltonianProgram, ProgramSegment
@@ -804,6 +833,20 @@ class TestSegmentReader:
                 evaluate(prog, code)
         with pytest.raises(ValueError, match="must be 16 x 16"):
             logical_matrix(TABLE1["E12"], code)
+
+    def test_program_unitary_reads_arrays_at_the_qubit_count(self):
+        with pytest.raises(ValueError, match=r"must be 16 x 16, got \(3, 3\)"):
+            program_unitary(trotter_sum(np.eye(3), np.eye(3), 1.0, 1.0, 1), 4)
+
+    def test_a_small_array_beside_a_pair_segment_names_the_shape(self):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        mixed = HamiltonianProgram([
+            ProgramSegment(GateHamiltonian((("E", (1, 2), 1.0),)), 1.0),
+            ProgramSegment(TABLE1["E12"], 1.0),
+        ])
+        with pytest.raises(ValueError, match=r"must be 16 x 16, got \(3, 3\)"):
+            program_unitary(mixed, n_qubits=4)
 
     def test_a_non_hermitian_array_is_refused(self):
         code = jump_code(4, 0.0)

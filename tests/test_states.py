@@ -6,7 +6,6 @@ from jumpcodes.states import (
     Ket,
     LOWER,
     LocalOperator,
-    OperatorSum,
     SIGMA_Z,
     apply_local,
     basis_ket,
@@ -92,12 +91,12 @@ class TestApplyLocal:
             # Both supports hold ``shared``; neither lists its qubits in ascending order.
             low, mid, high = sorted((shared, others[0], others[1]))
             supports = (tuple(sorted((shared, others[0]), reverse=True)), (mid, high, low))
-            ops = OperatorSum(tuple(
+            ops = tuple(
                 LocalOperator(q, rng.normal(size=(2 ** len(q),) * 2)
                               + 1j * rng.normal(size=(2 ** len(q),) * 2))
                 for q in supports
-            ))
-            oracle = sum(dense_oracle(op, n) for op in ops.terms)
+            )
+            oracle = sum(dense_oracle(op, n) for op in ops)
             assert np.linalg.norm(sum_to_dense(ops, n) - oracle) < 1e-12
 
 
@@ -113,7 +112,7 @@ def test_ket_validation():
 
 def test_dense_embedding_refuses_beyond_qubit_limit():
     embeddings = (
-        lambda: sum_to_dense(OperatorSum(()), 13),
+        lambda: sum_to_dense((), 13),
         lambda: local_to_dense(LocalOperator((1,), SIGMA_Z), 13),
         lambda: GateHamiltonian(()).matrix(13),
     )
@@ -124,11 +123,9 @@ def test_dense_embedding_refuses_beyond_qubit_limit():
 
 def test_sum_to_dense_adds_terms():
     rng = np.random.default_rng(10)
-    ops = OperatorSum(
-        (LocalOperator((1,), rand_herm(rng, 2)), LocalOperator((2,), rand_herm(rng, 2)))
-    )
+    ops = (LocalOperator((1,), rand_herm(rng, 2)), LocalOperator((2,), rand_herm(rng, 2)))
     total = sum_to_dense(ops, 3)
-    expected = local_to_dense(ops.terms[0], 3) + local_to_dense(ops.terms[1], 3)
+    expected = local_to_dense(ops[0], 3) + local_to_dense(ops[1], 3)
     assert np.allclose(total, expected)
 
 

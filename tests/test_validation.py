@@ -154,7 +154,11 @@ class TestGates:
 
     def test_theta_matrix_of_a_gate_that_is_not_unitary(self):
         with pytest.raises(ValueError, match="does not act unitarily"):
-            gate_theta_matrix(np.diag([1.0, 1.0, 1.0, 0.5]), np.eye(4), 2)
+            gate_theta_matrix(np.diag([1.0, 1.0, 1.0, 0.5]), np.eye(4))
+
+    def test_theta_matrix_needs_a_square_count_of_columns(self):
+        with pytest.raises(ValueError, match="d\\*d columns, got 8"):
+            gate_theta_matrix(np.eye(16), np.eye(16)[:, :8])
 
     def test_distance_of_orthogonal_matrices_takes_no_phase(self):
         # tr(B^dagger A) = 0: every phase is as good, and none is applied.

@@ -67,10 +67,11 @@ class GateHamiltonian:
         return sum_to_dense(self.to_sum(), n_qubits)
 
 
-def _leakage(HC: np.ndarray, C: np.ndarray) -> float:
-    """||HC - C (C^dagger HC)||_2 = ||(1 - P) H P||_2 for P = C C^dagger, C an
-    isometry: how strongly H drives span(C) out of itself."""
-    return float(np.linalg.svd(HC - C @ (C.conj().T @ HC), compute_uv=False)[0])
+def _code_reading(HC: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(C^dagger HC, ||(1 - P) H P||_2, ||HC||_F) for P = C C^dagger, C an isometry:
+    H on span(C), how strongly H drives span(C) out of itself, and H's scale there."""
+    L = C.conj().T @ HC
+    return L, float(np.linalg.svd(HC - C @ L, compute_uv=False)[0]), np.linalg.norm(HC)
 
 
 def _segment_matrix(h: Hamiltonian, n_qubits: int) -> np.ndarray:
@@ -88,12 +89,11 @@ def logical_matrix(hamiltonian: Hamiltonian, code: JumpCode) -> np.ndarray:
     """Matrix elements <c_i|H|c_j> between code words; raises LeakageError if H
     leaks out of the code space."""
     C = isometry(code)
-    HC = _segment_matrix(hamiltonian, code.N) @ C
+    L, leakage, scale = _code_reading(_segment_matrix(hamiltonian, code.N) @ C, C)
     # Judged relative to ||HC||_F, so the verdict does not change with H's scale.
-    leakage, scale = _leakage(HC, C), np.linalg.norm(HC)
     if leakage > INVARIANCE_TOL * scale:
         raise LeakageError(f"leakage {leakage:.3e} exceeds {INVARIANCE_TOL:.1e} ||HC||")
-    return C.conj().T @ HC
+    return L
 
 
 @dataclass
@@ -382,43 +382,40 @@ def _value_key(h: Hamiltonian) -> tuple:
     return (np.shape(h), np.asarray(h, dtype=complex).tobytes())
 
 
-def _program_product(
-    program: HamiltonianProgram, n_qubits: int | None = None, code: JumpCode | None = None
-) -> np.ndarray | None:
-    """U_K ... U_1 with U_k = exp(-i H_k t_k), physical on ``n_qubits`` qubits or
-    logical on the code words, each segment read by ``_segment_matrix``; with
-    neither, an array is used at its own size. None for no segments. Each
-    distinct (Hamiltonian value, duration) pair is exponentiated once per call.
+def _program_product(program: HamiltonianProgram, read) -> np.ndarray | None:
+    """U_K ... U_1 with U_k = exp(-i M_k t_k), M_k = ``read(H_k)`` the segment's
+    matrix; None for no segments. Each distinct (Hamiltonian value, duration)
+    pair is read and exponentiated once per call.
     """
     cache: dict[tuple, np.ndarray] = {}
     U = None
     for seg in program.segments:
-        h = seg.hamiltonian
-        key = (_value_key(h), seg.duration)
+        key = (_value_key(seg.hamiltonian), seg.duration)
         if key not in cache:
-            if code is not None:
-                M = logical_matrix(h, code)
-            elif n_qubits is not None:
-                M = _segment_matrix(h, n_qubits)
-            elif isinstance(h, GateHamiltonian):
-                raise ValueError("n_qubits required to evaluate physical segments")
-            else:
-                M = np.asarray(h, dtype=complex)
-            cache[key] = _hermitian_expm(M, seg.duration)
+            cache[key] = _hermitian_expm(read(seg.hamiltonian), seg.duration)
         U = cache[key] if U is None else cache[key] @ U
     return U
 
 
 def program_unitary(program: HamiltonianProgram, n_qubits: int | None = None) -> np.ndarray:
-    """Full product of segment exponentials (first segment acts first)."""
+    """Full product of segment exponentials (first segment acts first), each
+    segment read by ``_segment_matrix`` on ``n_qubits`` qubits; without it,
+    array segments are used as given and must be square and of one shape."""
     if not program.segments:
         raise ValueError("empty program has no defined dimension")
-    return _program_product(program, n_qubits=n_qubits)
+    if n_qubits is not None:
+        return _program_product(program, functools.partial(_segment_matrix, n_qubits=n_qubits))
+    if any(isinstance(seg.hamiltonian, GateHamiltonian) for seg in program.segments):
+        raise ValueError("n_qubits required to evaluate physical segments")
+    shapes = list(dict.fromkeys(np.shape(seg.hamiltonian) for seg in program.segments))
+    if len(shapes) > 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"array segments must be square and of one shape, got {shapes}")
+    return _program_product(program, functools.partial(np.asarray, dtype=complex))
 
 
 def program_logical_unitary(program: HamiltonianProgram, code: JumpCode) -> np.ndarray:
     """Restriction of the program unitary to the code space, segment by segment."""
-    U = _program_product(program, code=code)
+    U = _program_product(program, functools.partial(logical_matrix, code=code))
     return np.eye(code.count, dtype=complex) if U is None else U
 
 
@@ -434,7 +431,7 @@ def leakage_certificate(program: HamiltonianProgram, code: JumpCode) -> float:
     """Sum of t_k ||(1-P) H_k P||_2 over the segments (0.0 for none), P the code
     projector. By Duhamel's formula ||(1-P) e^{-iHs} P|| <= s ||(1-P) H P|| for
     hermitian H and s >= 0, so the sum bounds the leakage at every instant. It
-    takes one ``_leakage`` per distinct segment Hamiltonian and no exponential."""
+    takes one ``_code_reading`` per distinct segment Hamiltonian and no exponential."""
     return _certificate(program, code)[0]
 
 
@@ -448,8 +445,7 @@ def _certificate(program: HamiltonianProgram, code: JumpCode) -> tuple[float, bo
     for seg in program.segments:
         key = _value_key(seg.hamiltonian)
         if key not in seen:
-            HC = _segment_matrix(seg.hamiltonian, code.N) @ C
-            seen[key] = _leakage(HC, C), np.linalg.norm(HC)
+            seen[key] = _code_reading(_segment_matrix(seg.hamiltonian, code.N) @ C, C)[1:]
         bound += seg.duration * seen[key][0]
         action += seg.duration * seen[key][1]
     return bound, bound <= INVARIANCE_TOL * action
@@ -668,19 +664,15 @@ def is_primitive_diagonal(theta: ThetaMatrix) -> tuple[bool, tuple[int, int, int
     """Check theta[j,k] + theta[p,q] = theta[j,q] + theta[p,k] (mod 2pi).
 
     Returns (True, None) when every quadruple passes, otherwise
-    (False, (j, k, p, q)) with the first violating quadruple.
+    (False, (j, k, p, q)) with the first violating quadruple in C order. All
+    d^4 quadruples are tested as one array.
     """
     th = theta.theta
-    d = th.shape[0]
-    for j in range(d):
-        for k in range(d):
-            for p in range(d):
-                for q in range(d):
-                    delta = th[j, k] + th[p, q] - th[j, q] - th[p, k]
-                    wrapped = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
-                    if abs(wrapped) > PHASE_TOL:
-                        return False, (j, k, p, q)
-    return True, None
+    # Axes (j, k, p, q); th[p, k] is th.T laid on axes (k, p).
+    delta = th[:, :, None, None] + th[None, None] - th[:, None, None, :] - th.T[None, :, :, None]
+    wrapped = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
+    bad = np.argwhere(np.abs(wrapped) > PHASE_TOL)
+    return (False, tuple(int(i) for i in bad[0])) if len(bad) else (True, None)
 
 
 SCHMIDT_TOL = 1e-10  # singular values at or below this are not counted
@@ -705,7 +697,7 @@ def verify_entangle(tol: float = 1e-12) -> dict:
     C35 = isometry(jump_code(8, 0.0))
     code4 = jump_code(4, 0.0)
     C9 = product_code_basis(code4, code4)
-    leakage = 2.0 * np.pi * _leakage(_h_ent_diagonal()[:, None] * C35, C35)
+    leakage = 2.0 * np.pi * _code_reading(_h_ent_diagonal()[:, None] * C35, C35)[1]
     V = v_gate()
     v_residual = float(np.abs(C9.conj().T @ V @ C9 - np.diag([1] * 8 + [-1])).max())
     theta = gate_theta_matrix(V, C9)

@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 from jumpcodes import gates as gates_module
 from jumpcodes.codes import JumpCode, isometry, jump_code, product_code_basis, projector
 from jumpcodes.gates import (
+    PHASE_TOL,
     GateHamiltonian,
     LeakageError,
     ThetaMatrix,
@@ -125,7 +126,7 @@ class TestLogicalMatrix:
 
     @pytest.mark.parametrize("form", ["sum", "local"])
     def test_non_finite_hamiltonian_raises_value_error(self, form):
-        # A NaN block used to reach _leakage's SVD and raise LinAlgError.
+        # A NaN block used to reach the code-space reading's SVD and raise LinAlgError.
         code = jump_code(4, 0.0)
         term = LocalOperator((1, 2), np.full((4, 4), np.nan))
         with pytest.raises(ValueError, match="finite"):
@@ -637,6 +638,43 @@ class TestPrimitivity:
         primitive, witness = is_primitive_diagonal(theta)
         assert primitive and witness is None
 
+    def test_agrees_with_the_quadruple_loop(self):
+        def loop(th):
+            # The criterion quadruple by quadruple, first violation in loop order.
+            d = th.shape[0]
+            for j in range(d):
+                for k in range(d):
+                    for p in range(d):
+                        for q in range(d):
+                            delta = th[j, k] + th[p, q] - th[j, q] - th[p, k]
+                            wrapped = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
+                            if abs(wrapped) > PHASE_TOL:
+                                return False, (j, k, p, q)
+            return True, None
+
+        rng = np.random.default_rng(33)
+        verdicts = []
+        for d in range(1, 7):
+            for _ in range(40):
+                th = np.add.outer(rng.uniform(0, 2 * np.pi, d), rng.uniform(0, 2 * np.pi, d))
+                kind = rng.integers(4)
+                if kind == 1:  # noise on both sides of PHASE_TOL
+                    th += rng.choice([0.1, 0.5, 2.0, 10.0]) * PHASE_TOL * rng.standard_normal((d, d))
+                elif kind == 2:  # shifts by multiples of 2 pi keep the verdict
+                    th += 2 * np.pi * rng.integers(-2, 3, (d, d))
+                elif kind == 3:  # shifts by +-pi break it
+                    th += np.pi * rng.integers(-1, 2, (d, d)) * (rng.random((d, d)) < 0.2)
+                theta = ThetaMatrix(th)
+                got = is_primitive_diagonal(theta)
+                assert got == loop(theta.theta), (d, kind)
+                assert got[1] is None or all(type(i) is int for i in got[1])
+                verdicts.append(got[0])
+        assert 0 < sum(verdicts) < len(verdicts)
+        v_theta = gate_theta_matrix(
+            v_gate(), product_code_basis(jump_code(4, 0.0), jump_code(4, 0.0))
+        ).theta
+        assert is_primitive_diagonal(ThetaMatrix(v_theta)) == loop(v_theta) == (False, (0, 0, 2, 2))
+
     def test_zero_phases_primitive(self):
         assert is_primitive_diagonal(ThetaMatrix(np.zeros((3, 3))))[0]
 
@@ -847,6 +885,17 @@ class TestSegmentReader:
         ])
         with pytest.raises(ValueError, match=r"must be 16 x 16, got \(3, 3\)"):
             program_unitary(mixed, n_qubits=4)
+
+    @pytest.mark.parametrize("arrays, shapes", [
+        ((np.eye(3), np.eye(4)), r"\[\(3, 3\), \(4, 4\)\]"),
+        ((np.ones((3, 4)),), r"\[\(3, 4\)\]"),
+    ], ids=["two-sizes", "not-square"])
+    def test_unsized_arrays_are_refused_by_shape(self, arrays, shapes):
+        from jumpcodes.gates import HamiltonianProgram, ProgramSegment
+
+        prog = HamiltonianProgram([ProgramSegment(h, 1.0) for h in arrays])
+        with pytest.raises(ValueError, match=r"square and of one shape, got " + shapes):
+            program_unitary(prog)
 
     def test_a_non_hermitian_array_is_refused(self):
         code = jump_code(4, 0.0)

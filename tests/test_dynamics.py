@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,6 +310,31 @@ class TestIntegrateMaster:
         model, rho0, T, dt = master_case(name)
         rho = integrate_master(model, rho0, T, dt)
         assert np.abs(rho.matrix - classic_rk4(model, rho0, T, dt)).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["benchmark", "two-sectors", "every-string"])
+    def test_step_operator_and_stage_loop_agree(self, name, monkeypatch):
+        # STEP_OPERATOR_STRINGS = 0 sends every reached set to the stage loop,
+        # 2**8 (every string at N <= 8) to the precomputed step operator.
+        model, rho0, T, dt = master_case(name)
+        expected = classic_rk4(model, rho0, T, dt)
+        paths = []
+        for limit in (0, 2**8):
+            monkeypatch.setattr(dynamics, "STEP_OPERATOR_STRINGS", limit)
+            paths.append(integrate_master(model, rho0, T, dt).matrix)
+            assert np.abs(paths[-1] - expected).max() <= 1e-14
+        assert np.abs(paths[0] - paths[1]).max() <= 1e-14
+
+    def test_large_reached_sets_take_the_stage_loop(self):
+        # The N = 6 code state reaches 42 strings: a step operator would hold
+        # 42**4 reals (25 MB), and the 163 of an N = 8 code state 5.6 GB.
+        model, rho0, T, dt = master_case("code-n6")
+        tracemalloc.start()
+        try:
+            integrate_master(model, rho0, T, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     @pytest.mark.parametrize("name", ["benchmark", "two-sectors", "code-n6"])
     def test_entries_outside_the_reached_strings_are_zero(self, name):
@@ -1321,9 +1347,21 @@ def test_run_experiment_builds_no_ket_per_trajectory(monkeypatch):
 def test_stream_keys_reject_negative_inputs_and_ids_past_64_bits():
     from jumpcodes.dynamics import _stream_keys
 
-    for seed, ids, stream in ((-1, [0], 0), (0, [-1], 0), (0, [2**64], 0), (0, [1], -1)):
+    for seed, ids, stream in ((-1, [0], 0), (0, [-1], 0), (0, [2**64], 0), (0, [1], -1),
+                              (0, range(-1, 3), 0), (0, range(2**64 - 1, 2**64 + 1), 0)):
         with pytest.raises(ValueError, match="trajectory ids"):
             _stream_keys(seed, ids, stream)
+
+
+@pytest.mark.parametrize("ids", [
+    range(0), range(1, 1025), range(2**32 - 2, 2**32 + 2), range(2**64 - 3, 2**64),
+    range(2**64 - 1, 2**63, -2**62), range(9, -1, -4),
+], ids=repr)
+def test_stream_keys_of_a_range_are_those_of_its_list(ids):
+    from jumpcodes.dynamics import _stream_keys
+
+    keys = _stream_keys(11, ids, 1)
+    assert keys.dtype == np.uint64 and keys.tobytes() == _stream_keys(11, list(ids), 1).tobytes()
 
 
 def assert_rounds_follow_streams(rates, seed, ids, T):

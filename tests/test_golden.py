@@ -1,10 +1,12 @@
-"""The gate layer's CLI outputs against the goldens in ``tests/golden``.
+"""CLI outputs against the goldens in ``tests/golden``.
 
-Every field of each command's JSON stdout is compared: ints, strings,
-booleans, nulls and list lengths exactly, floats within the absolute
-tolerance the manifest states. Exit codes match exactly. After an intended
-change of output, rewrite the goldens with ``tests/golden/regenerate.py``
-and review their diff.
+Every field of each command's JSON stdout, and of each JSON file it writes,
+is compared: ints, strings, booleans, nulls and list lengths exactly, floats
+within the absolute tolerance the manifest states. A jump log's header, row
+count, trajectory ids and qubits match exactly, and each jump time lies
+within the manifest's relative tolerance of its golden. Exit codes match
+exactly. After an intended change of output, rewrite the goldens with
+``tests/golden/regenerate.py`` and review their diff.
 """
 
 import importlib.util
@@ -59,14 +61,50 @@ def test_deviations_name_each_kind_of_difference():
     }
 
 
-@pytest.mark.parametrize("name", sorted(MANIFEST["cases"]))
-def test_output_matches_golden(name):
-    case = MANIFEST["cases"][name]
-    code, stdout = regenerate.run(case["argv"])
-    want = json.loads((GOLDEN / f"{name}.stdout").read_text())
-    worst = worst_per_field(deviations(want, json.loads(stdout)), MANIFEST["float_abs_tol"])
-    problems = [f"exit code {code}, golden {case['exit_code']}"] * (code != case["exit_code"]) + [
-        f"{field}: deviation {dev:.3g} at {path} (golden {w!r}, got {g!r})"
-        for field, (path, dev, w, g) in sorted(worst.items())
+def jump_log_problems(want: str, got: str, rel_tol: float) -> list[str]:
+    """Each line where two jump logs differ: in the header, an id or a qubit,
+    or a time further than ``rel_tol`` relative from the golden one."""
+    want_lines, got_lines = want.splitlines(), got.splitlines()
+    if len(want_lines) != len(got_lines):
+        return [f"{len(got_lines)} lines, golden {len(want_lines)}"]
+    problems = [f"line 1: golden {want_lines[0]!r}, got {got_lines[0]!r}"] * (want_lines[0] != got_lines[0])
+    for line, (w, g) in enumerate(zip(want_lines[1:], got_lines[1:]), start=2):
+        (w_id, w_t, w_alpha), (g_id, g_t, g_alpha) = w.split(","), g.split(",")
+        if (w_id, w_alpha) != (g_id, g_alpha) or not abs(float(g_t) - float(w_t)) <= rel_tol * abs(float(w_t)):
+            problems.append(f"line {line}: golden {w!r}, got {g!r}")
+    return problems
+
+
+def test_jump_log_problems_name_each_kind_of_difference():
+    want = "trajectory_id,t,alpha\n0,1.0,2\n0,2.0,3\n1,0.5,1\n"
+    assert jump_log_problems(want, want.replace("2.0,", "2.000000001,"), 1e-9) == []
+    assert jump_log_problems(want, want.replace("2.0,", "2.00000001,"), 1e-9) == [
+        "line 3: golden '0,2.0,3', got '0,2.00000001,3'"
     ]
+    assert jump_log_problems(want, want.replace("1,0.5,1", "2,0.5,1").replace("0,1.0,2", "0,1.0,4"), 1e-9) == [
+        "line 2: golden '0,1.0,2', got '0,1.0,4'", "line 4: golden '1,0.5,1', got '2,0.5,1'"
+    ]
+    assert jump_log_problems(want, want.replace("alpha", "a"), 1e-9) == [
+        "line 1: golden 'trajectory_id,t,alpha', got 'trajectory_id,t,a'"
+    ]
+    assert jump_log_problems(want, want + "1,0.7,2\n", 1e-9) == ["5 lines, golden 4"]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST["cases"]))
+def test_output_matches_golden(name, tmp_path):
+    case = MANIFEST["cases"][name]
+    code, stdout = regenerate.run(case["argv"], tmp_path if case["files"] else None)
+    problems = [f"exit code {code}, golden {case['exit_code']}"] * (code != case["exit_code"])
+    outputs = {"stdout": stdout, **{file: (tmp_path / file).read_text() for file in case["files"]}}
+    for output, text in outputs.items():
+        golden = (GOLDEN / f"{name}.{output}").read_text()
+        if output.endswith(".csv"):
+            found = jump_log_problems(golden, text, MANIFEST["jump_time_rel_tol"])
+            problems += [f"{output} {problem}" for problem in found[:10]]
+            continue
+        worst = worst_per_field(deviations(json.loads(golden), json.loads(text)), MANIFEST["float_abs_tol"])
+        problems += [
+            f"{output} {field}: deviation {dev:.3g} at {path} (golden {w!r}, got {g!r})"
+            for field, (path, dev, w, g) in sorted(worst.items())
+        ]
     assert not problems, "\n".join(problems)

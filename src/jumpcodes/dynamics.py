@@ -35,8 +35,8 @@ JUMP_TIME_REL_TOL = 1e-10
 # 600, so more steps only cost time (about 7 ms each at N = 8).
 MASTER_STEP_LIMIT = 10**6
 # Largest reached set C on which integrate_master iterates one precomputed RK4 step
-# operator (|C|^4 reals). Over 1000 steps (ms, one BLAS thread): 4.5-6.3 against the
-# stages' 28 at |C| = 11, 12-22 vs 34 at 16, 56-66 vs 42-45 at 22; over 100, 7.5 vs 3.5 at 16.
+# operator (|C|^4 reals), built at the cost of about (|C|/4)^4 stage steps. Over 1000
+# steps (ms, one BLAS thread): 4.5-6.3 vs the stages' 28 at |C| = 11, 12-22 vs 34 at 16.
 STEP_OPERATOR_STRINGS = 16
 
 
@@ -88,7 +88,7 @@ def memory_model(n_qubits: int, kappas: float | list[float]) -> LindbladModel:
 
 @dataclass
 class DensityMatrix:
-    """Unit-trace hermitian matrix with validated positivity."""
+    """Unit-trace hermitian matrix with validated positivity (on its nonzero rows)."""
 
     matrix: np.ndarray
     eig_tol: float = EIG_TOL
@@ -103,13 +103,15 @@ class DensityMatrix:
             raise ValueError(f"trace {tr} is not 1")
         if not np.linalg.norm(mat - mat.conj().T) <= HERM_TOL:
             raise ValueError("density matrix is not hermitian")
-        # min eig >= -eig_tol iff mat + eig_tol I has a Cholesky factor, to rounding.
+        # min eig >= -eig_tol iff the nonzero rows' block + eig_tol I has a Cholesky factor.
         herm = 0.5 * (mat + mat.conj().T)
-        herm.reshape(-1)[:: len(herm) + 1] += self.eig_tol
+        support = np.flatnonzero(herm.any(axis=1))
+        block = herm[np.ix_(support, support)]
+        block.reshape(-1)[:: len(block) + 1] += self.eig_tol
         try:
-            np.linalg.cholesky(herm)
+            np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            eig = np.linalg.eigvalsh(herm).min() - self.eig_tol
+            eig = np.linalg.eigvalsh(block).min() - self.eig_tol
             raise ValueError(f"negative eigenvalue {eig}") from None
         mat.setflags(write=False)
         self.matrix = mat
@@ -161,8 +163,8 @@ def integrate_master(
     at half rate: one matmul and one flat-index scatter-add on C x C. Up to
     STEP_OPERATOR_STRINGS strings, a step of dt is one product with its real
     matrix R on W = Re y + Im y, built by stepping the |C|^2 basis matrices
-    at once. Steps of dt run to T, the last one shorter (by the stages); a
-    remainder below 1e-15 T is dropped.
+    at once, if there are (|C|/4)^4 steps or more. Steps of dt run to T, the
+    last one shorter (by the stages); a remainder below 1e-15 T is dropped.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
@@ -213,7 +215,7 @@ def integrate_master(
         return 0.5 * ((1 + 1j) * w + (1 - 1j) * w.swapaxes(-1, -2))
 
     rho, (steps, last) = rho[np.ix_(C, C)], divmod(T, dt)
-    if C.size <= STEP_OPERATOR_STRINGS:  # row k of R: the step of basis matrix k
+    if C.size <= STEP_OPERATOR_STRINGS and steps >= (C.size / 4) ** 4:  # R's row k: basis k's step
         R = rk4_step(dt, C.size**2)(matrices(np.eye(C.size**2).reshape(-1, C.size, C.size)))
         R, w = (R.real + R.imag).reshape(len(R), -1), (rho.real + rho.imag).reshape(-1)
         for _ in range(int(steps)):
@@ -345,6 +347,9 @@ _ENSEMBLE_BLOCK = 1024
 EIGENBASIS_COND_LIMIT = 1e3
 # Below this norm a row's squared amplitudes lose precision in ``row_norms``.
 FADE_NORM = 1e-150
+# Under H = 0, u - S > -NEAR_WEIGHT u takes ln(S/u) and ln(f/u) from the exact u - S:
+# f's 1e-16 rounding moves a crossing at ln(S/u) = 1e-15 by 10 %, one at 2^-16 by 1.5e-11.
+NEAR_WEIGHT = 2.0**-16
 
 
 def _dense_expm(A: np.ndarray) -> np.ndarray:
@@ -362,7 +367,8 @@ class _NoJumpRows:
     diagonalized once, ``start`` stores c = V^-1 psi per row, and a row at
     time t is V (c * exp(-i lam t)); past EIGENBASIS_COND_LIMIT it is
     exp(-i H_eff t) psi. Every product is a per-row stacked matmul, so a row's
-    bits do not depend on the other rows.
+    bits do not depend on the other rows. Under H = 0, strings that all decay at
+    one finite rate r (a code state's sector at equal kappa) flow as e^(-rt/2).
     """
 
     def __init__(self, model: LindbladModel):
@@ -382,9 +388,11 @@ class _NoJumpRows:
     def start(self, psi: np.ndarray, columns=slice(None)) -> None:
         """Start from rows ``psi``. Under H = 0 their columns hold the
         strings ``columns`` (default: every string); otherwise every string."""
-        self.psi, self.rates = psi, self.string_rates[columns]
+        self.psi, self.rates, self.rate = psi, self.string_rates[columns], None
         if self.diagonal:
             self.__dict__.pop("weights", None)  # the old rows' cached |psi|^2
+            if np.isfinite(self.rates[0]) and (self.rates == self.rates[0]).all():
+                self.rate, self.unit = self.rates[0], psi / row_norms(psi)[:, None]
         elif self.eigenbasis:
             self.coeffs = (psi[:, None, :] @ self.to_eigen)[:, 0]
 
@@ -424,6 +432,8 @@ class _NoJumpRows:
     def unit_state(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Start rows ``rows`` at times ``t``, normalized. A row whose norm
         has fallen below FADE_NORM is rescaled first."""
+        if self.rate is not None:  # the scalar flow: the start rows, normalized in ``start``
+            return self.unit[rows]
         end = self.state(rows, t)
         norms = row_norms(end)
         faded = norms < FADE_NORM
@@ -437,6 +447,9 @@ class _NoJumpRows:
         slope f' = -<psi(t)|Gamma|psi(t)>, Gamma the strings' decay rates."""
         if self.diagonal:
             with np.errstate(over="ignore"):  # to -inf, as in ``state``
+                if self.rate is not None:
+                    f = self.weights[rows].sum(1) * np.exp(-self.rate * t)
+                    return f, -self.rate * f
                 probs = self.weights[rows] * np.exp(-self.rates * t[:, None])
         else:
             probs = np.abs(self.state(rows, t)) ** 2
@@ -450,11 +463,14 @@ class _NoJumpRows:
         lo, hi = np.zeros_like(horizon), horizon.copy()
         if self.diagonal:
             w = self.weights[rows]
-            weight = w.sum(1)
-            rates, support = np.broadcast_to(self.rates, w.shape), w > 0
-            r_min = rates.min(axis=1, initial=np.inf, where=support)
-            r_max = rates.max(axis=1, initial=0.0, where=support)
+            weight, r_min, r_max = w.sum(1), self.rate, self.rate
+            if self.rate is None:
+                rates, support = np.broadcast_to(self.rates, w.shape), w > 0
+                r_min = rates.min(axis=1, initial=np.inf, where=support)
+                r_max = rates.max(axis=1, initial=0.0, where=support)
             ln_ratio = np.log(np.divide(weight, u, out=np.ones_like(lo), where=u > 0))
+            near = u - weight > -NEAR_WEIGHT * u  # ln(S/u) from the exact u - S
+            ln_ratio[near] = -np.log1p((u - weight)[near] / weight[near])
             np.divide(ln_ratio, r_max, out=lo, where=(ln_ratio > 0) & (r_max > 0))
             with np.errstate(over="ignore"):  # an infinite r_min * horizon bounds nothing
                 inside = (ln_ratio > 0) & (ln_ratio < r_min * horizon)
@@ -466,7 +482,7 @@ class _NoJumpRows:
 
 
 def _jump_times(
-    flow: _NoJumpRows, rows: np.ndarray, horizon: np.ndarray, threshold: np.ndarray
+    flow: _NoJumpRows, rows: np.ndarray, horizon: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """For each of the flow's ``rows``, the time where its squared norm f
     crosses its threshold u.
@@ -480,11 +496,13 @@ def _jump_times(
     subnormals), or at the midpoint of a bracket within JUMP_TIME_REL_TOL *
     hi (a single-rate row at once), so its time depends neither on the other
     rows nor on the unit of time. A row whose squared norm starts at or below
-    its threshold jumps one subnormal step after 0, with no evaluation.
+    its threshold jumps one subnormal step after 0, with no evaluation. Under
+    H = 0, u near the weight S takes f - u as sum w expm1(-r t) less u - S.
     """
     out = np.empty_like(horizon)
     pos = np.arange(len(horizon))
-    lo, hi = flow.bracket(rows, horizon, threshold)
+    lo, hi = flow.bracket(rows, horizon, u)
+    excess = u - (flow.weights[rows].sum(1) if flow.diagonal else np.inf)  # u - S
     t, steps = lo, np.full((2, len(lo)), np.inf)  # each row's last two steps
 
     def tolerance(t: np.ndarray) -> np.ndarray:
@@ -494,15 +512,20 @@ def _jump_times(
         done = hi - lo <= tolerance(hi)
         out[pos[done]] = 0.5 * (lo[done] + hi[done])
         go = ~done
-        pos, lo, hi, t, rows, threshold = pos[go], lo[go], hi[go], t[go], rows[go], threshold[go]
+        pos, lo, hi, t, rows, u, excess = (a[go] for a in (pos, lo, hi, t, rows, u, excess))
         if not pos.size:
             return out
         steps = steps[:, go]
         f, slope = flow.norm_slope(rows, t)
-        above = f > threshold
-        lo, hi = np.where(above, t, lo), np.where(above, hi, t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = t + np.log(f / threshold) * (f / -slope)
+            gap = np.log(f / u)
+            near = excess > -NEAR_WEIGHT * u  # f - u: sum w expm1(-r t) less u - S
+            if near.any():
+                drop = (flow.weights[rows[near]] * np.expm1(-flow.rates * t[near, None])).sum(1)
+                gap[near] = np.log1p((drop - excess[near]) / u[near])
+            newton = t + gap * (f / -slope)
+        above = gap > 0
+        lo, hi = np.where(above, t, lo), np.where(above, hi, t)
         # Steps that halve every two evaluations: rounding cannot cycle them.
         step = np.abs(newton - t)
         inside = (lo <= newton) & (newton <= hi) & (step <= 0.5 * steps[0])
@@ -600,10 +623,20 @@ def run_trajectories(
     PRL 86, 4402 (2001)). With a drive, C_k is all 2^N strings. C_k depends
     on psi0 and k only, and each row's arithmetic is independent of the
     other rows, so a trajectory comes out bit for bit the same in any batch.
-    A row's final state is scattered from C_k into its full 2^N row. Rows
-    advance TRAJECTORY_CHUNK at a time. A row whose squared norm is not
-    finite raises ValueError.
+    Each finished row (it stays to T, goes dark, or jumps past T) leaves
+    ``_sample`` on its C_k and is scattered into its full 2^N row. Rows advance
+    TRAJECTORY_CHUNK at a time. A row whose squared norm is not finite raises ValueError.
     """
+    times, qubits, absorbed, ends = _sample(model, psi0, T, seed, ids)
+    final = np.zeros((len(absorbed), psi0.dim), dtype=complex)
+    for _, cols, rows, states in ends:
+        final[rows[:, None], cols] = states
+    return TrajectoryBatch(psi0.n_qubits, times, qubits, final, absorbed)
+
+
+def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
+    """``run_trajectories``' loop: jump times, jump qubits, absorbed, and ``ends``: one
+    (k, C_k, rows, states) per group of rows (positions in ``ids``) that end on C_k."""
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
     if not (np.isfinite(T) and T >= 0):
@@ -617,17 +650,16 @@ def run_trajectories(
     # built once for all chunks as the rounds are first reached.
     columns = [np.flatnonzero(psi0.amplitudes) if flow.diagonal else np.arange(psi0.dim)]
     sources: list[np.ndarray] = []
-    final = np.zeros((count, psi0.dim), dtype=complex)
+    ends = []
     if T == 0:  # no round runs
-        final[:] = psi0.amplitudes
+        ends.append((0, columns[0], np.arange(count),
+                     np.tile(psi0.amplitudes[columns[0]], (count, 1))))
     absorbed = np.zeros(count, dtype=bool)
-    jump_times: list[np.ndarray] = []  # per round of jumps, one entry per row
-    jump_qubits: list[np.ndarray] = []
+    jump_times, jump_qubits = [], []  # per round of jumps, one entry per row
     for start in range(0, count if T > 0 else 0, TRAJECTORY_CHUNK):
-        # Views of this chunk's rows; ``live`` indexes within the chunk, and
-        # row i of ``psi`` holds live row i's amplitudes on round k's strings.
+        # ``live`` indexes within the chunk, and row i of ``psi`` holds live
+        # row i's amplitudes on round k's strings.
         chunk = slice(start, start + TRAJECTORY_CHUNK)
-        final_c, absorbed_c = final[chunk], absorbed[chunk]
         keys_c = keys[chunk]
         block = np.empty((len(keys_c), 8))  # the Philox blocks of rounds k to k + 3
         t = np.zeros(len(keys_c))
@@ -646,8 +678,8 @@ def run_trajectories(
             # Threshold 0 is never crossed: its waiting time is infinite.
             stays = (end_sq > draws[:, 0]) | (draws[:, 0] == 0)
             if stays.any():
-                final_c[live[stays, None], cols] = flow.unit_state(
-                    np.flatnonzero(stays), remaining[stays])
+                ends.append((k, cols, start + live[stays],
+                             flow.unit_state(np.flatnonzero(stays), remaining[stays])))
                 if stays.all():
                     break
 
@@ -659,8 +691,8 @@ def run_trajectories(
             total = channel_w.sum(axis=1)
             dark = total <= 0.0
             if dark.any():
-                absorbed_c[rows[dark]] = True
-                final_c[rows[dark, None], cols] = pre[dark]
+                absorbed[start + rows[dark]] = True
+                ends.append((k, cols, start + rows[dark], pre[dark]))
                 lit = ~dark
                 rows, s, pre, pick = rows[lit], s[lit], pre[lit], pick[lit]
                 channel_w, total = channel_w[lit], total[lit]
@@ -682,17 +714,12 @@ def run_trajectories(
             jump_times[k][chunk][rows] = t[rows]
             jump_qubits[k][chunk][rows] = qubits[j]
             over = t[rows] >= T
-            final_c[rows[over, None], columns[k + 1]] = psi[over]
+            ends.append((k + 1, columns[k + 1], start + rows[over], psi[over]))
             live, psi = rows[~over], psi[~over]
             if not live.size:
                 break
-    return TrajectoryBatch(
-        psi0.n_qubits,
-        np.array(jump_times, dtype=float).reshape(len(jump_times), count).T,
-        np.array(jump_qubits, dtype=int).reshape(len(jump_qubits), count).T,
-        final,
-        absorbed,
-    )
+    return (np.array(jump_times, dtype=float).reshape(len(jump_times), count).T,
+            np.array(jump_qubits, dtype=int).reshape(len(jump_qubits), count).T, absorbed, ends)
 
 
 def run_trajectory(
@@ -707,27 +734,30 @@ def average_trajectories(
 ) -> DensityMatrix:
     """Mean projector over ``count`` trajectories, deterministically reduced.
 
-    Per-trajectory streams derive from (seed, trajectory_id). Each block of
-    consecutive ids groups its final states by exact nonzero pattern S (few
-    under decay: a jump zeroes half the amplitudes) and, in sorted pattern
-    order, adds each group's rows V on S, in id order, as V^T V^* to
-    total[S, S]. The product is numpy's own loop rather than BLAS, so the
-    result depends neither on batching nor on the BLAS thread count.
+    Streams derive from (seed, trajectory_id). Each block of consecutive ids
+    takes its rows from ``_sample`` on C_k, the strings of the round each ends
+    in. Rounds ascending, it groups them in id order by exact nonzero pattern
+    S within C_k (few: a jump zeroes half the amplitudes) and, patterns
+    sorted, adds each group's rows V on S as V^T V^* to total[C_k[S], C_k[S]]:
+    numpy's own loop, not BLAS, so batching and BLAS threads change no bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     total = np.zeros((psi0.dim, psi0.dim), dtype=complex)
     for start in range(0, count, _ENSEMBLE_BLOCK):
-        ids = range(start, min(start + _ENSEMBLE_BLOCK, count))
-        states = run_trajectories(model, psi0, T, seed, ids).final_states
-        nonzero = states != 0
-        packed = np.packbits(nonzero, axis=1)  # one byte string per row's pattern
-        keys = packed.view(f"V{packed.shape[1]}")[:, 0]
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        parts = np.split(group.argsort(kind="stable"), np.cumsum(np.bincount(group))[:-1])
-        for support, rows in zip(nonzero[first], parts):  # each group's rows, in id order
-            V = states[np.ix_(rows, support)].T.copy()
-            total[np.ix_(support, support)] += np.einsum("ir,jr->ij", V, V.conj())
+        ends = _sample(model, psi0, T, seed, range(start, min(start + _ENSEMBLE_BLOCK, count)))[3]
+        for k, cols in sorted({k: cols for k, cols, _, _ in ends}.items()):
+            parts = [(rows, states) for j, _, rows, states in ends if j == k]
+            rows = np.concatenate([rows for rows, _ in parts]).argsort()  # id order
+            states = np.concatenate([states for _, states in parts])
+            nonzero = states[rows] != 0
+            packed = np.packbits(nonzero, axis=1)  # one byte string per row's pattern
+            keys = packed.view(f"V{packed.shape[1]}")[:, 0]
+            _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+            groups = np.split(group.argsort(kind="stable"), np.cumsum(np.bincount(group))[:-1])
+            for support, members in zip(nonzero[first], groups):  # each group's rows, in id order
+                V = states[np.ix_(rows[members], support)].T.copy()
+                total[np.ix_(cols[support], cols[support])] += np.einsum("ir,jr->ij", V, V.conj())
     total /= count
     total = 0.5 * (total + total.conj().T)
     return DensityMatrix(total / np.trace(total).real, eig_tol=1e-7)

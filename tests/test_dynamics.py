@@ -324,6 +324,21 @@ class TestIntegrateMaster:
             assert np.abs(paths[-1] - expected).max() <= 1e-14
         assert np.abs(paths[0] - paths[1]).max() <= 1e-14
 
+    @pytest.mark.parametrize("name, steps, operator", [
+        ("benchmark", 1000, True), ("benchmark", 50, False),
+        ("every-string", 500, True), ("every-string", 100, False),
+    ])
+    def test_step_count_chooses_the_step_operator(self, name, steps, operator, monkeypatch):
+        # Building R costs about (|C|/4)^4 stage steps: 57 at |C| = 11 (the
+        # benchmark), 256 at 16 (every string). The stage loop's bits are
+        # those with STEP_OPERATOR_STRINGS = 0; the operator's differ.
+        model, rho0, _, dt = master_case(name)
+        chosen = integrate_master(model, rho0, steps * dt, dt).matrix
+        monkeypatch.setattr(dynamics, "STEP_OPERATOR_STRINGS", 0)
+        stages = integrate_master(model, rho0, steps * dt, dt).matrix
+        assert (chosen.tobytes() != stages.tobytes()) == operator
+        assert np.abs(chosen - stages).max() <= 1e-14
+
     def test_large_reached_sets_take_the_stage_loop(self):
         # The N = 6 code state reaches 42 strings: a step operator would hold
         # 42**4 reals (25 MB), and the 163 of an N = 8 code state 5.6 GB.
@@ -596,6 +611,28 @@ class TestGroupedProjectorSum:
 
 
 class TestDensityMatrix:
+    def test_positivity_is_checked_on_the_nonzero_rows(self):
+        # A PSD matrix on strings {1, 4, 6} of 8, zero elsewhere, is accepted;
+        # one eigenvalue of -10 eig_tol inside that block is refused.
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        support = np.array([1, 4, 6])
+        for eigs, accepted in (([0.7, 0.3, 0.0], True), ([0.6, 0.4 + 1e-7, -1e-7], False)):
+            block = (Q * eigs) @ Q.conj().T
+            matrix = np.zeros((8, 8), dtype=complex)
+            matrix[np.ix_(support, support)] = 0.5 * (block + block.conj().T)
+            if accepted:
+                assert np.array_equal(DensityMatrix(matrix).matrix, matrix)
+            else:
+                with pytest.raises(ValueError, match="negative eigenvalue -"):
+                    DensityMatrix(matrix)
+
+    def test_non_hermitian_matrix_with_zero_rows_is_refused(self):
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[0, 0], matrix[2, 2], matrix[0, 2] = 0.5, 0.5, 1e-3
+        with pytest.raises(ValueError, match="not hermitian"):
+            DensityMatrix(matrix)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(2.0 * np.eye(2))
@@ -924,6 +961,89 @@ class TestRoundColumns:
             assert {weights[x] for x in np.flatnonzero(state)} == {4 - n}
 
 
+def general_flow(monkeypatch):
+    """Turn off the equal-rate scalar flow: every round takes the per-string path."""
+    start = dynamics._NoJumpRows.start
+
+    def general_start(flow, psi, *columns):
+        start(flow, psi, *columns)
+        flow.rate = None
+
+    monkeypatch.setattr(dynamics._NoJumpRows, "start", general_start)
+
+
+class TestScalarFlow:
+    """Under H = 0, a round whose strings all decay at one finite rate takes
+    the scalar flow; with its detection off, the per-string flow agrees."""
+
+    @pytest.mark.parametrize("case", ["code-n8", "kappa-0", "kappa-1e-3", "kappa-1", "kappa-1e3"])
+    def test_agrees_with_the_per_string_flow(self, case, monkeypatch):
+        if case == "code-n8":
+            model, psi0, T, count, seed = projector_case("code-n8")
+        else:
+            kappa = float(case.split("-", 1)[1])
+            model, psi0, T, count, seed = memory_model(4, kappa), code_state(4, 1), 2.0 / (kappa or 1.0), 200, 9
+        scalar = run_trajectories(model, psi0, T, seed, range(count))
+        rounds = []
+        norm_slope = dynamics._NoJumpRows.norm_slope
+        monkeypatch.setattr(dynamics._NoJumpRows, "norm_slope",
+                            lambda flow, *a: rounds.append(flow.rate) or norm_slope(flow, *a))
+        run_trajectories(model, psi0, T, seed, range(count))
+        assert None not in rounds  # every round of a code state at equal rates
+        general_flow(monkeypatch)
+        general = run_trajectories(model, psi0, T, seed, range(count))
+        assert np.array_equal(scalar.jump_qubits, general.jump_qubits)
+        assert (scalar.jump_counts > 0).any() == (case != "kappa-0")
+        jumped = general.jump_qubits > 0
+        times, expected = scalar.jump_times[jumped], general.jump_times[jumped]
+        assert (np.abs(times - expected) <= 1e-14 * expected).all()
+        assert np.abs(scalar.final_states - general.final_states).max() <= 1e-15
+        assert np.array_equal(scalar.absorbed, general.absorbed)
+
+    def test_infinite_rates_take_the_per_string_flow(self):
+        flow = dynamics._NoJumpRows(memory_model(4, 1.0))
+        flow.string_rates = np.full(16, np.inf)
+        flow.start(code_state(4, 1).amplitudes[None, :])
+        assert flow.rate is None
+        flow.string_rates = np.full(16, 2.0)
+        flow.start(code_state(4, 1).amplitudes[None, :])
+        assert flow.rate == 2.0
+
+    def test_zero_rate_replay_computes_no_flow(self, monkeypatch):
+        # correct_trajectory replays under memory_model(N, 0): every string's
+        # rate is 0, so each window normalizes its rows and evaluates no state.
+        from jumpcodes.qec import correct_trajectory
+
+        code = jump_code(4, 0.0)
+        logical = np.array([0.6, 0.48j, 0.64])
+        batch = run_trajectories(memory_model(4, 1.0), encode(code, logical), 3.0, 5, range(60))
+        assert batch.jump_counts.max() >= 2
+        calls = []
+        state = dynamics._NoJumpRows.state
+        monkeypatch.setattr(dynamics._NoJumpRows, "state",
+                            lambda flow, *a, **k: calls.append(1) or state(flow, *a, **k))
+        final, fidelity = correct_trajectory(batch, code, logical)
+        assert not calls
+        general_flow(monkeypatch)
+        expected_final, expected_fidelity = correct_trajectory(batch, code, logical)
+        assert calls
+        assert final.tobytes() == expected_final.tobytes()
+        assert fidelity.tobytes() == expected_fidelity.tobytes()
+
+    def test_ensemble_peak_memory_is_below_the_full_width_average(self):
+        # Scattered into (rows, 2^N) final states, the N = 8, 1024-row average
+        # peaked at 10.1 MiB (tracemalloc); kept on C_k it peaks at 7.4 MiB.
+        model, psi0 = memory_model(8, 1.0), code_state(8, 2)
+        average_trajectories(model, psi0, 0.5, 16, 5)
+        tracemalloc.start()
+        try:
+            average_trajectories(model, psi0, 0.5, 1024, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
+
 class TestNoJumpFlow:
     """The driven no-jump flow against exp(-i H_eff t) applied row by row."""
 
@@ -1105,6 +1225,31 @@ class TestJumpTimeBracket:
         crossing = np.array([
             brentq(lambda t: weights[r] @ np.exp(-rates * t) - u[r], 0.0, 100.0,
                    xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for r in rows
+        ])
+        assert (np.abs(s - crossing) <= dynamics.JUMP_TIME_REL_TOL * crossing).all()
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 9, 12, 15])
+    def test_thresholds_near_the_weight_land_within_tolerance(self, k):
+        # u = S (1 - 10^-k) under mixed rates. f carries about 1e-16 of
+        # rounding, which moved a crossing by about 2e-16 / ln(S/u) relative
+        # (0.29 at k = 15); near S the search compares sum w expm1(-r t) with
+        # the exact u - S. The reference is brentq on that difference.
+        from scipy.optimize import brentq
+
+        model = memory_model(4, [1.3, 0.7, 1.0, 0.4])
+        rates = model.decay_rates()
+        psi = np.array([random_state(4, seed).amplitudes for seed in range(12)])
+        psi[::2, 0] = 0.0  # half the rows without the zero-rate ground state
+        weights = np.abs(psi) ** 2
+        S = np.add.reduce(weights, axis=1)
+        u = S * (1 - 10.0**-k)
+        flow, rows = dynamics._NoJumpRows(model), np.arange(len(psi))
+        flow.start(psi)
+        s = dynamics._jump_times(flow, rows, np.full(len(psi), 3.0), u)
+        crossing = np.array([
+            brentq(lambda t: weights[r] @ np.expm1(-rates * t) - (u[r] - S[r]), 0.0, 3.0,
+                   xtol=1e-300, rtol=4 * np.finfo(float).eps)
             for r in rows
         ])
         assert (np.abs(s - crossing) <= dynamics.JUMP_TIME_REL_TOL * crossing).all()

@@ -333,8 +333,8 @@ def _philox_uniforms(keys: np.ndarray, blocks) -> np.ndarray:
 # Rows that run_trajectories advances together. Bounds its working memory to
 # a few (rows, 2^N) arrays for any number of trajectories.
 TRAJECTORY_CHUNK = 1024
-# average_trajectories groups and sums the final states of this many
-# consecutive ids. Fixed apart from TRAJECTORY_CHUNK so the sum has one order.
+# average_trajectories sums the final states of this many consecutive ids
+# per _sample call. Fixed apart from TRAJECTORY_CHUNK so the sum has one order.
 _ENSEMBLE_BLOCK = 1024
 
 
@@ -736,10 +736,10 @@ def average_trajectories(
 
     Streams derive from (seed, trajectory_id). Each block of consecutive ids
     takes its rows from ``_sample`` on C_k, the strings of the round each ends
-    in. Rounds ascending, it groups them in id order by exact nonzero pattern
-    S within C_k (few: a jump zeroes half the amplitudes) and, patterns
-    sorted, adds each group's rows V on S as V^T V^* to total[C_k[S], C_k[S]]:
-    numpy's own loop, not BLAS, so batching and BLAS threads change no bit.
+    in. Rounds ascending, it adds each round's rows V, in id order, as V^T V^*
+    to total[C_k, C_k]: numpy's own loop, not BLAS, so BLAS threads change no
+    bit. Rows that pass T by rounding, and dark rows, join their round out of
+    id order; the sort keeps the sum's order the same for any TRAJECTORY_CHUNK.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -748,16 +748,9 @@ def average_trajectories(
         ends = _sample(model, psi0, T, seed, range(start, min(start + _ENSEMBLE_BLOCK, count)))[3]
         for k, cols in sorted({k: cols for k, cols, _, _ in ends}.items()):
             parts = [(rows, states) for j, _, rows, states in ends if j == k]
-            rows = np.concatenate([rows for rows, _ in parts]).argsort()  # id order
-            states = np.concatenate([states for _, states in parts])
-            nonzero = states[rows] != 0
-            packed = np.packbits(nonzero, axis=1)  # one byte string per row's pattern
-            keys = packed.view(f"V{packed.shape[1]}")[:, 0]
-            _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-            groups = np.split(group.argsort(kind="stable"), np.cumsum(np.bincount(group))[:-1])
-            for support, members in zip(nonzero[first], groups):  # each group's rows, in id order
-                V = states[np.ix_(rows[members], support)].T.copy()
-                total[np.ix_(cols[support], cols[support])] += np.einsum("ir,jr->ij", V, V.conj())
+            order = np.concatenate([rows for rows, _ in parts]).argsort()  # id order
+            V = np.concatenate([states for _, states in parts])[order].T.copy()
+            total[np.ix_(cols, cols)] += np.einsum("ir,jr->ij", V, V.conj())
     total /= count
     total = 0.5 * (total + total.conj().T)
     return DensityMatrix(total / np.trace(total).real, eig_tol=1e-7)

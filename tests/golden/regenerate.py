@@ -35,6 +35,12 @@ CASES = {
     "sim_run_1": [*SIM, "--kappa", "1.0", "--t-final", "3.0", "--trajectories", "1000", "--seed", "7"],
     "sim_run_2": [*SIM, "--t-final", "3.0", "--trajectories", "1000", "--seed", "7",
                   "--p-miss", "0.1", "--mismatch", "1.3", "0.7", "1.0", "1.0"],
+    "sim_run_n8": ["sim", "run", "--n", "8", "--t-final", "1.0", "--trajectories", "100", "--seed", "7",
+                   "--delay", "0.05", "--p-miss", "0.2",
+                   "--mismatch", "1.05", "0.95", "1.1", "0.9", "1.0", "1.2", "0.8", "1.0"],
+    "sim_run_n6": ["sim", "run", "--n", "6", "--t-final", "2.0", "--trajectories", "200", "--seed", "7",
+                   "--kappa", "1.0", "0.5", "1.5", "0.8", "1.2", "1.0"],
+    "code_inspect_n8": ["code", "inspect", "--n", "8"],
 }
 SIM_FILES = ["summary.json", "jumps.csv"]
 

@@ -553,6 +553,17 @@ class TestGroupedProjectorSum:
         got = average_trajectories(model, psi0, T, count, seed).matrix
         assert np.abs(got - expected).max() <= 1e-13 * np.trace(expected).real
 
+    @pytest.mark.parametrize("name", ["code-n8", "driven-e23-f23", "count-1100"])
+    def test_does_not_depend_on_the_trajectory_chunk(self, name, monkeypatch):
+        """The same bytes with TRAJECTORY_CHUNK 7 as with 1024; count-1100
+        spans two ensemble blocks. On these cases each round's rows already
+        arrive in id order, so this test alone does not require the id sort."""
+        results = []
+        for chunk in (1024, 7):
+            monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", chunk)
+            results.append(average_trajectories(*projector_case(name)).matrix.tobytes())
+        assert results[0] == results[1]
+
     def test_code_state_decay_leaves_several_patterns(self):
         model, psi0, T, count, seed = projector_case("code-n8")
         final = run_trajectories(model, psi0, T, seed, range(count)).final_states

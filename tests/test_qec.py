@@ -405,6 +405,17 @@ class TestReplayAgainstEventLoop:
             assert abs(fidelities[row] - expected) <= 1e-12, (row, times, qubits, detected)
         assert (inside > 0) == (delay > 0)
 
+    def test_a_coin_equal_to_p_miss_detects_its_jump(self):
+        """A jump is detected when its coin is >= p_miss, ties included: with
+        p_miss set to the smallest coin of the first row that jumps, every
+        jump of that row is detected and recovered, so its fidelity is 1."""
+        batch = run_experiment(ExperimentConfig(4, 0.0, [1.0], 3.0, 20, 7))[0]
+        row = int(np.flatnonzero(batch.jump_counts)[0])
+        coins = trajectory_rng(7, row + 1, 1).random(batch.jump_counts[row])
+        config = ExperimentConfig(4, 0.0, [1.0], 3.0, 20, 7, p_miss=float(coins.min()))
+        fidelities = run_experiment(config)[1]
+        assert fidelities[row] >= 1.0 - 1e-12, (row, coins, fidelities[row])
+
 
 class TestBruteForceAgreement:
     """kl_check verdicts vs the independent transpose-channel recovery oracle."""

@@ -352,13 +352,6 @@ FADE_NORM = 1e-150
 NEAR_WEIGHT = 2.0**-16
 
 
-def _dense_expm(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first use: only this fallback loads scipy."""
-    from scipy.linalg import expm
-
-    return expm(A)
-
-
 class _NoJumpRows:
     """Unnormalized no-jump propagation of start rows, each to its own time.
 
@@ -369,6 +362,8 @@ class _NoJumpRows:
     exp(-i H_eff t) psi. Every product is a per-row stacked matmul, so a row's
     bits do not depend on the other rows. Under H = 0, strings that all decay at
     one finite rate r (a code state's sector at equal kappa) flow as e^(-rt/2).
+    ``rows`` arguments index the start rows and may repeat one: ``_sample``
+    starts each distinct state once under that scalar flow.
     """
 
     def __init__(self, model: LindbladModel):
@@ -409,12 +404,12 @@ class _NoJumpRows:
         elif self.eigenbasis:
             coeffs, rates = self.coeffs[rows], self.neg_i_lam
         else:
+            from scipy.linalg import expm  # imported on first use: only this fallback loads scipy
             generator = (-1j * t)[:, None, None] * self.h_eff
             if rescale:
                 slowest = self.neg_i_lam.real.max()
                 generator -= (slowest * t)[:, None, None] * np.eye(len(self.h_eff))
-            propagators = _dense_expm(generator)
-            return (propagators @ self.psi[rows][:, :, None])[:, :, 0]
+            return (expm(generator) @ self.psi[rows][:, :, None])[:, :, 0]
         # No decay exponent has a positive real part, so one that overflows
         # reaches its exact limit, -inf, whose exp is 0.
         with np.errstate(over="ignore"):
@@ -448,7 +443,7 @@ class _NoJumpRows:
         if self.diagonal:
             with np.errstate(over="ignore"):  # to -inf, as in ``state``
                 if self.rate is not None:
-                    f = self.weights[rows].sum(1) * np.exp(-self.rate * t)
+                    f = self.weights.sum(1)[rows] * np.exp(-self.rate * t)
                     return f, -self.rate * f
                 probs = self.weights[rows] * np.exp(-self.rates * t[:, None])
         else:
@@ -462,10 +457,10 @@ class _NoJumpRows:
         crosses at once: its bracket is [0, 2 subnormals]."""
         lo, hi = np.zeros_like(horizon), horizon.copy()
         if self.diagonal:
-            w = self.weights[rows]
-            weight, r_min, r_max = w.sum(1), self.rate, self.rate
+            weight, r_min, r_max = self.weights.sum(1)[rows], self.rate, self.rate
             if self.rate is None:
-                rates, support = np.broadcast_to(self.rates, w.shape), w > 0
+                support = self.weights[rows] > 0
+                rates = np.broadcast_to(self.rates, support.shape)
                 r_min = rates.min(axis=1, initial=np.inf, where=support)
                 r_max = rates.max(axis=1, initial=0.0, where=support)
             ln_ratio = np.log(np.divide(weight, u, out=np.ones_like(lo), where=u > 0))
@@ -502,7 +497,7 @@ def _jump_times(
     out = np.empty_like(horizon)
     pos = np.arange(len(horizon))
     lo, hi = flow.bracket(rows, horizon, u)
-    excess = u - (flow.weights[rows].sum(1) if flow.diagonal else np.inf)  # u - S
+    excess = u - (flow.weights.sum(1)[rows] if flow.diagonal else np.inf)  # u - S
     t, steps = lo, np.full((2, len(lo)), np.inf)  # each row's last two steps
 
     def tolerance(t: np.ndarray) -> np.ndarray:
@@ -623,20 +618,26 @@ def run_trajectories(
     PRL 86, 4402 (2001)). With a drive, C_k is all 2^N strings. C_k depends
     on psi0 and k only, and each row's arithmetic is independent of the
     other rows, so a trajectory comes out bit for bit the same in any batch.
-    Each finished row (it stays to T, goes dark, or jumps past T) leaves
-    ``_sample`` on its C_k and is scattered into its full 2^N row. Rows advance
-    TRAJECTORY_CHUNK at a time. A row whose squared norm is not finite raises ValueError.
+    Under the scalar flow (H = 0, one rate on C_k) a row's state after k jumps
+    depends only on its ordered jump qubits, so ``_sample`` keeps each distinct
+    state once, with each row's index into that table. Each finished row (it
+    stays to T, goes dark, or jumps past T) leaves ``_sample`` on its C_k and is
+    scattered into its full 2^N row. Rows advance TRAJECTORY_CHUNK at a time. A
+    row whose squared norm is not finite raises ValueError.
     """
     times, qubits, absorbed, ends = _sample(model, psi0, T, seed, ids)
     final = np.zeros((len(absorbed), psi0.dim), dtype=complex)
-    for _, cols, rows, states in ends:
-        final[rows[:, None], cols] = states
+    for _, cols, rows, table, which in ends:
+        final[rows[:, None], cols] = table[which]
     return TrajectoryBatch(psi0.n_qubits, times, qubits, final, absorbed)
 
 
 def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     """``run_trajectories``' loop: jump times, jump qubits, absorbed, and ``ends``: one
-    (k, C_k, rows, states) per group of rows (positions in ``ids``) that end on C_k."""
+    (k, C_k, rows, table, which) per group of rows (positions in ``ids``) that end on
+    C_k: row rows[i] ends in table[which[i]]. Live rows are held so too: a scalar round
+    0 starts all on psi0's one row, and after a scalar round rows of one (table row,
+    channel) pair share their new row, found by marking pairs (np.unique adds RSS)."""
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
     if not (np.isfinite(T) and T >= 0):
@@ -652,49 +653,56 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     sources: list[np.ndarray] = []
     ends = []
     if T == 0:  # no round runs
-        ends.append((0, columns[0], np.arange(count),
-                     np.tile(psi0.amplitudes[columns[0]], (count, 1))))
+        ends.append((0, columns[0], np.arange(count), psi0.amplitudes[None, columns[0]],
+                     np.zeros(count, dtype=int)))
+    shared = flow.diagonal and np.ptp(flow.string_rates[columns[0]]) == 0  # round 0 is scalar
+
+    def unit_table(rows, t):  # unit states at t: a table, and each row's index in it
+        if flow.rate is not None:  # the scalar flow's table: its start rows
+            return flow.unit, rows
+        return flow.unit_state(rows, t), np.arange(len(rows))
     absorbed = np.zeros(count, dtype=bool)
     jump_times, jump_qubits = [], []  # per round of jumps, one entry per row
     for start in range(0, count if T > 0 else 0, TRAJECTORY_CHUNK):
-        # ``live`` indexes within the chunk, and row i of ``psi`` holds live
-        # row i's amplitudes on round k's strings.
+        # ``live`` indexes within the chunk; live row i's amplitudes on round k's
+        # strings are ``table`` row which[i], one per distinct state (scalar flow).
         chunk = slice(start, start + TRAJECTORY_CHUNK)
         keys_c = keys[chunk]
         block = np.empty((len(keys_c), 8))  # the Philox blocks of rounds k to k + 3
         t = np.zeros(len(keys_c))
         live = np.arange(len(keys_c))
-        psi = np.tile(psi0.amplitudes[columns[0]], (live.size, 1))
+        which = live * (not shared)  # shared: every row starts on psi0's one row
+        table = np.tile(psi0.amplitudes[columns[0]], (which[-1] + 1, 1))
         for k in itertools.count():
             cols = columns[k]
             if k % 4 == 0:
                 block[live] = _philox_uniforms(keys_c[live], [k // 2 + 1, k // 2 + 2])
             draws = block[live, 2 * (k % 4) : 2 * (k % 4) + 2]
-            flow.start(psi, cols)
+            flow.start(table, cols)
             remaining = T - t[live]
-            end_sq = flow.norm_slope(np.arange(live.size), remaining)[0]
+            end_sq = flow.norm_slope(which, remaining)[0]
             if not np.isfinite(end_sq).all():  # a NaN state would creep on forever
                 raise ValueError("trajectory norms must be finite")
             # Threshold 0 is never crossed: its waiting time is infinite.
             stays = (end_sq > draws[:, 0]) | (draws[:, 0] == 0)
             if stays.any():
                 ends.append((k, cols, start + live[stays],
-                             flow.unit_state(np.flatnonzero(stays), remaining[stays])))
+                             *unit_table(which[stays], remaining[stays])))
                 if stays.all():
                     break
 
             jumping = np.flatnonzero(~stays)
             rows, (threshold, pick) = live[jumping], draws[jumping].T
-            s = _jump_times(flow, jumping, remaining[jumping], threshold)
-            pre = flow.unit_state(jumping, s)
-            channel_w = _channel_weights(model, pre, cols)
+            s = _jump_times(flow, which[jumping], remaining[jumping], threshold)
+            pre, at = unit_table(which[jumping], s)
+            channel_w = _channel_weights(model, pre, cols)[at]
             total = channel_w.sum(axis=1)
             dark = total <= 0.0
             if dark.any():
                 absorbed[start + rows[dark]] = True
-                ends.append((k, cols, start + rows[dark], pre[dark]))
+                ends.append((k, cols, start + rows[dark], pre, at[dark]))
                 lit = ~dark
-                rows, s, pre, pick = rows[lit], s[lit], pre[lit], pick[lit]
+                rows, s, at, pick = rows[lit], s[lit], at[lit], pick[lit]
                 channel_w, total = channel_w[lit], total[lit]
             # Generator.choice(p=w / total), bit for bit: normalized cumulative
             # weights searched (side="right") with one uniform draw.
@@ -705,8 +713,14 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
                 reached, source = _lowered_columns(cols, bits, psi0.dim, not flow.diagonal)
                 columns.append(reached)
                 sources.append(source)
-            jumped = _lower(pre, sources[k][j])
-            psi = jumped / row_norms(jumped)[:, None]
+            parent, channel, which = at, j, np.arange(len(at))  # each row's own new table row
+            if flow.rate is not None:  # rows of one (table row, channel) pair share one
+                pair, marks = at * len(qubits) + j, np.zeros(len(pre) * len(qubits), dtype=bool)
+                marks[pair] = True
+                parent, channel = np.divmod(np.flatnonzero(marks), len(qubits))
+                which = np.cumsum(marks)[pair] - 1
+            jumped = _lower(pre[parent], sources[k][channel])
+            table = jumped / row_norms(jumped)[:, None]
             t[rows] += s
             if k == len(jump_times):
                 jump_times.append(np.full(count, np.nan))
@@ -714,8 +728,8 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
             jump_times[k][chunk][rows] = t[rows]
             jump_qubits[k][chunk][rows] = qubits[j]
             over = t[rows] >= T
-            ends.append((k + 1, columns[k + 1], start + rows[over], psi[over]))
-            live, psi = rows[~over], psi[~over]
+            ends.append((k + 1, columns[k + 1], start + rows[over], table, which[over]))
+            live, which = rows[~over], which[~over]
             if not live.size:
                 break
     return (np.array(jump_times, dtype=float).reshape(len(jump_times), count).T,
@@ -735,19 +749,19 @@ def average_trajectories(
     """Mean projector over ``count`` trajectories, deterministically reduced.
 
     Streams derive from (seed, trajectory_id). Each block of consecutive ids
-    takes its rows from ``_sample`` on C_k, the strings of the round each ends
-    in. Rounds ascending, it adds each round's rows V, in id order, as V^T V^*
-    to total[C_k, C_k]: numpy's own loop, not BLAS, so BLAS threads change no
-    bit. Rows that pass T by rounding, and dark rows, join their round out of
-    id order; the sort keeps the sum's order the same for any TRAJECTORY_CHUNK.
+    gathers its rows (``table[which]``) from ``_sample`` on C_k, the strings of the
+    round each ends in. Rounds ascending, it adds each round's rows V, in id order,
+    as V^T V^* to total[C_k, C_k]: numpy's own loop, not BLAS, so BLAS threads change
+    no bit. Rows that pass T by rounding, and dark rows, join their round out of id
+    order; the sort keeps the sum's order the same for any TRAJECTORY_CHUNK.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     total = np.zeros((psi0.dim, psi0.dim), dtype=complex)
     for start in range(0, count, _ENSEMBLE_BLOCK):
         ends = _sample(model, psi0, T, seed, range(start, min(start + _ENSEMBLE_BLOCK, count)))[3]
-        for k, cols in sorted({k: cols for k, cols, _, _ in ends}.items()):
-            parts = [(rows, states) for j, _, rows, states in ends if j == k]
+        for k, cols in sorted({k: cols for k, cols, *_ in ends}.items()):
+            parts = [(rows, table[which]) for j, _, rows, table, which in ends if j == k]
             order = np.concatenate([rows for rows, _ in parts]).argsort()  # id order
             V = np.concatenate([states for _, states in parts])[order].T.copy()
             total[np.ix_(cols, cols)] += np.einsum("ir,jr->ij", V, V.conj())

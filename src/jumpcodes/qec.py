@@ -401,39 +401,25 @@ def run_experiment(config: ExperimentConfig):
     """
     code = jump_code(config.n_qubits, config.phase)
     rng_logical = trajectory_rng(config.seed, 0)
-    logical = rng_logical.normal(size=code.count) + 1j * rng_logical.normal(
-        size=code.count
-    )
+    logical = rng_logical.normal(size=code.count) + 1j * rng_logical.normal(size=code.count)
     logical /= np.linalg.norm(logical)
     psi_enc = encode(code, logical).normalized()
     model = memory_model(config.n_qubits, config.true_rates())
-    batch = run_trajectories(
-        model, psi_enc, config.t_final, config.seed, range(1, config.trajectories + 1)
-    )
+    ids = range(1, config.trajectories + 1)
+    batch = run_trajectories(model, psi_enc, config.t_final, config.seed, ids)
     # The coins decide nothing when p_miss is 0 or 1, so their streams are
     # only drawn in between. Row r's coins are the first draws of its stream,
     # computed for all rows at once; uniform(0, 1) is random() bit for bit.
     detected = np.full(batch.jump_qubits.shape, config.p_miss == 0.0)
     if 0.0 < config.p_miss < 1.0:
         width = detected.shape[1]
-        keys = _stream_keys(config.seed, range(1, config.trajectories + 1), stream=1)
+        keys = _stream_keys(config.seed, ids, stream=1)
         coins = _philox_uniforms(keys, range(1, (width + 3) // 4 + 1))[:, :width]
         detected = (coins >= config.p_miss) & (np.arange(width) < batch.jump_counts[:, None])
-    _, fidelities = replay_records(
-        code,
-        psi_enc.amplitudes,
-        batch.jump_times,
-        batch.jump_qubits,
-        detected,
-        model,
-        config.delay,
-        config.t_final,
-    )
-    std_error = (
-        float(fidelities.std(ddof=1) / np.sqrt(config.trajectories))
-        if config.trajectories > 1
-        else 0.0
-    )
+    _, fidelities = replay_records(code, psi_enc.amplitudes, batch.jump_times, batch.jump_qubits,
+                                   detected, model, config.delay, config.t_final)
+    std_error = (float(fidelities.std(ddof=1) / np.sqrt(config.trajectories))
+                 if config.trajectories > 1 else 0.0)
     summary = {
         "mean_fidelity": float(fidelities.mean()),
         "std_error": std_error,

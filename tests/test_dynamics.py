@@ -853,6 +853,46 @@ class TestRunTrajectories:
             rho.matrix.tobytes()
         )
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_shared_state_rows_are_their_one_row_batches(self, n, monkeypatch):
+        # A code state at equal rates: rows with one ordered jump record share
+        # one state, which the full-support states above never do.
+        model, psi, ids = memory_model(n, 1.0), code_state(n, n), range(120)
+        batch = run_trajectories(model, psi, 1.0, 19, ids)
+        records = [tuple(q[:m]) for q, m in zip(batch.jump_qubits, batch.jump_counts) if m]
+        assert len(set(records)) < len(records) and batch.jump_counts.max() >= 2
+        for row in ids:
+            rec = run_trajectory(model, psi, 1.0, 19, trajectory_id=row)
+            m = batch.jump_counts[row]
+            assert rec.jump_times[0].tobytes() == batch.jump_times[row, :m].tobytes()
+            assert np.array_equal(rec.jump_qubits[0], batch.jump_qubits[row, :m])
+            assert rec.final_states[0].tobytes() == batch.final_states[row].tobytes()
+            assert rec.absorbed[0] == batch.absorbed[row]
+        monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 7)
+        small = run_trajectories(model, psi, 1.0, 19, ids)
+        for field in ("jump_times", "jump_qubits", "final_states", "absorbed"):
+            assert getattr(small, field).tobytes() == getattr(batch, field).tobytes()
+
+    def test_each_round_weighs_its_distinct_states_once(self, monkeypatch):
+        # Under the scalar flow a row's state after k jumps is fixed by its
+        # ordered jump qubits, so round k weighs at most one row per distinct
+        # prefix of k jumps, and round 0 weighs the start state alone.
+        weighed, channel_weights = [], dynamics._channel_weights
+
+        def counting_weights(model, psi, columns):
+            weighed.append(len(psi))
+            return channel_weights(model, psi, columns)
+
+        monkeypatch.setattr(dynamics, "_channel_weights", counting_weights)
+        batch = run_trajectories(memory_model(8, 1.0), code_state(8, 3), 1.0, 23, range(1024))
+        prefixes = [
+            {tuple(q[:k]) for q, m in zip(batch.jump_qubits, batch.jump_counts) if m >= k}
+            for k in range(len(weighed))
+        ]
+        assert len(weighed) >= 3 and weighed[0] == 1
+        assert all(w <= len(p) for w, p in zip(weighed, prefixes))
+        assert sum(weighed) < batch.jump_counts.sum() / 4
+
 
 def round_case(name: str):
     """(model, psi0, T) of one sampler case, by name."""

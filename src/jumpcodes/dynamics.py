@@ -363,7 +363,7 @@ class _NoJumpRows:
     bits do not depend on the other rows. Under H = 0, strings that all decay at
     one finite rate r (a code state's sector at equal kappa) flow as e^(-rt/2).
     ``rows`` arguments index the start rows and may repeat one: ``_sample``
-    starts each distinct state once under that scalar flow.
+    starts each distinct state once, and each chunk's first round on one row.
     """
 
     def __init__(self, model: LindbladModel):
@@ -618,9 +618,9 @@ def run_trajectories(
     PRL 86, 4402 (2001)). With a drive, C_k is all 2^N strings. C_k depends
     on psi0 and k only, and each row's arithmetic is independent of the
     other rows, so a trajectory comes out bit for bit the same in any batch.
-    Under the scalar flow (H = 0, one rate on C_k) a row's state after k jumps
-    depends only on its ordered jump qubits, so ``_sample`` keeps each distinct
-    state once, with each row's index into that table. Each finished row (it
+    ``_sample`` keeps each round's distinct states once (a table, one index per
+    row): a chunk starts on psi0's one row, and rows that jump from one table row
+    on one channel share their new row. Each finished row (it
     stays to T, goes dark, or jumps past T) leaves ``_sample`` on its C_k and is
     scattered into its full 2^N row. Rows advance TRAJECTORY_CHUNK at a time. A
     row whose squared norm is not finite raises ValueError.
@@ -635,9 +635,9 @@ def run_trajectories(
 def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     """``run_trajectories``' loop: jump times, jump qubits, absorbed, and ``ends``: one
     (k, C_k, rows, table, which) per group of rows (positions in ``ids``) that end on
-    C_k: row rows[i] ends in table[which[i]]. Live rows are held so too: a scalar round
-    0 starts all on psi0's one row, and after a scalar round rows of one (table row,
-    channel) pair share their new row, found by marking pairs (np.unique adds RSS)."""
+    C_k: row rows[i] ends in table[which[i]]. Live rows are held so too: each chunk starts
+    on psi0's one row, and after each round rows of one (table row, channel) pair share
+    their new row, found by marking pairs (np.unique adds RSS)."""
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
     if not (np.isfinite(T) and T >= 0):
@@ -655,7 +655,6 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     if T == 0:  # no round runs
         ends.append((0, columns[0], np.arange(count), psi0.amplitudes[None, columns[0]],
                      np.zeros(count, dtype=int)))
-    shared = flow.diagonal and np.ptp(flow.string_rates[columns[0]]) == 0  # round 0 is scalar
 
     def unit_table(rows, t):  # unit states at t: a table, and each row's index in it
         if flow.rate is not None:  # the scalar flow's table: its start rows
@@ -665,14 +664,13 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     jump_times, jump_qubits = [], []  # per round of jumps, one entry per row
     for start in range(0, count if T > 0 else 0, TRAJECTORY_CHUNK):
         # ``live`` indexes within the chunk; live row i's amplitudes on round k's
-        # strings are ``table`` row which[i], one per distinct state (scalar flow).
+        # strings are ``table`` row which[i]. Every row starts on psi0's one row.
         chunk = slice(start, start + TRAJECTORY_CHUNK)
         keys_c = keys[chunk]
         block = np.empty((len(keys_c), 8))  # the Philox blocks of rounds k to k + 3
         t = np.zeros(len(keys_c))
         live = np.arange(len(keys_c))
-        which = live * (not shared)  # shared: every row starts on psi0's one row
-        table = np.tile(psi0.amplitudes[columns[0]], (which[-1] + 1, 1))
+        which, table = np.zeros_like(live), psi0.amplitudes[None, columns[0]]
         for k in itertools.count():
             cols = columns[k]
             if k % 4 == 0:
@@ -713,12 +711,11 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
                 reached, source = _lowered_columns(cols, bits, psi0.dim, not flow.diagonal)
                 columns.append(reached)
                 sources.append(source)
-            parent, channel, which = at, j, np.arange(len(at))  # each row's own new table row
-            if flow.rate is not None:  # rows of one (table row, channel) pair share one
-                pair, marks = at * len(qubits) + j, np.zeros(len(pre) * len(qubits), dtype=bool)
-                marks[pair] = True
-                parent, channel = np.divmod(np.flatnonzero(marks), len(qubits))
-                which = np.cumsum(marks)[pair] - 1
+            # Rows of one (table row, channel) pair share one new table row.
+            pair, marks = at * len(qubits) + j, np.zeros(len(pre) * len(qubits), dtype=bool)
+            marks[pair] = True
+            parent, channel = np.divmod(np.flatnonzero(marks), len(qubits))
+            which = np.cumsum(marks)[pair] - 1
             jumped = _lower(pre[parent], sources[k][channel])
             table = jumped / row_norms(jumped)[:, None]
             t[rows] += s

@@ -744,6 +744,51 @@ class TestExactReferenceChannel:
         assert trace_distance(rho, DensityMatrix(exact)) <= 3.0 / np.sqrt(count)
 
 
+class TestJumpCountOracle:
+    """With H = 0 every no-jump and jump operator maps basis strings to
+    distinct strings, so record probabilities add over psi0's strings x:
+    P(n jumps by T) = sum_x |psi_x|^2 PB_x(n), PB_x the Poisson-binomial of
+    p_a = 1 - exp(-kappa_a T) over the qubits a set in x, and qubit a jumps
+    with probability p_a sum_x |psi_x|^2 [bit a of x] (Dalibard, Castin &
+    Molmer, PRL 68, 580 (1992))."""
+
+    @staticmethod
+    def exact(n, rates, T, psi0):
+        weights = np.abs(psi0.amplitudes) ** 2
+        p = 1.0 - np.exp(-np.asarray(rates, dtype=float) * T)
+        counts, marginals = np.zeros(n + 1), np.zeros(n)
+        for x in np.flatnonzero(weights):
+            set_bits = (x >> np.arange(n)) & 1 == 1
+            pb = np.ones(1)
+            for p_a in p[set_bits]:
+                pb = np.convolve(pb, [1.0 - p_a, p_a])
+            counts[: len(pb)] += weights[x] * pb
+            marginals += weights[x] * p * set_bits
+        return counts, marginals
+
+    @pytest.mark.parametrize("n, rates, T, count", [
+        (4, [1.3, 0.7, 1.0, 1.0], 1.5, 4000),
+        (6, [1.2, 0.8, 1.0, 1.1, 0.9, 1.0], 1.5, 4000),
+        (8, [1.2, 0.8, 1.0, 1.1, 0.9, 1.0, 1.0, 1.05], 1.5, 4000),
+        (8, [1.0] * 8, 1.0, 16000),
+    ], ids=["N4-mismatch", "N6-mismatch", "N8-mismatch", "N8-equal"])
+    def test_jump_counts_match_the_poisson_binomial(self, n, rates, T, count):
+        code, rng = jump_code(n, 0.3), np.random.default_rng(n)
+        logical = rng.normal(size=code.count) + 1j * rng.normal(size=code.count)
+        psi0 = encode(code, logical / np.linalg.norm(logical))
+        batch = run_trajectories(memory_model(n, rates), psi0, T, 5, range(count))
+        probs, marginals = self.exact(n, rates, T, psi0)
+        jumps = np.arange(n + 1)
+        mean, var = probs @ jumps, probs @ jumps**2 - (probs @ jumps) ** 2
+        z = [(batch.jump_counts.mean() - mean) / np.sqrt(var / count)]
+        hits = (batch.jump_qubits[:, :, None] == np.arange(1, n + 1)).any(axis=1).sum(axis=0)
+        z += list((hits - count * marginals) / np.sqrt(count * marginals * (1 - marginals)))
+        bins = np.bincount(batch.jump_counts, minlength=n + 1)
+        big = count * probs >= 20
+        z += list((bins - count * probs)[big] / np.sqrt(count * probs * (1 - probs))[big])
+        assert np.abs(z).max() <= 5.0
+
+
 def test_records_csv_format():
     model = memory_model(2, 1.0)
     csv = records_to_csv(run_trajectories(model, excited(2), 5.0, 1, range(3)))
@@ -873,6 +918,26 @@ class TestRunTrajectories:
         for field in ("jump_times", "jump_qubits", "final_states", "absorbed"):
             assert getattr(small, field).tobytes() == getattr(batch, field).tobytes()
 
+    @pytest.mark.parametrize("name", ["driven", "code-mismatch", "code-equal"])
+    def test_rows_past_the_horizon_leave_the_others_their_states(self, name, monkeypatch):
+        # Rounding can put a jump at or past T. Such a row ends on its jumped
+        # state, and the rows that go on keep their own table rows. Here every
+        # row whose threshold is below 0.3 crosses one ulp past its horizon.
+        search = dynamics._jump_times
+
+        def late(flow, rows, horizon, u):
+            return np.where(u < 0.3, np.nextafter(horizon, np.inf), search(flow, rows, horizon, u))
+
+        monkeypatch.setattr(dynamics, "_jump_times", late)
+        model, psi0, T = round_case(name)
+        batch = run_trajectories(model, psi0, T, 31, range(60))
+        assert 0 < (batch.jump_times >= T).any(axis=1).sum() < 50
+        for row in range(60):
+            rec = run_trajectory(model, psi0, T, 31, trajectory_id=row)
+            m = rec.jump_times.shape[1]
+            assert rec.jump_times[0].tobytes() == batch.jump_times[row, :m].tobytes()
+            assert rec.final_states[0].tobytes() == batch.final_states[row].tobytes()
+
     def test_each_round_weighs_its_distinct_states_once(self, monkeypatch):
         # Under the scalar flow a row's state after k jumps is fixed by its
         # ordered jump qubits, so round k weighs at most one row per distinct
@@ -893,11 +958,49 @@ class TestRunTrajectories:
         assert all(w <= len(p) for w, p in zip(weighed, prefixes))
         assert sum(weighed) < batch.jump_counts.sum() / 4
 
+    @pytest.mark.parametrize("name", ["driven", "code-mismatch", "code-equal"])
+    def test_every_flow_starts_each_chunk_on_one_row(self, name, monkeypatch):
+        # Every flow starts each chunk on psi0's one row. Under a drive or
+        # mixed rates rows that jump never share a state, so each later
+        # round's table holds one row per live trajectory.
+        model, psi0, T = round_case(name)
+        rounds, first = [], []  # per round: [first of its chunk, table rows, live rows]
+        start, norm_slope = dynamics._NoJumpRows.start, dynamics._NoJumpRows.norm_slope
+        philox = dynamics._philox_uniforms
+
+        def spy_philox(keys, blocks):
+            first.append(blocks[0] == 1)  # round 0's draws open a chunk
+            return philox(keys, blocks)
+
+        def spy_start(flow, psi, columns=slice(None)):
+            rounds.append([any(first), len(psi), None])
+            first.clear()
+            return start(flow, psi, columns)
+
+        def spy_norm_slope(flow, rows, t):  # a round's first evaluation covers its live rows
+            if rounds[-1][2] is None:
+                rounds[-1][2] = len(rows)
+            return norm_slope(flow, rows, t)
+
+        monkeypatch.setattr(dynamics, "TRAJECTORY_CHUNK", 100)
+        monkeypatch.setattr(dynamics, "_philox_uniforms", spy_philox)
+        monkeypatch.setattr(dynamics._NoJumpRows, "start", spy_start)
+        monkeypatch.setattr(dynamics._NoJumpRows, "norm_slope", spy_norm_slope)
+        run_trajectories(model, psi0, T, 29, range(250))
+        opening = [(table, live) for chunk, table, live in rounds if chunk]
+        later = [(table, live) for chunk, table, live in rounds if not chunk]
+        assert opening == [(1, 100), (1, 100), (1, 50)]
+        assert len(later) >= 3
+        if name != "code-equal":
+            assert all(table == live for table, live in later)
+
 
 def round_case(name: str):
     """(model, psi0, T) of one sampler case, by name."""
     if name == "code-mismatch":
         return memory_model(8, [1.2, 0.8, 1.0, 1.1, 0.9, 1.0, 1.0, 1.05]), code_state(8, 4), 1.5
+    if name == "code-equal":
+        return memory_model(8, 1.0), code_state(8, 4), 1.5
     if name == "full-support":
         return memory_model(8, list(np.linspace(0.6, 1.4, 8))), random_state(8, 5), 1.0
     if name == "driven":
@@ -1344,19 +1447,21 @@ class TestJumpTimeBracket:
             evaluated.append(rows)
             return norm_slope(flow, rows, t)
 
+        # Each evaluation covers every unfinished row of its search, so a
+        # search's evaluation count is the most any of its rows takes, and its
+        # first evaluation holds every row it searches.
         def counting_search(flow, rows, horizon, threshold):
             evaluated.clear()
             s = search(flow, rows, horizon, threshold)
-            per_row = np.bincount(np.concatenate([rows[:0], *evaluated]), minlength=rows.max() + 1)
-            counts.append(per_row[rows])
+            counts.append((len(evaluated), len(evaluated[0]) if evaluated else 0))
             return s
 
         monkeypatch.setattr(dynamics._NoJumpRows, "norm_slope", counting_norm_slope)
         monkeypatch.setattr(dynamics, "_jump_times", counting_search)
         run_trajectories(model, psi0, T, 41, range(300))
-        counts = np.concatenate(counts)
-        assert (counts > 0).sum() >= 300
-        assert counts.max() <= 12
+        evaluations, searched = np.array(counts).T
+        assert searched.sum() >= 300
+        assert evaluations.max() <= 12
 
     @pytest.mark.parametrize("case", ["zero rate in support", "u above weight",
                                       "u above weight, dark"])
@@ -1460,6 +1565,19 @@ class TestJumpTimeBracket:
             s = dynamics._jump_times(flow, np.arange(1), np.ones(1), np.zeros(1))
         assert (lo, hi) == (0.0, 1.0)
         assert 0 < s[0] <= 1.0 and flow.norm_slope(np.arange(1), s)[0][0] < 1e-300
+
+
+def test_a_pick_equal_to_a_cumulative_weight_takes_the_next_channel(monkeypatch):
+    # Generator.choice searches the normalized cumulative weights with
+    # side="right", so a uniform equal to one of them picks the next channel.
+    # Qubits 1 and 2 excited at equal rates: cumulative weights 0.5, 1, 1, 1.
+    monkeypatch.setattr(dynamics, "_philox_uniforms",
+                        lambda keys, blocks: np.tile([0.9, 0.5], (len(keys), 2 * len(blocks))))
+    psi0 = Ket(4, np.eye(16)[0b0011])
+    batch = run_trajectories(memory_model(4, 1.0), psi0, 3.0, 3, range(2))
+    first = np.cumsum([0.5, 0.5, 0.0, 0.0]).searchsorted(0.5, side="right") + 1
+    assert first == 2
+    assert batch.jump_qubits.tolist() == [[2, 1], [2, 1]]
 
 
 def test_trajectory_stream_is_philox_keyed_by_seed_sequence():

@@ -1570,13 +1570,12 @@ class TestJumpTimeBracket:
 def test_a_pick_equal_to_a_cumulative_weight_takes_the_next_channel(monkeypatch):
     # Generator.choice searches the normalized cumulative weights with
     # side="right", so a uniform equal to one of them picks the next channel.
-    # Qubits 1 and 2 excited at equal rates: cumulative weights 0.5, 1, 1, 1.
+    # Qubits 1 and 2 excited at equal rates: cumulative weights 0.5, 1, 1, 1,
+    # so a pick of 0.5 must take qubit 2 first.
     monkeypatch.setattr(dynamics, "_philox_uniforms",
                         lambda keys, blocks: np.tile([0.9, 0.5], (len(keys), 2 * len(blocks))))
     psi0 = Ket(4, np.eye(16)[0b0011])
     batch = run_trajectories(memory_model(4, 1.0), psi0, 3.0, 3, range(2))
-    first = np.cumsum([0.5, 0.5, 0.0, 0.0]).searchsorted(0.5, side="right") + 1
-    assert first == 2
     assert batch.jump_qubits.tolist() == [[2, 1], [2, 1]]
 
 

@@ -10,15 +10,13 @@ survivor's ``equivalent`` text in ``tools/mutants.json``, when given, says why
 no test can tell it from the source. The run refuses to start when the
 unmutated copy fails tier-1, since a kill would then mean nothing.
 
-    python tools/mutate.py                            # every mutant, about 20 s each
-    python tools/mutate.py --only ID ... --out FILE   # some of them
+    python tools/mutate.py    # every mutant, about 20 s each
 
 Not part of tier-1 or CI.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -79,17 +77,8 @@ def run_tier1(tree: Path) -> dict:
             "summary": summary, "seconds": round(time.perf_counter() - start, 1)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run these mutants alone")
-    parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
-    args = parser.parse_args(argv)
+def main() -> int:
     mutants = json.loads((ROOT / "tools" / "mutants.json").read_text())
-    if args.only:
-        unknown = set(args.only) - {m["id"] for m in mutants}
-        if unknown:
-            parser.error(f"unknown mutants: {sorted(unknown)}")
-        mutants = [m for m in mutants if m["id"] in args.only]
     files = tracked_files()
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
@@ -121,14 +110,14 @@ def main(argv=None) -> int:
                   f"{outcome['seconds']} s)", flush=True)
 
     record = {
-        "command": "python tools/mutate.py" + (" --only " + " ".join(args.only) if args.only else ""),
+        "command": "python tools/mutate.py",
         "tier1": " ".join(["python"] + TIER1[1:]) + " (OPENBLAS_NUM_THREADS=1)",
         "unmutated": baseline["summary"],
         "killed": sum(r["verdict"] == "killed" for r in results),
         "survived": [r["id"] for r in results if r["verdict"] == "survived"],
         "mutants": results,
     }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    (ROOT / "MUTANTS.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

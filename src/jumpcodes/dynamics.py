@@ -101,10 +101,12 @@ class DensityMatrix:
         tr = np.trace(mat)
         if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):
             raise ValueError(f"trace {tr} is not 1")
-        if not np.linalg.norm(mat - mat.conj().T) <= HERM_TOL:
+        herm = mat.conj().T  # the adjoint, formed once; reassigned below, so no copy outlives it
+        if not np.linalg.norm(mat - herm) <= HERM_TOL:
             raise ValueError("density matrix is not hermitian")
         # min eig >= -eig_tol iff the nonzero rows' block + eig_tol I has a Cholesky factor.
-        herm = 0.5 * (mat + mat.conj().T)
+        herm = mat + herm
+        herm *= 0.5  # in place, so no third N x N array is alive at once
         support = np.flatnonzero(herm.any(axis=1))
         block = herm[np.ix_(support, support)]
         block.reshape(-1)[:: len(block) + 1] += self.eig_tol
@@ -627,17 +629,18 @@ def run_trajectories(
     """
     times, qubits, absorbed, ends = _sample(model, psi0, T, seed, ids)
     final = np.zeros((len(absorbed), psi0.dim), dtype=complex)
-    for _, cols, rows, table, which in ends:
+    for _, cols, rows, table, which, _ in ends:
         final[rows[:, None], cols] = table[which]
     return TrajectoryBatch(psi0.n_qubits, times, qubits, final, absorbed)
 
 
 def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     """``run_trajectories``' loop: jump times, jump qubits, absorbed, and ``ends``: one
-    (k, C_k, rows, table, which) per group of rows (positions in ``ids``) that end on
-    C_k: row rows[i] ends in table[which[i]]. Live rows are held so too: each chunk starts
+    (k, C_k, rows, table, which, shared) per group of rows (positions in ``ids``) that end
+    on C_k: row rows[i] ends in table[which[i]]. Live rows are held so too: each chunk starts
     on psi0's one row, and after each round rows of one (table row, channel) pair share
-    their new row, found by marking pairs (np.unique adds RSS)."""
+    their new row, found by marking pairs (np.unique adds RSS). ``shared`` marks the groups
+    whose rows may share a table row: those of scalar-flow rounds and of T = 0."""
     if not psi0.is_normalized(1e-9):
         raise ValueError("initial state must be normalized")
     if not (np.isfinite(T) and T >= 0):
@@ -654,7 +657,7 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
     ends = []
     if T == 0:  # no round runs
         ends.append((0, columns[0], np.arange(count), psi0.amplitudes[None, columns[0]],
-                     np.zeros(count, dtype=int)))
+                     np.zeros(count, dtype=int), True))
 
     def unit_table(rows, t):  # unit states at t: a table, and each row's index in it
         if flow.rate is not None:  # the scalar flow's table: its start rows
@@ -677,6 +680,7 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
                 block[live] = _philox_uniforms(keys_c[live], [k // 2 + 1, k // 2 + 2])
             draws = block[live, 2 * (k % 4) : 2 * (k % 4) + 2]
             flow.start(table, cols)
+            shared = flow.rate is not None  # rows may share table rows, and so may their jumps
             remaining = T - t[live]
             end_sq = flow.norm_slope(which, remaining)[0]
             if not np.isfinite(end_sq).all():  # a NaN state would creep on forever
@@ -685,7 +689,7 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
             stays = (end_sq > draws[:, 0]) | (draws[:, 0] == 0)
             if stays.any():
                 ends.append((k, cols, start + live[stays],
-                             *unit_table(which[stays], remaining[stays])))
+                             *unit_table(which[stays], remaining[stays]), shared))
                 if stays.all():
                     break
 
@@ -698,7 +702,7 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
             dark = total <= 0.0
             if dark.any():
                 absorbed[start + rows[dark]] = True
-                ends.append((k, cols, start + rows[dark], pre, at[dark]))
+                ends.append((k, cols, start + rows[dark], pre, at[dark], shared))
                 lit = ~dark
                 rows, s, at, pick = rows[lit], s[lit], at[lit], pick[lit]
                 channel_w, total = channel_w[lit], total[lit]
@@ -725,7 +729,7 @@ def _sample(model: LindbladModel, psi0: Ket, T: float, seed: int, ids):
             jump_times[k][chunk][rows] = t[rows]
             jump_qubits[k][chunk][rows] = qubits[j]
             over = t[rows] >= T
-            ends.append((k + 1, columns[k + 1], start + rows[over], table, which[over]))
+            ends.append((k + 1, columns[k + 1], start + rows[over], table, which[over], shared))
             live, which = rows[~over], which[~over]
             if not live.size:
                 break
@@ -745,12 +749,15 @@ def average_trajectories(
 ) -> DensityMatrix:
     """Mean projector over ``count`` trajectories, deterministically reduced.
 
-    Streams derive from (seed, trajectory_id). Each block of consecutive ids
-    gathers its rows (``table[which]``) from ``_sample`` on C_k, the strings of the
-    round each ends in. Rounds ascending, it adds each round's rows V, in id order,
-    as V^T V^* to total[C_k, C_k]: numpy's own loop, not BLAS, so BLAS threads change
-    no bit. Rows that pass T by rounding, and dark rows, join their round out of id
-    order; the sort keeps the sum's order the same for any TRAJECTORY_CHUNK.
+    Streams derive from (seed, trajectory_id). Each block of consecutive ids takes
+    its states from ``_sample`` on C_k, the strings of the round each ends in. Rounds
+    ascending, it adds each round's states v in the order of their first id, as
+    n v^T v^* to total[C_k, C_k]: numpy's own loop, not BLAS, so BLAS threads change no
+    bit. A ``shared`` group's table rows (scalar-flow rounds, T = 0) are merged across
+    groups and chunks by content, n the rows each stands for; any other row is its own
+    state, n = 1, and a round of these alone is added unweighted, as V^T V^*. Rows
+    that pass T by rounding, and dark rows, join their round out of id order; the sort
+    keeps the sum's order the same for any TRAJECTORY_CHUNK.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -758,13 +765,29 @@ def average_trajectories(
     for start in range(0, count, _ENSEMBLE_BLOCK):
         ends = _sample(model, psi0, T, seed, range(start, min(start + _ENSEMBLE_BLOCK, count)))[3]
         for k, cols in sorted({k: cols for k, cols, *_ in ends}.items()):
-            parts = [(rows, table[which]) for j, _, rows, table, which in ends if j == k]
-            order = np.concatenate([rows for rows, _ in parts]).argsort()  # id order
-            V = np.concatenate([states for _, states in parts])[order].T.copy()
-            total[np.ix_(cols, cols)] += np.einsum("ir,jr->ij", V, V.conj())
+            # merged: a shared state's bytes -> (first id, n, state). Empties: a round of no rows.
+            ids, states, merged = [np.arange(0)], [np.zeros((0, len(cols)))], {}
+            for j, _, rows, table, which, shared in ends:
+                if j == k and not shared:
+                    ids.append(rows)
+                    states.append(table[which])
+                elif j == k:  # reversed, the last write keeps a table row's first id: rows ascend
+                    n = np.bincount(which)
+                    for i, row in dict(zip(which[::-1].tolist(), rows[::-1].tolist())).items():
+                        first, m, _ = merged.get(key := table[i].tobytes(), (row, 0, None))
+                        merged[key] = (min(first, row), m + n[i], table[i])
+            if merged:  # after the unshared rows: each merged state, weighted by its row count
+                first, n, kept = zip(*merged.values())
+                weights = np.concatenate([np.ones(sum(map(len, ids))), n])
+                ids, states = ids + [np.array(first)], states + [np.array(kept)]
+            order = np.concatenate(ids).argsort()  # first-id order
+            V = np.concatenate(states)[order].T.copy()
+            # Unshared rows alone are not weighted: a product by 1.0 can flip a zero's sign.
+            total[np.ix_(cols, cols)] += np.einsum(
+                "ir,jr->ij", V * weights[order] if merged else V, V.conj())
     total /= count
     total = 0.5 * (total + total.conj().T)
-    return DensityMatrix(total / np.trace(total).real, eig_tol=1e-7)
+    return DensityMatrix(np.divide(total, np.trace(total).real, out=total), eig_tol=1e-7)
 
 
 @dataclass
